@@ -15,7 +15,8 @@ lines; trajectories are written as CSV with the fixed header
 one row per period, 17 significant digits, LF line endings.
 ``dist2_sne`` is the Euclidean distance of the price pair to the
 stationary equilibrium solved once per run; ``eps_l1`` the
-sensitivity-weighted l1 distance.
+sensitivity-weighted l1 distance. ``sne_residual`` in a summary is the
+dimensionless max|G_i| of the scaled first-order conditions at the SNE.
 """
 
 from __future__ import annotations

@@ -284,7 +284,7 @@ def ascent_step(params: MarketParams, state: MarketState, eta: float) -> MarketS
     lo, hi, alpha = params.p_lo, params.p_hi, params.alpha
     omega = 1.0 - alpha
 
-    d_H, d_L = _demands_fast(consts, p_H, p_L, r_H, r_L)
+    d_H, d_L, _, _ = _demands_fast(consts, p_H, p_L, r_H, r_L)
     D_H = 1.0 / p_H + consts[1] * (d_H - 1.0)
     D_L = 1.0 / p_L + consts[4] * (d_L - 1.0)
 
@@ -400,7 +400,7 @@ def simulate(
         p_H, p_L, r_H, r_L = new_pH, new_pL, new_rH, new_rL
 
     # final record: state at t = horizon with its diagnostic derivative
-    d_H, d_L = _demands_fast((a_H, s_H, c_H, a_L, s_L, c_L), p_H, p_L, r_H, r_L)
+    d_H, d_L, _, _ = _demands_fast((a_H, s_H, c_H, a_L, s_L, c_L), p_H, p_L, r_H, r_L)
     D_H = 1.0 / p_H + s_H * (d_H - 1.0)
     D_L = 1.0 / p_L + s_L * (d_L - 1.0)
     eta_final = eta_at(horizon)

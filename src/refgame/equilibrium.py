@@ -2,24 +2,26 @@
 pricing policy, and the stationary point where that policy reproduces
 its own reference price.
 
-The stationary equilibrium ``p**`` solves
+Both equilibria are roots of the scaled first-order conditions
 
-    p_i = 1 / ((b_i + c_i) * (1 - d_i(p, p)))      for i in {H, L},
+    G_i(p, r) = 1 / ((b_i + c_i) * p_i) - (1 - d_i(p, r))      for i in {H, L}.
 
-i.e. the first-order conditions of the one-shot game evaluated with
-references equal to prices. It is unique, and each component is pinned
-between 1/(b_i+c_i) and an explicit Lambert-W expression; those bounds
-double as the admissibility thresholds for the price box.
+The policy p*(r) solves G(p, r) = 0 with the references fixed, each
+component held at a box edge where G_i points out of the box. The
+stationary equilibrium ``p**`` solves G(p, p) = 0. It is unique, and
+each component is pinned between 1/(b_i+c_i) and an explicit Lambert-W
+expression; those bounds double as the admissibility thresholds for the
+price box.
 
-Solvers here are deterministic and derivative-aware: the single-firm
+Solvers here are deterministic and derivative-aware. The single-firm
 best response exploits that the log-revenue derivative is strictly
-decreasing in the own price (safeguarded Newton in a sign bracket), the
-policy solver alternates best responses, and the stationary solver runs
-a damped fixed-point iteration with a geometric damping ladder. Damping
-matters: the undamped map has Jacobian entries of size roughly
-b_i * d_i / ((b_i+c_i) * (1 - d_i)) at the fixed point, which is far
-above 1 whenever demand saturates, so the ladder keeps halving the step
-until the iteration contracts.
+decreasing in the own price (safeguarded Newton in a sign bracket).
+The policy and the stationary point share one projected Newton
+iteration on G with the analytic 2x2 Jacobian and a backtracking line
+search on max|G_i| (Kelley 1995, ch. 8). Both Jacobians are strictly
+column-diagonally dominant, so the step always exists. The complement
+1 - d_i is formed as (e_0 + e_-i)/total, never by subtraction, so G
+keeps its relative precision where demand saturates and d_i rounds to 1.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class SolverError(RuntimeError):
     """An iterative solver failed to meet its tolerance.
 
     Carries whatever context the failing solver had: the last bracket
-    for root finders, the period index for path solvers, the final
-    residual for fixed-point loops.
+    for root finders, the period index for path solvers, the last
+    iterate, residual and iteration count for the Newton solver.
     """
 
     def __init__(self, message: str, **context):
@@ -65,22 +67,19 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Shared solver knobs.
 
-    ``tolerance`` is the fixed-point / root residual target,
-    ``max_iterations`` caps every inner loop, and ``damping`` in (0, 1]
-    is the first rung of the stationary solver's damping ladder.
+    ``tolerance`` is the residual target: the dimensionless max|G_i|
+    for the policy and stationary solvers, |D_i| for a best response.
+    ``max_iterations`` caps every iteration loop.
     """
 
     tolerance: float = 1e-12
     max_iterations: int = 100_000
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,10 @@ class BoxCheck:
 class SneSolution:
     """A solved stationary equilibrium with its certificates.
 
-    ``bounds`` holds the per-firm (lower, upper) analytic bounds, and
+    ``residual`` is max|G_i(p**, p**)| at the solution, a dimensionless
+    defect of the scaled first-order conditions (not in price units).
+    ``iterations`` counts Newton steps. ``bounds`` holds the per-firm
+    (lower, upper) analytic bounds, and
     ``hessian_certificate`` the (det, trace, min eigenvalue) of the
     local-potential Hessian at the solution; positive det and trace
     certify the local quadratic growth the rate theory relies on.
@@ -197,11 +199,11 @@ def validate_price_box(params: MarketParams) -> BoxCheck:
 def _own_derivative(consts, firm: str, p_own: float, p_other: float, r: PricePair):
     """(D_i, dD_i/dp_i) for one firm at the assembled state."""
     if firm == "H":
-        d_H, d_L = _demands_fast(consts, p_own, p_other, r[0], r[1])
+        d_H, d_L, _, _ = _demands_fast(consts, p_own, p_other, r[0], r[1])
         s = consts[1]
         d = d_H
     else:
-        d_H, d_L = _demands_fast(consts, p_other, p_own, r[0], r[1])
+        d_H, d_L, _, _ = _demands_fast(consts, p_other, p_own, r[0], r[1])
         s = consts[4]
         d = d_L
     D = 1.0 / p_own + s * (d - 1.0)
@@ -223,7 +225,8 @@ def best_response(
     D_i when one exists, otherwise the boundary where D_i points: p_lo
     when D_i(p_lo) <= 0, p_hi when D_i(p_hi) >= 0. Interior roots are
     located with Newton steps safeguarded by the sign bracket, to
-    |D_i| <= cfg.tolerance.
+    |D_i| <= cfg.tolerance. Once the bracket holds no float strictly
+    inside it, no better iterate exists and SolverError is raised.
     """
     if firm not in ("H", "L"):
         raise ValueError(f"firm must be 'H' or 'L', got {firm!r}")
@@ -240,7 +243,7 @@ def best_response(
         return hi
 
     x = 0.5 * (lo + hi)
-    for _ in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations):
         f, df = _own_derivative(consts, firm, x, opponent_price, r)
         if abs(f) <= cfg.tolerance:
             return x
@@ -248,13 +251,91 @@ def best_response(
             lo = x
         else:
             hi = x
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise SolverError(
+                "best_response bracket collapsed before the tolerance was met",
+                firm=firm,
+                bracket=(lo, hi),
+                iterations=it + 1,
+                last=x,
+            )
         step = x - f / df
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+        x = step if lo < step < hi else mid
     raise SolverError(
         "best_response failed to converge",
         firm=firm,
         bracket=(lo, hi),
+        iterations=cfg.max_iterations,
         last=x,
+    )
+
+
+def _newton(
+    params: MarketParams, r: PricePair | None, start: PricePair, cfg: SolverConfig
+) -> tuple[float, float, float, int]:
+    """Projected Newton on the scaled first-order conditions G = 0.
+
+    With ``r`` None the references follow the prices (the stationary
+    system G(p, p) = 0); otherwise they stay at ``r``. A component is
+    held fixed while it sits on a box edge with G_i pointing out of the
+    box; the free components take a Newton step on the analytic
+    Jacobian, clipped to the box and halved until max|G_i| over the
+    free components falls by the Armijo factor 1 - 1e-4 * t. Returns
+    (p_H, p_L, residual, iterations) once that residual is at most
+    cfg.tolerance.
+    """
+    consts = _consts(params)
+    s_H, s_L = consts[1], consts[4]
+    lo, hi = params.p_lo, params.p_hi
+    # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
+    # where k_i = b_i + c_i; with r = p the reference term cancels c_i.
+    k_H, k_L = (params.firm_H.b, params.firm_L.b) if r is None else (s_H, s_L)
+
+    def evaluate(x: float, y: float):
+        d_H, d_L, q_H, q_L = _demands_fast(consts, x, y, *((x, y) if r is None else r))
+        g_H = 1.0 / (s_H * x) - q_H
+        g_L = 1.0 / (s_L * y) - q_L
+        free_H = not ((x <= lo and g_H <= 0.0) or (x >= hi and g_H >= 0.0))
+        free_L = not ((y <= lo and g_L <= 0.0) or (y >= hi and g_L >= 0.0))
+        res = max(abs(g_H) if free_H else 0.0, abs(g_L) if free_L else 0.0)
+        return res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L
+
+    x, y = min(max(start[0], lo), hi), min(max(start[1], lo), hi)
+    trial = evaluate(x, y)
+    for it in range(cfg.max_iterations + 1):
+        res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
+        if res <= cfg.tolerance:
+            return x, y, res, it
+        if it == cfg.max_iterations:
+            break
+        j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
+        j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
+        if free_H and free_L:
+            j_HL, j_LH = k_L * d_H * d_L, k_H * d_H * d_L
+            det = j_HH * j_LL - j_HL * j_LH
+            dx = (g_L * j_HL - g_H * j_LL) / det
+            dy = (g_H * j_LH - g_L * j_HH) / det
+        else:
+            dx, dy = (-g_H / j_HH, 0.0) if free_H else (0.0, -g_L / j_LL)
+        t = 1.0
+        while True:
+            nx, ny = min(max(x + t * dx, lo), hi), min(max(y + t * dy, lo), hi)
+            stalled = nx == x and ny == y
+            if stalled:
+                break
+            trial = evaluate(nx, ny)
+            if trial[0] <= (1.0 - 1e-4 * t) * res:
+                break
+            t *= 0.5
+        if stalled:
+            break
+        x, y = nx, ny
+    raise SolverError(
+        "Newton solver stopped above tolerance",
+        iterations=it,
+        residual=res,
+        last=(x, y),
     )
 
 
@@ -266,125 +347,36 @@ def equilibrium_policy(
 ) -> PricePair:
     """One-shot equilibrium prices p*(r) for fixed references.
 
-    Alternates exact best responses and then verifies the stationarity
-    system p_i = 1/((b_i+c_i)(1 - d_i)) to within 10 * cfg.tolerance.
-    That residual is measured in price units while best responses
-    terminate on the derivative, which shrinks by roughly p^2 when
-    converted; the inner tolerance is tightened accordingly (floored
-    near float noise). Components clamped at a box edge are exempt from
-    the residual check (there the maximizer legitimately sits on the
-    boundary). ``start`` warm-starts the alternation; the fixed point
-    does not depend on it.
+    Solves the first-order conditions G_i(p, r) = 0 by projected Newton
+    to max|G_i| <= cfg.tolerance, where a component on a box edge with
+    G_i pointing out of the box is exempt: there the maximizer sits on
+    the boundary. ``start`` (clipped to the box) warm-starts the
+    iteration, the box midpoint otherwise; the solution does not depend
+    on it.
     """
     if not params.in_box(r[0], r[1]):
         raise ValueError("references must lie in the price box")
-    scale = max(1.0, params.p_hi * params.p_hi)
-    inner = SolverConfig(
-        tolerance=max(cfg.tolerance / scale, 1e-15),
-        max_iterations=cfg.max_iterations,
-        damping=cfg.damping,
-    )
     mid = 0.5 * (params.p_lo + params.p_hi)
-    p_H, p_L = (float(start[0]), float(start[1])) if start is not None else (mid, mid)
-    # the alternation can dither by one ulp of the price scale forever,
-    # so the stopping threshold never drops below a few ulps of p_hi
-    stop_tol = max(inner.tolerance, 8.0 * math.ulp(params.p_hi))
-    converged = False
-    for _ in range(cfg.max_iterations):
-        new_H = best_response(params, "H", p_L, r, inner)
-        new_L = best_response(params, "L", new_H, r, inner)
-        change = max(abs(new_H - p_H), abs(new_L - p_L))
-        p_H, p_L = new_H, new_L
-        if change <= stop_tol:
-            converged = True
-            break
-    if not converged:
-        raise SolverError("equilibrium_policy failed to converge", last=(p_H, p_L))
-
-    consts = _consts(params)
-    d_H, d_L = _demands_fast(consts, p_H, p_L, r[0], r[1])
-    res_H = abs(p_H - 1.0 / (consts[1] * (1.0 - d_H)))
-    res_L = abs(p_L - 1.0 / (consts[4] * (1.0 - d_L)))
-    interior_H = params.p_lo < p_H < params.p_hi
-    interior_L = params.p_lo < p_L < params.p_hi
-    residual = max(res_H if interior_H else 0.0, res_L if interior_L else 0.0)
-    if residual > 10.0 * cfg.tolerance:
-        raise SolverError(
-            "equilibrium_policy residual above tolerance",
-            residual=residual,
-            prices=(p_H, p_L),
-        )
+    r = PricePair(float(r[0]), float(r[1]))
+    p_H, p_L, _, _ = _newton(params, r, (mid, mid) if start is None else start, cfg)
     return PricePair(p_H, p_L)
 
 
-# Damping ladder floor and stagnation window for the stationary solver.
-_DAMPING_FLOOR = 2.0**-10
-_STAGNATION_WINDOW = 500
-
-
 def solve_sne(params: MarketParams, cfg: SolverConfig = SolverConfig()) -> SneSolution:
-    """Solve the stationary equilibrium by damped fixed-point iteration.
+    """Solve the stationary equilibrium by projected Newton.
 
-    Iterates p <- (1 - delta) p + delta T(p) from the box midpoint,
-    where T_i(p) = 1/((b_i+c_i)(1 - d_i(p, p))), clipped to the box.
-    The residual is the sup-norm defect |p - T(p)|. When a damping rung
-    stagnates (no 1% improvement of the best residual across a
-    500-iteration window) or exhausts cfg.max_iterations, the ladder
-    halves delta, starting from cfg.damping and retrying at 0.5, 0.25,
-    ... down to 2^-10 before giving up. The returned solution carries
-    the analytic bounds and the local Hessian certificate.
+    Solves G_i(p, p) = 0 from the box midpoint to max|G_i| <=
+    cfg.tolerance; that dimensionless defect is the returned residual,
+    and the Newton steps taken its iteration count. The returned
+    solution carries the analytic bounds and the local Hessian
+    certificate.
     """
     check = validate_price_box(params)
     if not check.ok:
         raise ValueError(check.describe())
 
-    consts = _consts(params)
-    s_H, s_L = consts[1], consts[4]
-    lo, hi = params.p_lo, params.p_hi
-    mid = 0.5 * (lo + hi)
-
-    ladder = [cfg.damping]
-    if cfg.damping > 0.5:
-        ladder.append(0.5)
-    while ladder[-1] > _DAMPING_FLOOR:
-        ladder.append(ladder[-1] * 0.5)
-
-    total_iters = 0
-    solution = None
-    for delta in ladder:
-        x = y = mid
-        best = math.inf
-        checkpoint = math.inf
-        stalled = False
-        for it in range(cfg.max_iterations):
-            d_H, d_L = _demands_fast(consts, x, y, x, y)
-            t_x = 1.0 / (s_H * (1.0 - d_H))
-            t_y = 1.0 / (s_L * (1.0 - d_L))
-            res = max(abs(x - t_x), abs(y - t_y))
-            if res <= cfg.tolerance:
-                total_iters += it + 1
-                solution = (x, y, res)
-                break
-            if res < best:
-                best = res
-            if (it + 1) % _STAGNATION_WINDOW == 0:
-                if best > 0.99 * checkpoint:
-                    stalled = True
-                    break
-                checkpoint = best
-            x = min(max((1.0 - delta) * x + delta * t_x, lo), hi)
-            y = min(max((1.0 - delta) * y + delta * t_y, lo), hi)
-        if solution is not None:
-            break
-        total_iters += (it + 1) if stalled else cfg.max_iterations
-    if solution is None:
-        raise SolverError(
-            "stationary equilibrium solver exhausted its damping ladder",
-            iterations=total_iters,
-            ladder=ladder,
-        )
-
-    p_H, p_L, residual = solution
+    mid = 0.5 * (params.p_lo + params.p_hi)
+    p_H, p_L, residual, iterations = _newton(params, None, (mid, mid), cfg)
     prices = PricePair(p_H, p_L)
     bounds = sne_bounds(params)
     for value, (lower, upper) in zip(prices, bounds):
@@ -404,7 +396,7 @@ def solve_sne(params: MarketParams, cfg: SolverConfig = SolverConfig()) -> SneSo
     return SneSolution(
         prices=prices,
         residual=residual,
-        iterations=total_iters,
+        iterations=iterations,
         bounds=bounds,
         hessian_certificate=(cert.det, cert.trace, cert.min_eig),
     )
@@ -450,13 +442,13 @@ def equilibrium_path(
                 **err.context,
             ) from err
         guess = p
-        d_H, d_L = _demands_fast(consts, p.p_H, p.p_L, r_H, r_L)
+        _, _, q_H, q_L = _demands_fast(consts, p.p_H, p.p_L, r_H, r_L)
         arr_pH[t] = p.p_H
         arr_pL[t] = p.p_L
         arr_rH[t] = r_H
         arr_rL[t] = r_L
-        arr_DH[t] = 1.0 / p.p_H + s_H * (d_H - 1.0)
-        arr_DL[t] = 1.0 / p.p_L + s_L * (d_L - 1.0)
+        arr_DH[t] = 1.0 / p.p_H - s_H * q_H
+        arr_DL[t] = 1.0 / p.p_L - s_L * q_L
         if t < horizon:
             r_H, r_L = reference_update(params.alpha, PricePair(r_H, r_L), p)
 

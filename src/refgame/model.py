@@ -276,7 +276,11 @@ def _consts(params: MarketParams) -> tuple[float, float, float, float, float, fl
 
 
 def _demands_fast(consts, p_H: float, p_L: float, r_H: float, r_L: float):
-    """Scalar logit shares on pre-flattened coefficients.
+    """Scalar logit shares and their complements on pre-flattened coefficients.
+
+    Returns (d_H, d_L, 1 - d_H, 1 - d_L). Each complement is formed as
+    (e_0 + e_-i)/total, never by subtraction, so it keeps full relative
+    precision where a share saturates towards 1.
 
     Hot-path twin of :func:`demand` (math.exp instead of numpy, no
     validation) used by the period loops in the dynamics and
@@ -297,4 +301,4 @@ def _demands_fast(consts, p_H: float, p_L: float, r_H: float, r_L: float):
     e_L = math.exp(u_L - m)
     e_0 = math.exp(-m)
     inv = 1.0 / (e_0 + e_H + e_L)
-    return e_H * inv, e_L * inv
+    return e_H * inv, e_L * inv, (e_0 + e_L) * inv, (e_0 + e_H) * inv

@@ -4,11 +4,14 @@ Frozen numbers were computed independently with mpmath (30 digits) from
 the defining equations; the solvers under test never produced them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refgame as rg
 
@@ -22,6 +25,40 @@ POLICY_L = 0.884617148731789095782
 OMEGA = 0.567143290409783873
 # frozen: 1/2 + W(0.5 * exp(9.5)), the worked box-threshold value
 WORKED_UPPER = 7.378458279838826520726
+
+# Markets 279, 149 and 100 of the benchmark's sweep (bench/workloads.py,
+# make_markets), frozen as literals so that tier-1 does not import bench/.
+# SATURATED: d_H rounds to 1 near the SNE (p_H ~ 190.7), so forming 1 - d_H
+# by subtraction divides by zero. COLLAPSING: firm L's best response at its
+# start reference, at tolerance 1e-15, narrows its bracket to adjacent floats.
+SATURATED = rg.MarketParams(
+    firm_H=rg.FirmParams(a=51.88463513085218, b=0.18824291688731337, c=1.8485389935518624),
+    firm_L=rg.FirmParams(a=10.599684460719814, b=2.385029211902435, c=1.7593511153176002),
+    alpha=0.291332591444203,
+    p_lo=0.21716153657251372,
+    p_hi=266.9523140634842,
+)
+COLLAPSING = rg.MarketParams(
+    firm_H=rg.FirmParams(a=9.254048986320017, b=0.10716105487085836, c=1.682176971296709),
+    firm_L=rg.FirmParams(a=3.289876667890146, b=1.3023082439833065, c=1.6724614032909377),
+    alpha=0.1587885421186318,
+    p_lo=0.3025444342638975,
+    p_hi=49.973695407455416,
+)
+COLLAPSING_R0 = rg.PricePair(14.629609984761172, 24.480156317776107)
+COLLAPSING_OPPONENT = 0.6257158044738064
+# the best-response alternation that preceded Newton ran out 100000 rounds here
+STIFF = rg.MarketParams(
+    firm_H=rg.FirmParams(a=0.1153932072594559, b=2.284172105252009, c=2.429337476968917),
+    firm_L=rg.FirmParams(a=5.5994731056425, b=0.4871002131838462, c=0.6692522316912924),
+    alpha=0.37016484196656,
+    p_lo=0.19094052622588184,
+    p_hi=8.092705084036004,
+)
+STIFF_R0 = rg.PricePair(1.1663842933423356, 1.438100073151389)
+
+# deterministic examples, so tier-1 runs the same markets every time
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def bisect_w(target: float, lo: float, hi: float, iters: int = 80) -> float:
@@ -184,6 +221,14 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             rg.best_response(fig1, "H", 100.0, rg.PricePair(1.0, 1.0))
 
+    def test_collapsed_bracket_fails_fast(self):
+        cfg = rg.SolverConfig(tolerance=1e-15)
+        with pytest.raises(rg.SolverError) as err:
+            rg.best_response(COLLAPSING, "L", COLLAPSING_OPPONENT, COLLAPSING_R0, cfg)
+        lo, hi = err.value.context["bracket"]
+        assert err.value.context["iterations"] < 200
+        assert not lo < 0.5 * (lo + hi) < hi
+
 
 class TestEquilibriumPolicy:
     def test_fixed_point_at_stationary_prices(self, fig1, fig1_sne):
@@ -211,6 +256,33 @@ class TestEquilibriumPolicy:
     def test_rejects_out_of_box_references(self, fig1):
         with pytest.raises(ValueError):
             rg.equilibrium_policy(fig1, rg.PricePair(0.01, 1.0))
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        shrink=st.one_of(st.none(), st.floats(0.5, 0.99)),
+    )
+    def test_components_are_best_responses(self, seed, u, shrink):
+        # best_response is the independent oracle: a bracketed one-firm
+        # root search. ``shrink`` pulls p_hi below the larger policy
+        # price, so that component is pinned on the box edge.
+        params = rg.random_market(np.random.default_rng(seed))
+
+        def refs(params):
+            width = params.p_hi - params.p_lo
+            return rg.PricePair(params.p_lo + u[0] * width, params.p_lo + u[1] * width)
+
+        if shrink is not None:
+            top = max(rg.equilibrium_policy(params, refs(params)))
+            params = dataclasses.replace(
+                params, p_hi=params.p_lo + shrink * (top - params.p_lo)
+            )
+        r = refs(params)
+        p = rg.equilibrium_policy(params, r)
+        assert params.in_box(*p)
+        assert math.isclose(rg.best_response(params, "H", p.p_L, r), p.p_H, abs_tol=1e-9)
+        assert math.isclose(rg.best_response(params, "L", p.p_H, r), p.p_L, abs_tol=1e-9)
 
 
 class TestSolveSne:
@@ -249,6 +321,24 @@ class TestSolveSne:
         with pytest.raises(ValueError, match="p_hi"):
             rg.solve_sne(params)
 
+    def test_saturated_demand_is_solved(self):
+        sol = rg.solve_sne(SATURATED)
+        for value, (lower, upper) in zip(sol.prices, rg.sne_bounds(SATURATED)):
+            assert lower < value < upper
+        g = rg.scaled_derivative(SATURATED, sol.prices, sol.prices)
+        assert max(abs(g[0]), abs(g[1])) <= 1e-12
+        assert sol.residual <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_market_inside_bounds_and_stationary(self, seed):
+        params = rg.random_market(np.random.default_rng(seed))
+        sol = rg.solve_sne(params)
+        for value, (lower, upper) in zip(sol.prices, rg.sne_bounds(params)):
+            assert lower < value < upper
+        g = rg.scaled_derivative(params, sol.prices, sol.prices)
+        assert max(abs(g[0]), abs(g[1])) <= 1e-12
+
     def test_agrees_with_long_learning_run(self, fig1, fig1_sne):
         # two independent routes to the same point: the fixed-point
         # solver against a long diminishing-step learning run
@@ -265,14 +355,10 @@ class TestSolverConfig:
             rg.SolverConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             rg.SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            rg.SolverConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            rg.SolverConfig(damping=1.5)
 
     def test_solver_error_carries_context(self, fig1):
-        # an absurdly tight tolerance cannot be met: the ladder must
-        # exhaust and the error must carry its context
+        # an absurdly tight tolerance cannot be met: Newton stalls at the
+        # floating-point floor and the error must carry its context
         cfg = rg.SolverConfig(tolerance=1e-300, max_iterations=50)
         with pytest.raises(rg.SolverError) as err:
             rg.solve_sne(fig1, cfg)
@@ -308,6 +394,14 @@ class TestEquilibriumPath:
         traj = rg.equilibrium_path(fig1, rg.PricePair(0.10, 2.95), 5)
         assert np.max(np.abs(traj.D_H)) < 1e-9
         assert np.max(np.abs(traj.D_L)) < 1e-9
+
+    def test_stiff_market_path_is_solved(self):
+        traj = rg.equilibrium_path(STIFF, STIFF_R0, 20)
+        states = np.stack([traj.p_H, traj.p_L, traj.r_H, traj.r_L])
+        assert np.all((states >= STIFF.p_lo) & (states <= STIFF.p_hi))
+        D = np.stack([traj.D_H, traj.D_L])
+        interior = (states[:2] > STIFF.p_lo) & (states[:2] < STIFF.p_hi)
+        assert np.max(np.abs(D[interior])) < 1e-9
 
     def test_rejects_bad_inputs(self, fig1):
         with pytest.raises(ValueError):
