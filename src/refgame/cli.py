@@ -6,13 +6,15 @@
     refgame verify   [--config cfg.json] [--random N] [--seed S]
     refgame figure1  [--variant a|b|c] [--horizon N] [--out PATH]
 
-Exit codes: 0 all checks passed, 1 validation error, 2 solver failure,
-3 property failure. Summaries go to standard output as ``key = value``
-lines; trajectories are written as CSV with the fixed header
+Exit codes: 0 all checks passed, 1 validation error or an output file
+that cannot be written, 2 solver failure, 3 property failure. Summaries
+go to standard output as ``key = value`` lines; trajectories are written
+as CSV with the fixed header
 
     t,p_H,p_L,r_H,r_L,D_H,D_L,dist2_sne,eps_l1
 
-one row per period, 17 significant digits, LF line endings.
+one row per period, LF line endings, each float cell exactly
+``format(x, ".17g")`` (17 significant digits).
 ``dist2_sne`` is the Euclidean distance of the price pair to the
 stationary equilibrium solved once per run; ``eps_l1`` the
 sensitivity-weighted l1 distance. ``sne_residual`` in a summary is the
@@ -62,10 +64,17 @@ EXIT_SOLVER = 2
 EXIT_PROPERTY = 3
 
 CSV_HEADER = "t,p_H,p_L,r_H,r_L,D_H,D_L,dist2_sne,eps_l1"
+CSV_CHUNK_ROWS = 1024
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(f, t: np.ndarray, *columns: np.ndarray) -> None:
+    """Write rows ``t,x_1,..,x_k``: t an int, each x as ``"%.17g" % x``, which
+    is ``format(x, ".17g")``. Formatting plain floats CSV_CHUNK_ROWS rows at a
+    time saves per-value call overhead and bounds the text held in memory."""
+    row = ("%d" + ",%.17g" * len(columns) + "\n").__mod__
+    for start in range(0, len(t), CSV_CHUNK_ROWS):
+        chunk = [col[start : start + CSV_CHUNK_ROWS].tolist() for col in (t, *columns)]
+        f.write("".join(map(row, zip(*chunk))))
 
 
 def _say(key: str, value) -> None:
@@ -80,16 +89,12 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory, sne: PricePair) -> 
     s_L = traj.params.firm_L.b + traj.params.firm_L.c
     dist = np.hypot(traj.p_H - sne.p_H, traj.p_L - sne.p_L)
     eps = np.abs(sne.p_H - traj.p_H) / s_H + np.abs(sne.p_L - traj.p_L) / s_L
-    periods = traj.periods
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for i in range(len(traj)):
-            f.write(
-                f"{periods[i]},{_fmt(traj.p_H[i])},{_fmt(traj.p_L[i])},"
-                f"{_fmt(traj.r_H[i])},{_fmt(traj.r_L[i])},"
-                f"{_fmt(traj.D_H[i])},{_fmt(traj.D_L[i])},"
-                f"{_fmt(dist[i])},{_fmt(eps[i])}\n"
-            )
+        _write_rows(
+            f, traj.periods, traj.p_H, traj.p_L, traj.r_H, traj.r_L,
+            traj.D_H, traj.D_L, dist, eps,
+        )
 
 
 def _write_joined_refs_csv(
@@ -102,11 +107,10 @@ def _write_joined_refs_csv(
     )
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write("t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap\n")
-        for i in range(n):
-            f.write(
-                f"{i},{_fmt(learn.r_H[i])},{_fmt(learn.r_L[i])},"
-                f"{_fmt(policy.r_H[i])},{_fmt(policy.r_L[i])},{_fmt(gap[i])}\n"
-            )
+        _write_rows(
+            f, np.arange(n), learn.r_H[:n], learn.r_L[:n],
+            policy.r_H[:n], policy.r_L[:n], gap,
+        )
 
 
 def _policy_csv_path(out: str | Path) -> Path:
@@ -467,11 +471,12 @@ def main(argv=None) -> int:
                 return cmd_compare(config, args.out)
             return cmd_simulate(config, args.out)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as err:
+    except ValueError as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except OSError as err:
+        where = err.filename or "output"
+        print(f"error: cannot write {where}: {err.strerror or err}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as err:
         detail = f" [{err.context}]" if err.context else ""

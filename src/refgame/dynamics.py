@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
 
 # Records held in memory per simulation; longer runs must stream to a sink.
 RETENTION_LIMIT = 10_000_000
+ETA_CHUNK = 4096  # step sizes `simulate` converts to floats at a time
 
 
 class StepSchedule:
@@ -330,17 +332,21 @@ def simulate(
 
     # eta_0 .. eta_horizon; the final entry is informational only. An
     # explicit schedule may be exactly `horizon` long, in which case the
-    # final record reuses its last value. Streaming runs evaluate the
-    # schedule per step rather than materializing it.
+    # final record reuses its last value. The loop reads them as plain
+    # floats, ETA_CHUNK at a time; streaming runs evaluate the schedule
+    # per step rather than materializing it.
     if retain:
         try:
-            etas = schedule.sequence(n).tolist()
+            etas = schedule.sequence(n)
         except ValueError:
-            etas = schedule.sequence(horizon).tolist()
-            etas.append(etas[-1])
-        eta_at = etas.__getitem__
+            etas = schedule.sequence(horizon)
+            etas = np.append(etas, etas[-1])
+        steps = chain.from_iterable(
+            etas[i : min(i + ETA_CHUNK, horizon)].tolist()
+            for i in range(0, horizon, ETA_CHUNK)
+        )
     else:
-        eta_at = schedule
+        steps = map(schedule, range(horizon))
 
     a_H, s_H, c_H, a_L, s_L, c_L = _consts(params)
     lo, hi = params.p_lo, params.p_hi
@@ -357,7 +363,7 @@ def simulate(
         arr_DH = np.empty(n)
         arr_DL = np.empty(n)
 
-    for t in range(horizon):
+    for t, eta in enumerate(steps):
         u_H = a_H - s_H * p_H + c_H * r_H
         u_L = a_L - s_L * p_L + c_L * r_L
         m = u_H if u_H > u_L else u_L
@@ -369,7 +375,6 @@ def simulate(
         inv = 1.0 / (e_0 + e_H + e_L)
         D_H = 1.0 / p_H + s_H * (e_H * inv - 1.0)
         D_L = 1.0 / p_L + s_L * (e_L * inv - 1.0)
-        eta = eta_at(t)
 
         if retain:
             arr_pH[t] = p_H
@@ -403,7 +408,7 @@ def simulate(
     d_H, d_L, _, _ = _demands_fast((a_H, s_H, c_H, a_L, s_L, c_L), p_H, p_L, r_H, r_L)
     D_H = 1.0 / p_H + s_H * (d_H - 1.0)
     D_L = 1.0 / p_L + s_L * (d_L - 1.0)
-    eta_final = eta_at(horizon)
+    eta_final = float(etas[horizon]) if retain else schedule(horizon)
     if retain:
         arr_pH[horizon] = p_H
         arr_pL[horizon] = p_L
@@ -432,7 +437,7 @@ def simulate(
             r_L=arr_rL,
             D_H=arr_DH,
             D_L=arr_DL,
-            eta=np.asarray(etas),
+            eta=etas,
         )
     return Trajectory(
         params=params,

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refgame as rg
 import refgame.cli as cli
@@ -145,6 +147,77 @@ class TestSimulateCommand:
         path = write_config(tmp_path, demo_config_dict(horizon=5))
         assert cli.main(["simulate", "--config", path]) == 2
         assert "forced failure" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code = cli.main(["figure1", "--horizon", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+
+# float cells the writer must print exactly as format(x, ".17g") does
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 123456789012345680.0, 1e-5, 4.85, -2.5950508119722233]
+
+
+def edge_trajectory(params, n: int, t0: int = 0) -> rg.Trajectory:
+    cols = {
+        name: np.resize(np.roll(EDGE_FLOATS, k), n)
+        for k, name in enumerate(("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta"))
+    }
+    return rg.Trajectory(params=params, schedule="constant(1)", t0=t0, **cols)
+
+
+def reference_cells(t, *values) -> str:
+    """The per-cell formatting the writer must reproduce."""
+    return ",".join([str(t)] + [format(float(v), ".17g") for v in values])
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS + 1])
+    def test_trajectory_rows_match_per_cell_format(self, tmp_path, fig1, n):
+        sne = rg.PricePair(1.920413366139232, 0.8006783990990236)
+        traj = edge_trajectory(fig1, n, t0=7)
+        out = tmp_path / "edge.csv"
+        cli.write_trajectory_csv(out, traj, sne)
+        s_H = fig1.firm_H.b + fig1.firm_H.c
+        s_L = fig1.firm_L.b + fig1.firm_L.c
+        dist = np.hypot(traj.p_H - sne.p_H, traj.p_L - sne.p_L)
+        eps = np.abs(sne.p_H - traj.p_H) / s_H + np.abs(sne.p_L - traj.p_L) / s_L
+        expected = [cli.CSV_HEADER] + [
+            reference_cells(
+                7 + i, traj.p_H[i], traj.p_L[i], traj.r_H[i], traj.r_L[i],
+                traj.D_H[i], traj.D_L[i], dist[i], eps[i],
+            )
+            for i in range(n)
+        ]
+        text = out.read_bytes().decode("ascii")
+        assert text == "\n".join(expected) + "\n"
+        assert text.split("\n")[1].split(",")[1] == "-0"
+
+    @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS + 1])
+    def test_joined_refs_rows_match_per_cell_format(self, tmp_path, fig1, n):
+        learn = edge_trajectory(fig1, n + 5)
+        policy = edge_trajectory(fig1, n, t0=3)
+        out = tmp_path / "joined.csv"
+        cli._write_joined_refs_csv(out, learn, policy)
+        gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
+        lines = out.read_text(encoding="ascii").split("\n")
+        assert lines[0] == "t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap"
+        assert lines[1:] == [
+            reference_cells(
+                i, learn.r_H[i], learn.r_L[i], policy.r_H[i], policy.r_L[i], gap[i]
+            )
+            for i in range(n)
+        ] + [""]
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_percent_format_equals_format(self, x):
+        # the premise of the row writer's single template
+        assert "%.17g" % x == format(x, ".17g")
 
 
 class TestSneCommand:

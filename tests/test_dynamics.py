@@ -289,6 +289,37 @@ class TestSimulate:
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.explicit(values), 3)
         np.testing.assert_allclose(traj.eta, [1.0, 0.5, 0.25, 0.25])
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt", "inverse_t", "explicit"])
+    def test_equals_iterated_steps_across_eta_chunks(self, fig1, kind, offset):
+        horizon = dynamics.ETA_CHUNK + offset
+        if kind == "explicit":
+            # exactly `horizon` values: the final record repeats the last one
+            schedule = rg.StepSchedule.explicit(0.9 / np.sqrt(np.arange(horizon) + 1.0))
+            etas = np.append(schedule.sequence(horizon), schedule.values[-1])
+        else:
+            schedule = rg.StepSchedule(kind, 0.9)
+            etas = schedule.sequence(horizon + 1)
+        traj = rg.simulate(fig1, demo_state(), schedule, horizon)
+        assert np.array_equal(traj.eta, etas)
+        state = demo_state()
+        for t in range(horizon + 1):
+            rec = traj.record(t)
+            assert (rec.prices, rec.references) == (state.prices, state.references), t
+            if t < horizon:
+                state = rg.ascent_step(fig1, state, float(etas[t]))
+
+    def test_sink_streams_in_order_across_an_eta_chunk(self, fig1, monkeypatch):
+        schedule = rg.StepSchedule.inverse_sqrt()
+        horizon = dynamics.ETA_CHUNK + 1
+        kept = rg.simulate(fig1, demo_state(), schedule, horizon)
+        monkeypatch.setattr(dynamics, "RETENTION_LIMIT", 100)
+        seen = []
+        final = rg.simulate(fig1, demo_state(), schedule, horizon, sink=seen.append)
+        assert [rec.t for rec in seen] == list(range(horizon + 1))
+        assert seen == list(kept)
+        assert final.record(0) == seen[-1]
+
     def test_final_state_accessor(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(0.5), 8)
         final = traj.final_state()
