@@ -85,10 +85,8 @@ def _say(key: str, value) -> None:
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory, sne: PricePair) -> None:
     """Write a trajectory in the standard nine-column schema."""
-    s_H = traj.params.firm_H.b + traj.params.firm_H.c
-    s_L = traj.params.firm_L.b + traj.params.firm_L.c
     dist = np.hypot(traj.p_H - sne.p_H, traj.p_L - sne.p_L)
-    eps = np.abs(sne.p_H - traj.p_H) / s_H + np.abs(sne.p_L - traj.p_L) / s_L
+    eps = analysis.weighted_l1_distance(traj.params, (traj.p_H, traj.p_L), sne)
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(CSV_HEADER + "\n")
         _write_rows(
@@ -111,6 +109,14 @@ def _write_joined_refs_csv(
             f, np.arange(n), learn.r_H[:n], learn.r_L[:n],
             policy.r_H[:n], policy.r_L[:n], gap,
         )
+
+
+def _create(*paths: str | Path) -> None:
+    """Create or truncate each output file, so that a path that cannot be
+    written fails with ``OSError`` before any computing."""
+    for path in paths:
+        with open(path, "w", encoding="ascii"):
+            pass
 
 
 def _policy_csv_path(out: str | Path) -> Path:
@@ -143,9 +149,10 @@ def _print_sne(params: MarketParams, sol: SneSolution) -> None:
 
 def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
     _validated(config)
+    out_path = out or config.output_path
+    _create(out_path)
     sol = solve_sne(config.params)
     traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
-    out_path = out or config.output_path
     write_trajectory_csv(out_path, traj, sol.prices)
 
     sne = sol.prices
@@ -182,15 +189,16 @@ def cmd_sne(config: ExperimentConfig) -> int:
 
 def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
     _validated(config)
+    out_path = Path(out or config.output_path)
+    joined_path = _policy_csv_path(out_path)
+    _create(out_path, joined_path)
     sol = solve_sne(config.params)
     sne = sol.prices
     traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
     policy_horizon = min(config.horizon, figure1_policy_horizon())
     policy = equilibrium_path(config.params, config.init_references, policy_horizon)
 
-    out_path = Path(out or config.output_path)
     write_trajectory_csv(out_path, traj, sne)
-    joined_path = _policy_csv_path(out_path)
     _write_joined_refs_csv(joined_path, traj, policy)
 
     term_grad = max(abs(traj.r_H[-1] - sne.p_H), abs(traj.r_L[-1] - sne.p_L))

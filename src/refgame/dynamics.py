@@ -9,16 +9,16 @@ smooths the reference prices toward the posted prices:
 
 Both updates read the pre-step state. Simulations are strictly
 sequential and bit-deterministic: identical inputs produce identical
-trajectories. Trajectories are immutable once built and safe to share
-across threads.
+trajectories. A trajectory holds every period in memory, so a run of
+more than ``RETENTION_LIMIT`` records is refused with ``ValueError``.
+Trajectories are immutable once built and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +41,9 @@ __all__ = [
     "simulate",
 ]
 
-# Records held in memory per simulation; longer runs must stream to a sink.
+# Records one simulation may hold in memory; longer runs are refused.
 RETENTION_LIMIT = 10_000_000
-ETA_CHUNK = 4096  # step sizes `simulate` converts to floats at a time
+ETA_CHUNK = 4096  # periods `simulate` runs between flushes of its record buffers
 
 
 class StepSchedule:
@@ -226,9 +226,6 @@ class Trajectory:
             eta=float(self.eta[i]),
         )
 
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
     def final_state(self) -> MarketState:
         rec = self.record(len(self) - 1)
         return MarketState(prices=rec.prices, references=rec.references)
@@ -306,148 +303,88 @@ def simulate(
     init: MarketState,
     schedule: StepSchedule,
     horizon: int,
-    sink: Callable[[TrajectoryRecord], None] | None = None,
 ) -> Trajectory:
     """Run the market for ``horizon`` periods from ``init``.
 
     Returns a trajectory of exactly ``horizon + 1`` records, record 0
-    being the initial state. ``sink``, when given, is invoked once per
-    record in period order as each record is finalized, which lets a
-    caller stream output without buffering. Runs longer than
-    ``RETENTION_LIMIT`` records refuse to buffer in memory and require
-    a sink; they return a single-record trajectory holding the final
-    state (``t0 = horizon``).
+    being the initial state, all held in memory. A run of more than
+    ``RETENTION_LIMIT`` records is refused with ``ValueError`` before
+    any period is computed.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     p_H, p_L, r_H, r_L = _state_floats(params, init)
 
     n = horizon + 1
-    retain = n <= RETENTION_LIMIT
-    if not retain and sink is None:
+    if n > RETENTION_LIMIT:
         raise ValueError(
-            f"horizon {horizon} exceeds the in-memory retention limit "
-            f"({RETENTION_LIMIT} records); pass a streaming sink"
+            f"horizon {horizon} exceeds the retention limit "
+            f"({RETENTION_LIMIT} records held in memory)"
         )
 
     # eta_0 .. eta_horizon; the final entry is informational only. An
     # explicit schedule may be exactly `horizon` long, in which case the
-    # final record reuses its last value. The loop reads them as plain
-    # floats, ETA_CHUNK at a time; streaming runs evaluate the schedule
-    # per step rather than materializing it.
-    if retain:
-        try:
-            etas = schedule.sequence(n)
-        except ValueError:
-            etas = schedule.sequence(horizon)
-            etas = np.append(etas, etas[-1])
-        steps = chain.from_iterable(
-            etas[i : min(i + ETA_CHUNK, horizon)].tolist()
-            for i in range(0, horizon, ETA_CHUNK)
-        )
-    else:
-        steps = map(schedule, range(horizon))
+    # final record reuses its last value.
+    try:
+        etas = schedule.sequence(n)
+    except ValueError:
+        etas = schedule.sequence(horizon)
+        etas = np.append(etas, etas[-1])
 
-    a_H, s_H, c_H, a_L, s_L, c_L = _consts(params)
+    consts = _consts(params)
+    a_H, s_H, c_H, a_L, s_L, c_L = consts
     lo, hi = params.p_lo, params.p_hi
     alpha = params.alpha
     omega = 1.0 - alpha
     exp = math.exp
-    has_sink = sink is not None
 
-    if retain:
-        arr_pH = np.empty(n)
-        arr_pL = np.empty(n)
-        arr_rH = np.empty(n)
-        arr_rL = np.empty(n)
-        arr_DH = np.empty(n)
-        arr_DL = np.empty(n)
+    # Columns p_H, p_L, r_H, r_L, D_H, D_L. The loop appends plain floats
+    # to one list per column and flushes them into the arrays every
+    # ETA_CHUNK periods: a numpy store per value costs more than a list
+    # append, and the short lists keep the memory overhead small.
+    columns = [np.empty(n) for _ in range(6)]
+    buffers = ([], [], [], [], [], [])
+    put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (b.append for b in buffers)
 
-    for t, eta in enumerate(steps):
-        u_H = a_H - s_H * p_H + c_H * r_H
-        u_L = a_L - s_L * p_L + c_L * r_L
-        m = u_H if u_H > u_L else u_L
-        if m < 0.0:
-            m = 0.0
-        e_H = exp(u_H - m)
-        e_L = exp(u_L - m)
-        e_0 = exp(-m)
-        inv = 1.0 / (e_0 + e_H + e_L)
-        D_H = 1.0 / p_H + s_H * (e_H * inv - 1.0)
-        D_L = 1.0 / p_L + s_L * (e_L * inv - 1.0)
+    for i in range(0, horizon, ETA_CHUNK):
+        j = min(i + ETA_CHUNK, horizon)
+        for eta in etas[i:j].tolist():
+            u_H = a_H - s_H * p_H + c_H * r_H
+            u_L = a_L - s_L * p_L + c_L * r_L
+            m = u_H if u_H > u_L else u_L
+            if m < 0.0:
+                m = 0.0
+            e_H = exp(u_H - m)
+            e_L = exp(u_L - m)
+            e_0 = exp(-m)
+            inv = 1.0 / (e_0 + e_H + e_L)
+            D_H = 1.0 / p_H + s_H * (e_H * inv - 1.0)
+            D_L = 1.0 / p_L + s_L * (e_L * inv - 1.0)
+            put_pH(p_H)
+            put_pL(p_L)
+            put_rH(r_H)
+            put_rL(r_L)
+            put_DH(D_H)
+            put_DL(D_L)
 
-        if retain:
-            arr_pH[t] = p_H
-            arr_pL[t] = p_L
-            arr_rH[t] = r_H
-            arr_rL[t] = r_L
-            arr_DH[t] = D_H
-            arr_DL[t] = D_L
-        if has_sink:
-            sink(
-                TrajectoryRecord(
-                    t=t,
-                    prices=PricePair(p_H, p_L),
-                    references=PricePair(r_H, r_L),
-                    derivatives=(D_H, D_L),
-                    eta=eta,
-                )
-            )
-
-        x = p_H + eta * D_H
-        new_pH = lo if x < lo else hi if x > hi else x
-        x = p_L + eta * D_L
-        new_pL = lo if x < lo else hi if x > hi else x
-        x = alpha * r_H + omega * p_H
-        new_rH = lo if x < lo else hi if x > hi else x
-        x = alpha * r_L + omega * p_L
-        new_rL = lo if x < lo else hi if x > hi else x
-        p_H, p_L, r_H, r_L = new_pH, new_pL, new_rH, new_rL
+            # references first: they read the old prices
+            x = alpha * r_H + omega * p_H
+            r_H = lo if x < lo else hi if x > hi else x
+            x = alpha * r_L + omega * p_L
+            r_L = lo if x < lo else hi if x > hi else x
+            x = p_H + eta * D_H
+            p_H = lo if x < lo else hi if x > hi else x
+            x = p_L + eta * D_L
+            p_L = lo if x < lo else hi if x > hi else x
+        for column, buffer in zip(columns, buffers):
+            column[i:j] = buffer
+            buffer.clear()
 
     # final record: state at t = horizon with its diagnostic derivative
-    d_H, d_L, _, _ = _demands_fast((a_H, s_H, c_H, a_L, s_L, c_L), p_H, p_L, r_H, r_L)
+    d_H, d_L, _, _ = _demands_fast(consts, p_H, p_L, r_H, r_L)
     D_H = 1.0 / p_H + s_H * (d_H - 1.0)
     D_L = 1.0 / p_L + s_L * (d_L - 1.0)
-    eta_final = float(etas[horizon]) if retain else schedule(horizon)
-    if retain:
-        arr_pH[horizon] = p_H
-        arr_pL[horizon] = p_L
-        arr_rH[horizon] = r_H
-        arr_rL[horizon] = r_L
-        arr_DH[horizon] = D_H
-        arr_DL[horizon] = D_L
-    if has_sink:
-        sink(
-            TrajectoryRecord(
-                t=horizon,
-                prices=PricePair(p_H, p_L),
-                references=PricePair(r_H, r_L),
-                derivatives=(D_H, D_L),
-                eta=eta_final,
-            )
-        )
+    for column, value in zip(columns, (p_H, p_L, r_H, r_L, D_H, D_L)):
+        column[horizon] = value
 
-    if retain:
-        return Trajectory(
-            params=params,
-            schedule=schedule.describe(),
-            p_H=arr_pH,
-            p_L=arr_pL,
-            r_H=arr_rH,
-            r_L=arr_rL,
-            D_H=arr_DH,
-            D_L=arr_DL,
-            eta=etas,
-        )
-    return Trajectory(
-        params=params,
-        schedule=schedule.describe(),
-        p_H=np.array([p_H]),
-        p_L=np.array([p_L]),
-        r_H=np.array([r_H]),
-        r_L=np.array([r_L]),
-        D_H=np.array([D_H]),
-        D_L=np.array([D_L]),
-        eta=np.array([eta_final]),
-        t0=horizon,
-    )
+    return Trajectory(params, schedule.describe(), *columns, eta=etas)

@@ -148,9 +148,18 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path]) == 2
         assert "forced failure" in capsys.readouterr().err
 
-    def test_unwritable_out_exits_1_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("variant", ["a", "c"])
+    def test_unwritable_out_exits_1_with_one_line(
+        self, tmp_path, capsys, monkeypatch, variant
+    ):
+        # refused before any computing: neither the solve nor the run starts
+        def not_called(*args, **kwargs):
+            raise AssertionError("computed before the output was opened")
+
+        monkeypatch.setattr(cli, "solve_sne", not_called)
+        monkeypatch.setattr(cli, "simulate", not_called)
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
-        code = cli.main(["figure1", "--horizon", "5", "--out", str(out)])
+        code = cli.main(["figure1", "--variant", variant, "--horizon", "5", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

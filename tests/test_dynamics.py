@@ -1,11 +1,13 @@
 """Step schedules, single ascent steps, and full simulations."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import refgame as rg
+import refgame.cli as cli
 import refgame.dynamics as dynamics
 from conftest import spectral_radius, step_jacobian
 
@@ -248,15 +250,6 @@ class TestSimulate:
             assert math.isclose(rec.derivatives[0], float(D[0]), rel_tol=1e-12)
             assert math.isclose(rec.derivatives[1], float(D[1]), rel_tol=1e-12)
 
-    def test_sink_streams_every_record_in_order(self, fig1):
-        seen = []
-        traj = rg.simulate(
-            fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 25, sink=seen.append
-        )
-        assert [rec.t for rec in seen] == list(range(26))
-        for rec, kept in zip(seen, traj):
-            assert rec == kept
-
     def test_gap_decays_under_diminishing_steps(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 100_000)
         gap = np.hypot(traj.r_H - traj.p_H, traj.r_L - traj.p_L)
@@ -271,18 +264,17 @@ class TestSimulate:
         with pytest.raises(ValueError):
             traj.p_H[0] = 99.0
 
-    def test_retention_limit_requires_sink(self, fig1, monkeypatch):
+    def test_retention_limit_refuses(self, fig1, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "RETENTION_LIMIT", 100)
-        with pytest.raises(ValueError, match="sink"):
+        with pytest.raises(ValueError, match="retention limit"):
             rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(0.5), 200)
-        seen = []
-        traj = rg.simulate(
-            fig1, demo_state(), rg.StepSchedule.constant(0.5), 200, sink=seen.append
-        )
-        assert len(seen) == 201
-        assert len(traj) == 1
-        assert traj.record(0).t == 200
-        assert traj.record(0).prices == seen[-1].prices
+        out = tmp_path / "x.csv"
+        code = cli.main(["figure1", "--horizon", "200", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "retention limit" in err
+        assert "Traceback" not in err
 
     def test_explicit_schedule_consumed(self, fig1):
         values = [1.0, 0.5, 0.25]
@@ -309,19 +301,56 @@ class TestSimulate:
             if t < horizon:
                 state = rg.ascent_step(fig1, state, float(etas[t]))
 
-    def test_sink_streams_in_order_across_an_eta_chunk(self, fig1, monkeypatch):
-        schedule = rg.StepSchedule.inverse_sqrt()
-        horizon = dynamics.ETA_CHUNK + 1
-        kept = rg.simulate(fig1, demo_state(), schedule, horizon)
-        monkeypatch.setattr(dynamics, "RETENTION_LIMIT", 100)
-        seen = []
-        final = rg.simulate(fig1, demo_state(), schedule, horizon, sink=seen.append)
-        assert [rec.t for rec in seen] == list(range(horizon + 1))
-        assert seen == list(kept)
-        assert final.record(0) == seen[-1]
-
     def test_final_state_accessor(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(0.5), 8)
         final = traj.final_state()
         assert final.prices == traj.record(8).prices
         assert final.references == traj.record(8).references
+
+
+def array_digest(traj: rg.Trajectory) -> str:
+    """sha256 of the raw bytes of all seven trajectory arrays."""
+    h = hashlib.sha256()
+    for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta"):
+        h.update(getattr(traj, name).tobytes())
+    return h.hexdigest()
+
+
+class TestKernelBits:
+    """Every recorded bit of two runs, frozen from the pre-rewrite kernel.
+
+    The whole path is hashed, not the final state: the eta = 1 cycle of
+    figure1 (b) is exactly periodic in floats, so its final state after
+    2e4 periods equals the one after 1e6.
+    """
+
+    def test_figure1_b_constant_step(self):
+        cfg = rg.figure1_config("b")
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000)
+        assert array_digest(traj) == (
+            "ab785dee31201b55ace915b27e58199e52082c61810a0c6d26cdce52876a93c7"
+        )
+
+    def test_random_market_inverse_sqrt(self):
+        # random_market(default_rng(504)): both utilities stay negative in
+        # all but 69 periods, so the m = 0 floor of the stabilised
+        # exponentials is live, and the path hits the box 123 times
+        params = rg.MarketParams(
+            firm_H=rg.FirmParams(
+                a=0.15562240653276005, b=1.822035091675713, c=2.723700159643696
+            ),
+            firm_L=rg.FirmParams(
+                a=0.28751909932378616, b=2.1763617982218495, c=2.8750771954145287
+            ),
+            alpha=0.8581801200790176,
+            p_lo=0.17816705321667506,
+            p_hi=0.390141615511821,
+        )
+        low, high = 0.24175942190521885, 0.32654924682327724  # 30% and 70% of the box
+        init = rg.MarketState(
+            prices=rg.PricePair(low, high), references=rg.PricePair(high, low)
+        )
+        traj = rg.simulate(params, init, rg.StepSchedule.inverse_sqrt(1.0), 20_000)
+        assert array_digest(traj) == (
+            "8549331f716f0ac4d7dc156d1dc3f06ea2f06ebca39d2e6b33308b55f8306a1d"
+        )
