@@ -9,120 +9,19 @@ diagnostics (drift positivity, Hessian certificates, decay-rate
 windows) that characterize when and how fast the dynamic stabilizes.
 """
 
-from .analysis import (
-    CONVERGED,
-    CYCLING,
-    UNDECIDED,
-    HessianCertificate,
-    RateConstants,
-    RateReport,
-    cycle_detector,
-    hessian_certificate,
-    local_potential,
-    quadrant,
-    rate_constants,
-    rate_fit,
-    sne_drift,
-    weighted_l1_distance,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    FIGURE1_VARIANTS,
-    figure1_config,
-    figure1_params,
-    load_config,
-    random_market,
-)
-from .dynamics import (
-    RETENTION_LIMIT,
-    StepSchedule,
-    Trajectory,
-    TrajectoryRecord,
-    ascent_step,
-    project,
-    reference_update,
-    simulate,
-)
-from .equilibrium import (
-    BoxCheck,
-    SneSolution,
-    SolverConfig,
-    SolverError,
-    best_response,
-    equilibrium_path,
-    equilibrium_policy,
-    lambert_w,
-    sne_bounds,
-    solve_sne,
-    validate_price_box,
-)
-from .model import (
-    FirmParams,
-    MarketParams,
-    MarketState,
-    PricePair,
-    bound_constants,
-    demand,
-    log_rev_derivative,
-    revenue,
-    scaled_derivative,
-    scaled_derivative_partials,
-    utility,
-)
+from . import analysis, config, dynamics, equilibrium, model
+from .analysis import *  # noqa: F403
+from .config import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .equilibrium import *  # noqa: F403
+from .model import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FirmParams",
-    "MarketParams",
-    "PricePair",
-    "MarketState",
-    "utility",
-    "demand",
-    "revenue",
-    "log_rev_derivative",
-    "scaled_derivative",
-    "scaled_derivative_partials",
-    "bound_constants",
-    "StepSchedule",
-    "Trajectory",
-    "TrajectoryRecord",
-    "RETENTION_LIMIT",
-    "project",
-    "reference_update",
-    "ascent_step",
-    "simulate",
-    "SolverConfig",
-    "SolverError",
-    "BoxCheck",
-    "SneSolution",
-    "lambert_w",
-    "sne_bounds",
-    "validate_price_box",
-    "best_response",
-    "equilibrium_policy",
-    "solve_sne",
-    "equilibrium_path",
-    "RateReport",
-    "RateConstants",
-    "HessianCertificate",
-    "CONVERGED",
-    "CYCLING",
-    "UNDECIDED",
-    "weighted_l1_distance",
-    "quadrant",
-    "sne_drift",
-    "local_potential",
-    "hessian_certificate",
-    "rate_constants",
-    "rate_fit",
-    "cycle_detector",
-    "ConfigError",
-    "ExperimentConfig",
-    "FIGURE1_VARIANTS",
-    "figure1_params",
-    "figure1_config",
-    "load_config",
-    "random_market",
+    *model.__all__,
+    *dynamics.__all__,
+    *equilibrium.__all__,
+    *analysis.__all__,
+    *config.__all__,
 ]

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import analysis
 from .config import (
+    FIGURE1_VARIANTS,
     ConfigError,
     ExperimentConfig,
     figure1_config,
@@ -124,13 +125,13 @@ def _policy_csv_path(out: str | Path) -> Path:
     return out.with_name(out.stem + "_policy" + (out.suffix or ".csv"))
 
 
-def _validated(config: ExperimentConfig) -> None:
-    check = validate_price_box(config.params)
+def _validated(params: MarketParams) -> None:
+    check = validate_price_box(params)
     if not check.ok:
         raise ConfigError(check.describe())
 
 
-def _print_sne(params: MarketParams, sol: SneSolution) -> None:
+def _print_sne(sol: SneSolution) -> None:
     (lo_H, up_H), (lo_L, up_L) = sol.bounds
     det, trace, min_eig = sol.hessian_certificate
     _say("sne_p_H", sol.prices.p_H)
@@ -148,7 +149,7 @@ def _print_sne(params: MarketParams, sol: SneSolution) -> None:
 
 
 def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
-    _validated(config)
+    _validated(config.params)
     out_path = out or config.output_path
     _create(out_path)
     sol = solve_sne(config.params)
@@ -163,7 +164,7 @@ def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
     _say("schedule", traj.schedule)
     _say("horizon", config.horizon)
     _say("output", str(out_path))
-    _print_sne(config.params, sol)
+    _print_sne(sol)
     _say("terminal_price_gap_inf", float(term_p))
     _say("terminal_ref_gap_inf", float(term_r))
     _say("verdict", analysis.cycle_detector(traj, sne, tail_fraction=0.2))
@@ -175,10 +176,10 @@ def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
 
 
 def cmd_sne(config: ExperimentConfig) -> int:
-    _validated(config)
+    _validated(config.params)
     sol = solve_sne(config.params)
     _say("command", "sne")
-    _print_sne(config.params, sol)
+    _print_sne(sol)
     contained = all(
         lower < value < upper
         for value, (lower, upper) in zip(sol.prices, sol.bounds)
@@ -188,7 +189,7 @@ def cmd_sne(config: ExperimentConfig) -> int:
 
 
 def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
-    _validated(config)
+    _validated(config.params)
     out_path = Path(out or config.output_path)
     joined_path = _policy_csv_path(out_path)
     _create(out_path, joined_path)
@@ -212,7 +213,7 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
     _say("policy_horizon", policy_horizon)
     _say("output", str(out_path))
     _say("output_policy", str(joined_path))
-    _print_sne(config.params, sol)
+    _print_sne(sol)
     _say("terminal_ref_gap_grad", float(term_grad))
     _say("terminal_ref_gap_policy", float(term_pol))
     _say("terminal_mutual_gap", float(mutual))
@@ -355,9 +356,7 @@ def cmd_verify(
     seed: int = 0,
 ) -> int:
     params = config.params if config is not None else figure1_config("a").params
-    check = validate_price_box(params)
-    if not check.ok:
-        raise ConfigError(check.describe())
+    _validated(params)
     rng = np.random.default_rng(seed)
     failures = []
 
@@ -447,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
 
     fig = sub.add_parser("figure1", help="bundled demonstration presets")
-    fig.add_argument("--variant", choices=("a", "b", "c"), default="a")
+    fig.add_argument("--variant", choices=FIGURE1_VARIANTS, default="a")
     fig.add_argument("--horizon", type=int, default=None)
     fig.add_argument("--out", default=None)
     return p

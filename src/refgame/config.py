@@ -15,14 +15,12 @@ currency units)::
       "init_references": [0.10, 2.95],
       "schedule": {"kind": "inverse_sqrt", "c": 1.0},
       "horizon": 100000,
-      "output_path": "trajectory.csv",
-      "seed": 0
+      "output_path": "trajectory.csv"
     }
 
 Schedule kinds: ``{"kind": "constant", "eta": x}``,
 ``{"kind": "inverse_sqrt", "c": x}``, ``{"kind": "inverse_t", "d": x}``,
-``{"kind": "explicit", "values": [...]}``. ``seed`` only matters for
-the randomized verification sweep.
+``{"kind": "explicit", "values": [...]}``.
 
 The bundled ``figure1`` preset is the two-firm instance used throughout
 the docs and test suite, with three variants: (a) a diminishing
@@ -47,6 +45,7 @@ __all__ = [
     "figure1_params",
     "figure1_config",
     "FIGURE1_VARIANTS",
+    "load_config",
     "random_market",
 ]
 
@@ -65,7 +64,6 @@ class ExperimentConfig:
     schedule: StepSchedule
     horizon: int
     output_path: str = "trajectory.csv"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.horizon, int) or self.horizon < 1:
@@ -142,9 +140,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     horizon = _require(doc, "horizon", "configuration")
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise ConfigError(f"horizon must be an integer, got {horizon!r}")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     return ExperimentConfig(
         params=params,
         init_prices=_pair_from_list(_require(doc, "init_prices", "configuration"), "init_prices"),
@@ -154,7 +149,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         schedule=schedule,
         horizon=horizon,
         output_path=str(doc.get("output_path", "trajectory.csv")),
-        seed=seed,
     )
 
 
@@ -219,7 +213,6 @@ def figure1_config(variant: str = "a") -> ExperimentConfig:
         schedule=schedule,
         horizon=_FIGURE1_HORIZONS[variant],
         output_path=f"figure1{variant}.csv",
-        seed=0,
     )
 
 

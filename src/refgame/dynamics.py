@@ -5,9 +5,11 @@ derivative and projects back onto the price box, after which the market
 smooths the reference prices toward the posted prices:
 
     p_i <- Proj[p_lo, p_hi](p_i + eta_t * D_i(p, r))
-    r_i <- alpha * r_i + (1 - alpha) * p_i        (old p, old r)
+    r_i <- Proj[p_lo, p_hi](alpha * r_i + (1 - alpha) * p_i)
 
-Both updates read the pre-step state. Simulations are strictly
+Both updates read the pre-step state (old p, old r). The reference
+projection only guards against the one-ulp rounding a convex
+combination of two in-box values can incur. Simulations are strictly
 sequential and bit-deterministic: identical inputs produce identical
 trajectories. A trajectory holds every period in memory, so a run of
 more than ``RETENTION_LIMIT`` records is refused with ``ValueError``.
@@ -35,7 +37,6 @@ __all__ = [
     "StepSchedule",
     "TrajectoryRecord",
     "Trajectory",
-    "project",
     "reference_update",
     "ascent_step",
     "simulate",
@@ -99,19 +100,6 @@ class StepSchedule:
     @classmethod
     def explicit(cls, values: Sequence[float]) -> "StepSchedule":
         return cls("explicit", values=values)
-
-    def __call__(self, t: int) -> float:
-        if t < 0:
-            raise ValueError("period index must be >= 0")
-        if self.kind == "constant":
-            return self.coef
-        if self.kind == "inverse_sqrt":
-            return self.coef / math.sqrt(t + 1.0)
-        if self.kind == "inverse_t":
-            return self.coef / (t + 1.0)
-        # explicit: clamp reads past the end to the final value so the
-        # informational eta of a trajectory's last record stays defined
-        return float(self.values[min(t, self.values.size - 1)])
 
     def sequence(self, n: int) -> np.ndarray:
         """First n step sizes eta_0 .. eta_{n-1} as a float array."""
@@ -204,15 +192,6 @@ class Trajectory:
     def periods(self) -> np.ndarray:
         return self.t0 + np.arange(len(self))
 
-    @property
-    def prices(self) -> np.ndarray:
-        """Array of shape (n, 2) with columns (p_H, p_L)."""
-        return np.column_stack([self.p_H, self.p_L])
-
-    @property
-    def references(self) -> np.ndarray:
-        return np.column_stack([self.r_H, self.r_L])
-
     def record(self, i: int) -> TrajectoryRecord:
         if not -len(self) <= i < len(self):
             raise IndexError(f"record index {i} out of range for length {len(self)}")
@@ -231,29 +210,20 @@ class Trajectory:
         return MarketState(prices=rec.prices, references=rec.references)
 
 
-def project(x: float, p_lo: float, p_hi: float) -> float:
-    """Clamp x onto the interval [p_lo, p_hi]."""
-    if not p_lo < p_hi:
-        raise ValueError(f"empty interval [{p_lo}, {p_hi}]")
-    return min(max(x, p_lo), p_hi)
+def reference_update(params: MarketParams, r: PricePair, p: PricePair) -> PricePair:
+    """Smooth references toward prices, per firm:
 
+        r_i <- min(max(alpha * r_i + (1 - alpha) * p_i, p_lo), p_hi)
 
-def reference_update(alpha: float, r: PricePair, p: PricePair) -> PricePair:
-    """Smooth references toward prices: alpha * r + (1 - alpha) * p.
-
-    A convex combination cannot leave the interval spanned by its two
-    endpoints mathematically, but a final rounding can exceed it by one
-    ulp; the result is clamped componentwise onto [min(r,p), max(r,p)]
-    to keep downstream feasibility checks exact.
+    A convex combination of two in-box values cannot leave the box
+    mathematically, but its final rounding can overshoot an edge by one
+    ulp; the clamp keeps the result in the box. This is the reference
+    rule of every period in :func:`ascent_step`, :func:`simulate` and
+    ``equilibrium_path``.
     """
-    if not (isinstance(alpha, (int, float)) and 0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    out = []
-    for r_i, p_i in zip(r, p):
-        v = alpha * r_i + (1.0 - alpha) * p_i
-        lo, hi = (r_i, p_i) if r_i <= p_i else (p_i, r_i)
-        out.append(min(max(v, lo), hi))
-    return PricePair(*out)
+    lo, hi, alpha = params.p_lo, params.p_hi, params.alpha
+    omega = 1.0 - alpha
+    return PricePair(*(min(max(alpha * r_i + omega * p_i, lo), hi) for r_i, p_i in zip(r, p)))
 
 
 def _state_floats(params: MarketParams, state: MarketState):
@@ -270,18 +240,16 @@ def ascent_step(params: MarketParams, state: MarketState, eta: float) -> MarketS
     """One period of the projected log-revenue ascent.
 
     Prices move by eta times the derivative evaluated at the *old*
-    state and are projected onto the box; references are smoothed from
-    the *old* (r, p) pair, with a defensive box projection against the
-    one-ulp rounding a convex combination can incur. Requires eta > 0
-    and a feasible state. Bit-identical to one period of
+    state and are projected onto the box; references follow
+    :func:`reference_update` from the *old* (r, p) pair. Requires
+    eta > 0 and a feasible state. Bit-identical to one period of
     :func:`simulate`.
     """
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"step size must be finite and > 0, got {eta!r}")
     p_H, p_L, r_H, r_L = _state_floats(params, state)
     consts = _consts(params)
-    lo, hi, alpha = params.p_lo, params.p_hi, params.alpha
-    omega = 1.0 - alpha
+    lo, hi = params.p_lo, params.p_hi
 
     d_H, d_L, _, _ = _demands_fast(consts, p_H, p_L, r_H, r_L)
     D_H = 1.0 / p_H + consts[1] * (d_H - 1.0)
@@ -291,10 +259,7 @@ def ascent_step(params: MarketParams, state: MarketState, eta: float) -> MarketS
         min(max(p_H + eta * D_H, lo), hi),
         min(max(p_L + eta * D_L, lo), hi),
     )
-    new_refs = PricePair(
-        min(max(alpha * r_H + omega * p_H, lo), hi),
-        min(max(alpha * r_L + omega * p_L, lo), hi),
-    )
+    new_refs = reference_update(params, PricePair(r_H, r_L), PricePair(p_H, p_L))
     return MarketState(prices=new_prices, references=new_refs)
 
 
@@ -331,8 +296,7 @@ def simulate(
         etas = schedule.sequence(horizon)
         etas = np.append(etas, etas[-1])
 
-    consts = _consts(params)
-    a_H, s_H, c_H, a_L, s_L, c_L = consts
+    a_H, s_H, c_H, a_L, s_L, c_L = _consts(params)
     lo, hi = params.p_lo, params.p_hi
     alpha = params.alpha
     omega = 1.0 - alpha
@@ -346,8 +310,9 @@ def simulate(
     buffers = ([], [], [], [], [], [])
     put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (b.append for b in buffers)
 
-    for i in range(0, horizon, ETA_CHUNK):
-        j = min(i + ETA_CHUNK, horizon)
+    # The last pass records t = horizon; the update it computes is discarded.
+    for i in range(0, n, ETA_CHUNK):
+        j = min(i + ETA_CHUNK, n)
         for eta in etas[i:j].tolist():
             u_H = a_H - s_H * p_H + c_H * r_H
             u_L = a_L - s_L * p_L + c_L * r_L
@@ -367,7 +332,8 @@ def simulate(
             put_DH(D_H)
             put_DL(D_L)
 
-            # references first: they read the old prices
+            # references first: they read the old prices. This is
+            # reference_update, inlined.
             x = alpha * r_H + omega * p_H
             r_H = lo if x < lo else hi if x > hi else x
             x = alpha * r_L + omega * p_L
@@ -379,12 +345,5 @@ def simulate(
         for column, buffer in zip(columns, buffers):
             column[i:j] = buffer
             buffer.clear()
-
-    # final record: state at t = horizon with its diagnostic derivative
-    d_H, d_L, _, _ = _demands_fast(consts, p_H, p_L, r_H, r_L)
-    D_H = 1.0 / p_H + s_H * (d_H - 1.0)
-    D_L = 1.0 / p_L + s_L * (d_L - 1.0)
-    for column, value in zip(columns, (p_H, p_L, r_H, r_L, D_H, D_L)):
-        column[horizon] = value
 
     return Trajectory(params, schedule.describe(), *columns, eta=etas)

@@ -450,7 +450,7 @@ def equilibrium_path(
         arr_DH[t] = 1.0 / p.p_H - s_H * q_H
         arr_DL[t] = 1.0 / p.p_L - s_L * q_L
         if t < horizon:
-            r_H, r_L = reference_update(params.alpha, PricePair(r_H, r_L), p)
+            r_H, r_L = reference_update(params, PricePair(r_H, r_L), p)
 
     return Trajectory(
         params=params,

@@ -1,5 +1,6 @@
 """Step schedules, single ascent steps, and full simulations."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -25,20 +26,22 @@ def demo_state() -> rg.MarketState:
 class TestStepSchedule:
     def test_constant(self):
         s = rg.StepSchedule.constant(0.7)
-        assert s(0) == 0.7 and s(10_000) == 0.7
+        seq = s.sequence(10_001)
+        assert seq[0] == 0.7 and seq[10_000] == 0.7
         assert s.describe() == "constant(0.7)"
 
     def test_inverse_sqrt(self):
         s = rg.StepSchedule.inverse_sqrt(2.0)
-        assert math.isclose(s(0), 2.0)
-        assert math.isclose(s(3), 1.0)
         seq = s.sequence(5)
+        assert math.isclose(seq[0], 2.0)
+        assert math.isclose(seq[3], 1.0)
         np.testing.assert_allclose(seq, 2.0 / np.sqrt(np.arange(5) + 1.0))
 
     def test_inverse_t(self):
         s = rg.StepSchedule.inverse_t(3.0)
-        assert math.isclose(s(0), 3.0)
-        assert math.isclose(s(2), 1.0)
+        seq = s.sequence(3)
+        assert math.isclose(seq[0], 3.0)
+        assert math.isclose(seq[2], 1.0)
 
     def test_diminishing_kinds_are_non_increasing_and_vanishing(self):
         for s in (rg.StepSchedule.inverse_sqrt(1.3), rg.StepSchedule.inverse_t(2.1)):
@@ -59,7 +62,6 @@ class TestStepSchedule:
     def test_explicit_sequence_and_call_agree(self):
         s = rg.StepSchedule.explicit([3.0, 2.0, 1.0])
         assert list(s.sequence(3)) == [3.0, 2.0, 1.0]
-        assert s(2) == 1.0
         with pytest.raises(ValueError):
             s.sequence(4)
 
@@ -72,63 +74,53 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             rg.StepSchedule("geometric", 0.5)
 
-    def test_call_and_sequence_agree(self):
-        for s in (
-            rg.StepSchedule.constant(0.3),
-            rg.StepSchedule.inverse_sqrt(1.0),
-            rg.StepSchedule.inverse_t(2.25),
+    def test_sequence_matches_closed_form(self):
+        for s, rule in (
+            (rg.StepSchedule.constant(0.3), lambda t: 0.3),
+            (rg.StepSchedule.inverse_sqrt(1.0), lambda t: 1.0 / math.sqrt(t + 1.0)),
+            (rg.StepSchedule.inverse_t(2.25), lambda t: 2.25 / (t + 1.0)),
         ):
             seq = s.sequence(50)
-            assert all(seq[t] == s(t) for t in range(50))
+            assert all(seq[t] == rule(t) for t in range(50))
 
     def test_from_dict_round_trip(self):
         s = rg.StepSchedule.from_dict({"kind": "inverse_t", "d": 2.5})
-        assert s.kind == "inverse_t" and s(0) == 2.5
+        assert s.kind == "inverse_t" and s.sequence(1)[0] == 2.5
         with pytest.raises(ValueError):
             rg.StepSchedule.from_dict({"kind": "mystery"})
         with pytest.raises(ValueError):
             rg.StepSchedule.from_dict({})
 
 
-class TestProject:
-    def test_clamps(self):
-        assert rg.project(10.0, 0.5, 7.5) == 7.5
-        assert rg.project(3.0, 0.5, 7.5) == 3.0
-        assert rg.project(0.1, 0.5, 7.5) == 0.5
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            rg.project(1.0, 2.0, 2.0)
+def with_alpha(params: rg.MarketParams, alpha: float) -> rg.MarketParams:
+    return dataclasses.replace(params, alpha=alpha)
 
 
 class TestReferenceUpdate:
-    def test_arithmetic(self):
-        out = rg.reference_update(0.9, rg.PricePair(2.0, 2.0), rg.PricePair(1.0, 1.0))
+    def test_arithmetic(self, fig1):
+        out = rg.reference_update(
+            with_alpha(fig1, 0.9), rg.PricePair(2.0, 2.0), rg.PricePair(1.0, 1.0)
+        )
         assert math.isclose(out.p_H, 1.9, rel_tol=1e-15)
         assert math.isclose(out.p_L, 1.9, rel_tol=1e-15)
 
-    def test_full_memory_and_memoryless(self):
+    def test_full_memory_and_memoryless(self, fig1):
         r = rg.PricePair(2.0, 3.0)
         p = rg.PricePair(1.0, 5.0)
-        assert rg.reference_update(1.0, r, p) == r
-        assert rg.reference_update(0.0, r, p) == p
+        assert rg.reference_update(with_alpha(fig1, 1.0), r, p) == r
+        assert rg.reference_update(with_alpha(fig1, 0.0), r, p) == p
 
-    def test_alpha_out_of_range(self):
-        r = rg.PricePair(2.0, 3.0)
-        with pytest.raises(ValueError):
-            rg.reference_update(-0.1, r, r)
-        with pytest.raises(ValueError):
-            rg.reference_update(1.1, r, r)
-
-    def test_stays_between_endpoints(self):
+    def test_stays_between_endpoints(self, fig1):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            alpha = float(rng.uniform(0.0, 1.0))
-            r = rg.PricePair(*rng.uniform(0.1, 9.0, 2))
-            p = rg.PricePair(*rng.uniform(0.1, 9.0, 2))
-            out = rg.reference_update(alpha, r, p)
+            params = with_alpha(fig1, float(rng.uniform(0.0, 1.0)))
+            r = rg.PricePair(*rng.uniform(fig1.p_lo, fig1.p_hi, 2))
+            p = rg.PricePair(*rng.uniform(fig1.p_lo, fig1.p_hi, 2))
+            out = rg.reference_update(params, r, p)
             for o, r_i, p_i in zip(out, r, p):
-                assert min(r_i, p_i) <= o <= max(r_i, p_i)
+                assert fig1.p_lo <= o <= fig1.p_hi
+                lo, hi = min(r_i, p_i), max(r_i, p_i)
+                assert math.nextafter(lo, -math.inf) <= o <= math.nextafter(hi, math.inf)
 
 
 class TestAscentStep:

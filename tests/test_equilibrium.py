@@ -403,6 +403,32 @@ class TestEquilibriumPath:
         interior = (states[:2] > STIFF.p_lo) & (states[:2] < STIFF.p_hi)
         assert np.max(np.abs(D[interior])) < 1e-9
 
+    def test_references_follow_reference_update(self):
+        # On random_market(default_rng(17)) firm L's alpha*r + (1-alpha)*p
+        # rounds one ulp outside [min(r,p), max(r,p)] at period 60. A clamp
+        # onto that span, instead of the box, pins r_L there and binds again
+        # in every later period (940 updates in all), so it alters the path.
+        params = rg.random_market(np.random.default_rng(17))
+        lo, hi = params.p_lo, params.p_hi
+        traj = rg.equilibrium_path(
+            params, rg.PricePair(lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)), 1000
+        )
+        p = np.stack([traj.p_H, traj.p_L])[:, :-1]
+        r = np.stack([traj.r_H, traj.r_L])[:, :-1]
+        v = params.alpha * r + (1.0 - params.alpha) * p
+        assert np.any((v < np.minimum(r, p)) | (v > np.maximum(r, p)))
+        # the rule is the box clamp, and equilibrium_path applies it
+        np.testing.assert_array_equal(
+            np.stack([traj.r_H, traj.r_L])[:, 1:], np.clip(v, lo, hi)
+        )
+        for t in range(len(traj) - 1):
+            update = rg.reference_update(
+                params,
+                rg.PricePair(traj.r_H[t], traj.r_L[t]),
+                rg.PricePair(traj.p_H[t], traj.p_L[t]),
+            )
+            assert (traj.r_H[t + 1], traj.r_L[t + 1]) == tuple(update), t
+
     def test_rejects_bad_inputs(self, fig1):
         with pytest.raises(ValueError):
             rg.equilibrium_path(fig1, rg.PricePair(0.01, 1.0), 10)

@@ -49,6 +49,8 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             rg.MarketParams(firm, firm, alpha=1.5, p_lo=0.5, p_hi=2.0)
         with pytest.raises(ValueError):
+            rg.MarketParams(firm, firm, alpha=-0.1, p_lo=0.5, p_hi=2.0)
+        with pytest.raises(ValueError):
             rg.MarketParams(firm, firm, alpha=0.5, p_lo=0.0, p_hi=2.0)
         with pytest.raises(ValueError):
             rg.MarketParams(firm, firm, alpha=0.5, p_lo=2.0, p_hi=1.0)
