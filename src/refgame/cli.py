@@ -24,6 +24,7 @@ dimensionless max|G_i| of the scaled first-order conditions at the SNE.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -71,11 +72,34 @@ CSV_CHUNK_ROWS = 1024
 def _write_rows(f, t: np.ndarray, *columns: np.ndarray) -> None:
     """Write rows ``t,x_1,..,x_k``: t an int, each x as ``"%.17g" % x``, which
     is ``format(x, ".17g")``. Formatting plain floats CSV_CHUNK_ROWS rows at a
-    time saves per-value call overhead and bounds the text held in memory."""
-    row = ("%d" + ",%.17g" * len(columns) + "\n").__mod__
+    time saves per-value call overhead and bounds the text held in memory.
+
+    A row is *fresh* when some float column differs from the row before in
+    its bits (bits, not values: ``0.0 == -0.0`` but they print differently).
+    A chunk of fresh rows is formatted with one row template. In any other
+    chunk the tail ``,x_1,..,x_k`` is formatted once per fresh row and
+    reused for the bit-identical rows after it, so a settled run is printed
+    at the cost of its t column. The first row of every chunk counts as
+    fresh, so a chunk never needs a tail from the chunk before."""
+    fresh = np.zeros(len(t), dtype=bool)
+    for col in columns:
+        bits = col.view(np.uint64)
+        fresh[1:] |= bits[1:] != bits[:-1]
+    fresh[::CSV_CHUNK_ROWS] = True
+    tail = ",%.17g" * len(columns) + "\n"
+    row = ("%d" + tail).__mod__
     for start in range(0, len(t), CSV_CHUNK_ROWS):
-        chunk = [col[start : start + CSV_CHUNK_ROWS].tolist() for col in (t, *columns)]
-        f.write("".join(map(row, zip(*chunk))))
+        stop = start + CSV_CHUNK_ROWS
+        is_fresh = fresh[start:stop]
+        if is_fresh.all():
+            chunk = [col[start:stop].tolist() for col in (t, *columns)]
+            f.write("".join(map(row, zip(*chunk))))
+            continue
+        fresh_values = zip(*(col[start:stop][is_fresh].tolist() for col in columns))
+        tails = [tail % values for values in fresh_values]
+        # row i takes the tail of the last fresh row at or before it
+        row_tails = map(tails.__getitem__, (np.cumsum(is_fresh) - 1).tolist())
+        f.write("".join(map("%d%s".__mod__, zip(t[start:stop].tolist(), row_tails))))
 
 
 def _say(key: str, value) -> None:
@@ -112,12 +136,22 @@ def _write_joined_refs_csv(
         )
 
 
-def _create(*paths: str | Path) -> None:
+@contextlib.contextmanager
+def _output_files(*paths: str | Path):
     """Create or truncate each output file, so that a path that cannot be
-    written fails with ``OSError`` before any computing."""
-    for path in paths:
-        with open(path, "w", encoding="ascii"):
-            pass
+    written fails with ``OSError`` before any computing; if the body then
+    raises, remove the files created here, so a failed run leaves none."""
+    created = []
+    try:
+        for path in paths:
+            with open(path, "w", encoding="ascii"):
+                pass
+            created.append(Path(path))
+        yield
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _policy_csv_path(out: str | Path) -> Path:
@@ -151,10 +185,10 @@ def _print_sne(sol: SneSolution) -> None:
 def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
     _validated(config.params)
     out_path = out or config.output_path
-    _create(out_path)
-    sol = solve_sne(config.params)
-    traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
-    write_trajectory_csv(out_path, traj, sol.prices)
+    with _output_files(out_path):
+        sol = solve_sne(config.params)
+        traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
+        write_trajectory_csv(out_path, traj, sol.prices)
 
     sne = sol.prices
     term_p = max(abs(traj.p_H[-1] - sne.p_H), abs(traj.p_L[-1] - sne.p_L))
@@ -192,15 +226,15 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
     _validated(config.params)
     out_path = Path(out or config.output_path)
     joined_path = _policy_csv_path(out_path)
-    _create(out_path, joined_path)
-    sol = solve_sne(config.params)
-    sne = sol.prices
-    traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
-    policy_horizon = min(config.horizon, figure1_policy_horizon())
-    policy = equilibrium_path(config.params, config.init_references, policy_horizon)
+    with _output_files(out_path, joined_path):
+        sol = solve_sne(config.params)
+        sne = sol.prices
+        traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
+        policy_horizon = min(config.horizon, figure1_policy_horizon())
+        policy = equilibrium_path(config.params, config.init_references, policy_horizon)
 
-    write_trajectory_csv(out_path, traj, sne)
-    _write_joined_refs_csv(joined_path, traj, policy)
+        write_trajectory_csv(out_path, traj, sne)
+        _write_joined_refs_csv(joined_path, traj, policy)
 
     term_grad = max(abs(traj.r_H[-1] - sne.p_H), abs(traj.r_L[-1] - sne.p_L))
     term_pol = max(abs(policy.r_H[-1] - sne.p_H), abs(policy.r_L[-1] - sne.p_L))

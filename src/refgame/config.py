@@ -22,6 +22,12 @@ Schedule kinds: ``{"kind": "constant", "eta": x}``,
 ``{"kind": "inverse_sqrt", "c": x}``, ``{"kind": "inverse_t", "d": x}``,
 ``{"kind": "explicit", "values": [...]}``.
 
+``output_path`` is optional. A field not named above, at any level, is
+refused with ``ConfigError`` naming the field and where it sits, so a
+misspelt field never falls back to a default. One exception: a
+top-level ``"seed"`` is accepted and ignored, so older documents that
+carry it still load (the randomised ``verify`` sweep takes ``--seed``).
+
 The bundled ``figure1`` preset is the two-firm instance used throughout
 the docs and test suite, with three variants: (a) a diminishing
 1/sqrt(t+1) schedule that settles, (b) a unit constant schedule that
@@ -85,6 +91,12 @@ class ExperimentConfig:
         return replace(self, **changes)
 
 
+def _reject_unknown(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"unknown field '{key}' in {where}")
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing field '{key}' in {where}")
@@ -100,6 +112,7 @@ def _as_real(value, where: str) -> float:
 def _firm_from_dict(spec, where: str) -> FirmParams:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object with keys a, b, c")
+    _reject_unknown(spec, ("a", "b", "c"), where)
     try:
         return FirmParams(
             a=_as_real(_require(spec, "a", where), f"{where}.a"),
@@ -116,13 +129,21 @@ def _pair_from_list(spec, where: str) -> PricePair:
     return PricePair(_as_real(spec[0], f"{where}[0]"), _as_real(spec[1], f"{where}[1]"))
 
 
+# "seed" is accepted and ignored (see the module docstring)
+_TOP_FIELDS = (
+    "params", "init_prices", "init_references", "schedule", "horizon", "output_path", "seed",
+)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
+    _reject_unknown(doc, _TOP_FIELDS, "configuration")
     params_doc = _require(doc, "params", "configuration")
     if not isinstance(params_doc, dict):
         raise ConfigError("'params' must be an object")
+    _reject_unknown(params_doc, ("firm_H", "firm_L", "alpha", "p_lo", "p_hi"), "params")
     try:
         params = MarketParams(
             firm_H=_firm_from_dict(_require(params_doc, "firm_H", "params"), "params.firm_H"),

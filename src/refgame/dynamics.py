@@ -11,8 +11,12 @@ Both updates read the pre-step state (old p, old r). The reference
 projection only guards against the one-ulp rounding a convex
 combination of two in-box values can incur. Simulations are strictly
 sequential and bit-deterministic: identical inputs produce identical
-trajectories. A trajectory holds every period in memory, so a run of
-more than ``RETENTION_LIMIT`` records is refused with ``ValueError``.
+trajectories. A run that reaches an exact fixed point in floats (a
+period that leaves (p, r) bit-unchanged) is not iterated further:
+every later period would repeat it, so ``simulate`` fills the remaining
+records with it; see :func:`simulate` for why that is exact. A
+trajectory holds every period in memory, so a run of more than
+``RETENTION_LIMIT`` records is refused with ``ValueError``.
 Trajectories are immutable once built and safe to share across threads.
 """
 
@@ -73,13 +77,16 @@ class StepSchedule:
         self.coef = coef
         self.values = values
         if kind == "explicit":
-            arr = np.asarray(values, dtype=float)
+            # a private read-only copy: simulate relies on the validation
+            # below holding for the life of the schedule
+            arr = np.array(values, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError("explicit schedule needs a non-empty 1-d sequence")
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise ValueError("explicit schedule values must be finite and > 0")
             if np.any(np.diff(arr) > 0.0):
                 raise ValueError("explicit schedule must be non-increasing")
+            arr.flags.writeable = False
             self.values = arr
         else:
             if coef is None or not (math.isfinite(coef) and coef > 0.0):
@@ -128,19 +135,24 @@ class StepSchedule:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "StepSchedule":
-        """Build from a JSON-style descriptor, e.g. {"kind": "inverse_sqrt", "c": 1.0}."""
+        """Build from a JSON-style descriptor, e.g. {"kind": "inverse_sqrt", "c": 1.0}.
+
+        A key other than ``kind`` and the kind's own field is refused with
+        ``ValueError``; ``c`` of ``inverse_sqrt`` defaults to 1.
+        """
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ValueError("schedule descriptor must be a mapping with a 'kind' key")
         kind = spec["kind"]
-        if kind == "constant":
-            return cls.constant(spec.get("eta"))
-        if kind == "inverse_sqrt":
-            return cls.inverse_sqrt(spec.get("c", 1.0))
-        if kind == "inverse_t":
-            return cls.inverse_t(spec.get("d"))
+        field = {"constant": "eta", "inverse_sqrt": "c", "inverse_t": "d", "explicit": "values"}
+        if not isinstance(kind, str) or kind not in field:
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        for key in spec:
+            if key not in ("kind", field[kind]):
+                raise ValueError(f"unknown field '{key}' for kind {kind!r}")
         if kind == "explicit":
             return cls.explicit(spec.get("values"))
-        raise ValueError(f"unknown schedule kind {kind!r}")
+        default = 1.0 if kind == "inverse_sqrt" else None
+        return cls(kind, spec.get(field[kind], default))
 
 
 class TrajectoryRecord(NamedTuple):
@@ -275,6 +287,20 @@ def simulate(
     being the initial state, all held in memory. A run of more than
     ``RETENTION_LIMIT`` records is refused with ``ValueError`` before
     any period is computed.
+
+    At the end of every ``ETA_CHUNK`` periods, if the period just run
+    left (p_H, p_L, r_H, r_L) bit-unchanged, the remaining records are
+    filled with the last one and the loop stops. The result is
+    bit-identical to running every period, because:
+
+    * the step sizes are non-increasing: ``explicit`` values are
+      validated so, and ``c / sqrt(t + 1)`` and ``d / (t + 1)`` are
+      built from monotone, correctly rounded operations;
+    * rounding is monotone, so ``fl(p + fl(eta * D)) == p`` implies the
+      same for every later ``eta' <= eta``, and a price clamped onto a
+      box edge stays clamped there;
+    * the reference update does not read eta, and D depends on the
+      state alone, so the recorded D repeats as well.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
@@ -345,5 +371,11 @@ def simulate(
         for column, buffer in zip(columns, buffers):
             column[i:j] = buffer
             buffer.clear()
+        # Every state value lies in [p_lo, p_hi] with p_lo > 0, so == is
+        # bit equality here. On the last pass the fill below is empty.
+        if (p_H, p_L, r_H, r_L) == tuple(column[j - 1] for column in columns[:4]):
+            for column in columns:
+                column[j:] = column[j - 1]
+            break
 
     return Trajectory(params, schedule.describe(), *columns, eta=etas)

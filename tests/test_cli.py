@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, CSV contract, exit codes."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -81,6 +83,43 @@ class TestConfigParsing:
         with pytest.raises(rg.ConfigError, match="cannot read"):
             rg.load_config("/nonexistent/cfg.json")
 
+    def test_unknown_top_level_field_refused(self, tmp_path):
+        doc = demo_config_dict()
+        doc["ouput_path"] = doc.pop("output_path")
+        path = write_config(tmp_path, doc)
+        with pytest.raises(rg.ConfigError, match="unknown field 'ouput_path' in configuration"):
+            rg.load_config(path)
+
+    def test_unknown_params_field_refused(self, tmp_path):
+        doc = demo_config_dict()
+        doc["params"]["beta"] = 0.5
+        path = write_config(tmp_path, doc)
+        with pytest.raises(rg.ConfigError, match="unknown field 'beta' in params"):
+            rg.load_config(path)
+
+    def test_unknown_firm_field_refused(self, tmp_path):
+        doc = demo_config_dict()
+        doc["params"]["firm_L"]["d"] = 1.0
+        path = write_config(tmp_path, doc)
+        with pytest.raises(rg.ConfigError, match=r"unknown field 'd' in params\.firm_L"):
+            rg.load_config(path)
+
+    def test_unknown_schedule_field_refused(self, tmp_path):
+        # "C" for "c" used to run as inverse_sqrt(1)
+        path = write_config(tmp_path, demo_config_dict(schedule={"kind": "inverse_sqrt", "C": 5}))
+        with pytest.raises(rg.ConfigError, match="schedule: unknown field 'C'"):
+            rg.load_config(path)
+
+    def test_unknown_field_exits_1_with_one_line(self, tmp_path, capsys):
+        doc = demo_config_dict()
+        doc["params"]["beta"] = 0.5
+        out = tmp_path / "never.csv"
+        code = cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown field 'beta' in params\n"
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_csv_with_exact_schema(self, tmp_path, capsys):
@@ -149,6 +188,19 @@ class TestSimulateCommand:
         assert "forced failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variant", ["a", "c"])
+    def test_failed_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch, variant):
+        def boom(params, cfg=None):
+            raise rg.SolverError("forced failure", period=3)
+
+        monkeypatch.setattr(cli, "solve_sne", boom)
+        out = tmp_path / "x.csv"
+        code = cli.main(["figure1", "--variant", variant, "--horizon", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "forced failure" in err
+        assert list(tmp_path.iterdir()) == []  # neither x.csv nor x_policy.csv
+
+    @pytest.mark.parametrize("variant", ["a", "c"])
     def test_unwritable_out_exits_1_with_one_line(
         self, tmp_path, capsys, monkeypatch, variant
     ):
@@ -184,27 +236,81 @@ def reference_cells(t, *values) -> str:
     return ",".join([str(t)] + [format(float(v), ".17g") for v in values])
 
 
+def reference_trajectory_text(params, traj: rg.Trajectory, sne: rg.PricePair) -> str:
+    """The whole file write_trajectory_csv must produce, cell by cell."""
+    s_H = params.firm_H.b + params.firm_H.c
+    s_L = params.firm_L.b + params.firm_L.c
+    dist = np.hypot(traj.p_H - sne.p_H, traj.p_L - sne.p_L)
+    eps = np.abs(sne.p_H - traj.p_H) / s_H + np.abs(sne.p_L - traj.p_L) / s_L
+    lines = [cli.CSV_HEADER] + [
+        reference_cells(
+            traj.t0 + i, traj.p_H[i], traj.p_L[i], traj.r_H[i], traj.r_L[i],
+            traj.D_H[i], traj.D_L[i], dist[i], eps[i],
+        )
+        for i in range(len(traj))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+TRAJECTORY_COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta")
+
+
+def runs_trajectory(params, n: int, runs, t0: int = 0, seed: int = 0) -> rg.Trajectory:
+    """n rows of distinct random floats, then for each (start, stop) in
+    ``runs`` rows start..stop-1 made bit-identical to row start."""
+    rng = np.random.default_rng(seed)
+    cols = {name: rng.uniform(0.1, 7.5, n) for name in TRAJECTORY_COLUMNS}
+    for start, stop in runs:
+        for col in cols.values():
+            col[start:stop] = col[start]
+    return rg.Trajectory(params=params, schedule="constant(1)", t0=t0, **cols)
+
+
+FIG1_SNE_PRICES = rg.PricePair(1.920413366139232, 0.8006783990990236)
+CHUNK = cli.CSV_CHUNK_ROWS
+
+# (rows, runs of bit-identical rows) around the writer's chunk boundaries
+RUN_LAYOUTS = {
+    "crosses_a_chunk_boundary": (2 * CHUNK + 10, [(1000, 1101)]),
+    "starts_at_a_chunk_start": (2 * CHUNK + 10, [(CHUNK, 1100)]),
+    "includes_row_0": (CHUNK + 10, [(0, 50)]),
+    "repeated_chunk_then_fresh_chunk": (3 * CHUNK, [(CHUNK - 1, 2 * CHUNK)]),
+    "runs_to_the_last_row": (2 * CHUNK + 10, [(5, 9), (1500, 2 * CHUNK + 10)]),
+}
+
+
 class TestCsvRows:
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS + 1])
     def test_trajectory_rows_match_per_cell_format(self, tmp_path, fig1, n):
-        sne = rg.PricePair(1.920413366139232, 0.8006783990990236)
         traj = edge_trajectory(fig1, n, t0=7)
         out = tmp_path / "edge.csv"
-        cli.write_trajectory_csv(out, traj, sne)
-        s_H = fig1.firm_H.b + fig1.firm_H.c
-        s_L = fig1.firm_L.b + fig1.firm_L.c
-        dist = np.hypot(traj.p_H - sne.p_H, traj.p_L - sne.p_L)
-        eps = np.abs(sne.p_H - traj.p_H) / s_H + np.abs(sne.p_L - traj.p_L) / s_L
-        expected = [cli.CSV_HEADER] + [
-            reference_cells(
-                7 + i, traj.p_H[i], traj.p_L[i], traj.r_H[i], traj.r_L[i],
-                traj.D_H[i], traj.D_L[i], dist[i], eps[i],
-            )
-            for i in range(n)
-        ]
+        cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
         text = out.read_bytes().decode("ascii")
-        assert text == "\n".join(expected) + "\n"
+        assert text == reference_trajectory_text(fig1, traj, FIG1_SNE_PRICES)
         assert text.split("\n")[1].split(",")[1] == "-0"
+
+    @pytest.mark.parametrize("layout", list(RUN_LAYOUTS))
+    def test_runs_of_identical_rows_match_per_cell_format(self, tmp_path, fig1, layout):
+        n, runs = RUN_LAYOUTS[layout]
+        traj = runs_trajectory(fig1, n, runs, t0=7)
+        out = tmp_path / "runs.csv"
+        cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
+        assert out.read_bytes().decode("ascii") == reference_trajectory_text(
+            fig1, traj, FIG1_SNE_PRICES
+        )
+
+    def test_signed_zeros_stay_distinct_rows(self, tmp_path, fig1):
+        # rows 1..3 share every bit but p_H's sign bit; 0.0 == -0.0, yet
+        # they print as "0" and "-0", so a by-value comparison would merge them
+        traj = runs_trajectory(fig1, 5, [(1, 4)])
+        p_H = traj.p_H.copy()
+        p_H[1], p_H[2:4] = 0.0, -0.0
+        traj = dataclasses.replace(traj, p_H=p_H)
+        out = tmp_path / "zeros.csv"
+        cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
+        text = out.read_bytes().decode("ascii")
+        assert text == reference_trajectory_text(fig1, traj, FIG1_SNE_PRICES)
+        assert [line.split(",")[1] for line in text.split("\n")[2:5]] == ["0", "-0", "-0"]
 
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS + 1])
     def test_joined_refs_rows_match_per_cell_format(self, tmp_path, fig1, n):
@@ -215,6 +321,21 @@ class TestCsvRows:
         gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
         lines = out.read_text(encoding="ascii").split("\n")
         assert lines[0] == "t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap"
+        assert lines[1:] == [
+            reference_cells(
+                i, learn.r_H[i], learn.r_L[i], policy.r_H[i], policy.r_L[i], gap[i]
+            )
+            for i in range(n)
+        ] + [""]
+
+    def test_joined_refs_with_a_repeated_tail(self, tmp_path, fig1):
+        n = CHUNK + 300
+        learn = runs_trajectory(fig1, n + 5, [(900, n + 5)], seed=1)
+        policy = runs_trajectory(fig1, n, [(1000, n)], t0=3, seed=2)
+        out = tmp_path / "joined.csv"
+        cli._write_joined_refs_csv(out, learn, policy)
+        gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
+        lines = out.read_text(encoding="ascii").split("\n")
         assert lines[1:] == [
             reference_cells(
                 i, learn.r_H[i], learn.r_L[i], policy.r_H[i], policy.r_L[i], gap[i]
@@ -339,6 +460,16 @@ class TestFigure1Command:
         cli.main(["figure1", "--variant", "a", "--horizon", "1500", "--out", str(out2)])
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_variant_a_full_csv_bits(self, tmp_path, capsys):
+        # the whole 1e5-period file, frozen from the writer that formatted
+        # every cell; the path settles at period 760, so most rows repeat
+        out = tmp_path / "a.csv"
+        assert cli.main(["figure1", "--variant", "a", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e831beb6a30526a876ebb1265d78f483e2bda4cf255d648505fbd3e2e675ba97"
+        )
 
     def test_unknown_variant_rejected(self, capsys):
         with pytest.raises(SystemExit):

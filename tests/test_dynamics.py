@@ -59,6 +59,16 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             rg.StepSchedule.explicit([])
 
+    def test_explicit_values_frozen_after_validation(self):
+        # writing to the caller's array or to `values` later could make the
+        # schedule increase, which simulate's fixed-point stop rules out
+        source = np.array([3.0, 2.0, 1.0])
+        s = rg.StepSchedule.explicit(source)
+        source[2] = 9.0
+        assert list(s.sequence(3)) == [3.0, 2.0, 1.0]
+        with pytest.raises(ValueError):
+            s.values[2] = 9.0
+
     def test_explicit_sequence_and_call_agree(self):
         s = rg.StepSchedule.explicit([3.0, 2.0, 1.0])
         assert list(s.sequence(3)) == [3.0, 2.0, 1.0]
@@ -82,6 +92,13 @@ class TestStepSchedule:
         ):
             seq = s.sequence(50)
             assert all(seq[t] == rule(t) for t in range(50))
+
+    @pytest.mark.parametrize(
+        "schedule", [rg.StepSchedule.inverse_sqrt(1.3), rg.StepSchedule.inverse_t(2.1)]
+    )
+    def test_diminishing_kinds_non_increasing_over_a_million_steps(self, schedule):
+        # the premise of simulate's stop at an exact fixed point
+        assert np.all(np.diff(schedule.sequence(10**6)) <= 0)
 
     def test_from_dict_round_trip(self):
         s = rg.StepSchedule.from_dict({"kind": "inverse_t", "d": 2.5})
@@ -345,4 +362,88 @@ class TestKernelBits:
         traj = rg.simulate(params, init, rg.StepSchedule.inverse_sqrt(1.0), 20_000)
         assert array_digest(traj) == (
             "8549331f716f0ac4d7dc156d1dc3f06ea2f06ebca39d2e6b33308b55f8306a1d"
+        )
+
+
+def kernel_derivatives(params: rg.MarketParams, state: rg.MarketState) -> tuple:
+    """(D_H, D_L) at ``state`` as the period kernel computes them afresh."""
+    traj = rg.simulate(params, state, rg.StepSchedule.constant(1.0), 1)
+    return traj.record(0).derivatives
+
+
+# a horizon that runs several ETA_CHUNKs past each case's fixed point
+SETTLING_HORIZON = 4 * dynamics.ETA_CHUNK + 100
+
+
+def settling_cases():
+    """(params, init, schedule) runs that reach an exact fixed point in
+    floats away from any ETA_CHUNK boundary, one per schedule kind, plus
+    two with both prices pinned at p_hi throughout while one slow
+    reference still moves across the first ETA_CHUNK boundary and the
+    other reference has long settled."""
+    fig1 = rg.figure1_params()
+    pinned = dataclasses.replace(fig1, alpha=0.995, p_hi=0.5)
+    prices = rg.PricePair(0.5, 0.5)
+    horizon_long = rg.StepSchedule.explicit(0.9 / np.sqrt(np.arange(SETTLING_HORIZON) + 1.0))
+    return {
+        "constant": (fig1, demo_state(), rg.StepSchedule.constant(0.3)),
+        "inverse_sqrt": (fig1, demo_state(), rg.StepSchedule.inverse_sqrt(1.0)),
+        "inverse_t": (fig1, demo_state(), rg.StepSchedule.inverse_t(10.0)),
+        "explicit_horizon_long": (fig1, demo_state(), horizon_long),
+        "pinned_slow_r_H": (
+            pinned, rg.MarketState(prices, rg.PricePair(0.1, 0.5)), rg.StepSchedule.inverse_sqrt(1.0)
+        ),
+        "pinned_slow_r_L": (
+            pinned, rg.MarketState(prices, rg.PricePair(0.5, 0.1)), rg.StepSchedule.inverse_t(1.0)
+        ),
+    }
+
+
+class TestFixedPointStop:
+    @pytest.mark.parametrize("case", list(settling_cases()))
+    def test_equals_iterated_steps_past_the_fixed_point(self, case):
+        params, state, schedule = settling_cases()[case]
+        traj = rg.simulate(params, state, schedule, SETTLING_HORIZON)
+        etas = traj.eta.tolist()
+        states, derivatives, cache = [], [], {}
+        for t in range(SETTLING_HORIZON + 1):
+            key = (*state.prices, *state.references)
+            if key not in cache:
+                cache[key] = kernel_derivatives(params, state)
+            states.append(key)
+            derivatives.append(cache[key])
+            if t < SETTLING_HORIZON:
+                state = rg.ascent_step(params, state, etas[t])
+        states = np.array(states)
+        derivatives = np.array(derivatives)
+        for k, name in enumerate(("p_H", "p_L", "r_H", "r_L")):
+            assert np.array_equal(getattr(traj, name), states[:, k]), name
+        assert np.array_equal(traj.D_H, derivatives[:, 0])
+        assert np.array_equal(traj.D_L, derivatives[:, 1])
+        if schedule.kind == "explicit":
+            assert np.array_equal(traj.eta[:-1], schedule.values)
+            assert traj.eta[-1] == schedule.values[-1]
+        else:
+            assert np.array_equal(traj.eta, schedule.sequence(SETTLING_HORIZON + 1))
+
+        # the premise: a fixed point reached inside a chunk, with at
+        # least two whole chunks left to fill
+        moved = np.flatnonzero(np.any(states[1:] != states[:-1], axis=1))
+        settled_at = int(moved[-1]) + 1
+        assert settled_at % dynamics.ETA_CHUNK != 0
+        assert settled_at + 2 * dynamics.ETA_CHUNK < SETTLING_HORIZON
+        if case.startswith("pinned"):
+            assert np.all(states[:, :2] == params.p_hi)
+            slow, fast = (2, 3) if case == "pinned_slow_r_H" else (3, 2)
+            assert np.all(states[dynamics.ETA_CHUNK - 1 :, fast] == states[-1, fast])
+            assert states[dynamics.ETA_CHUNK, slow] != states[dynamics.ETA_CHUNK - 1, slow]
+
+    def test_figure1_a_full_run_bits(self):
+        # every recorded bit of the 1e5-period paper run, which settles at
+        # period 760 and is filled from there, frozen from the kernel that
+        # iterated every period
+        cfg = rg.figure1_config("a")
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, cfg.horizon)
+        assert array_digest(traj) == (
+            "3afa91e8af2f8881db3ecd1f591c861ce054fb5c03fce43130d6a140a90b53c0"
         )
