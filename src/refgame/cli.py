@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -76,25 +77,19 @@ def _write_rows(f, t: np.ndarray, *columns: np.ndarray) -> None:
 
     A row is *fresh* when some float column differs from the row before in
     its bits (bits, not values: ``0.0 == -0.0`` but they print differently).
-    A chunk of fresh rows is formatted with one row template. In any other
-    chunk the tail ``,x_1,..,x_k`` is formatted once per fresh row and
-    reused for the bit-identical rows after it, so a settled run is printed
-    at the cost of its t column. The first row of every chunk counts as
-    fresh, so a chunk never needs a tail from the chunk before."""
+    The tail ``,x_1,..,x_k`` is formatted once per fresh row and reused for
+    the bit-identical rows after it, so a settled run is printed at the
+    cost of its t column. The first row of every chunk counts as fresh, so
+    a chunk never needs a tail from the chunk before."""
     fresh = np.zeros(len(t), dtype=bool)
     for col in columns:
         bits = col.view(np.uint64)
         fresh[1:] |= bits[1:] != bits[:-1]
     fresh[::CSV_CHUNK_ROWS] = True
     tail = ",%.17g" * len(columns) + "\n"
-    row = ("%d" + tail).__mod__
     for start in range(0, len(t), CSV_CHUNK_ROWS):
         stop = start + CSV_CHUNK_ROWS
         is_fresh = fresh[start:stop]
-        if is_fresh.all():
-            chunk = [col[start:stop].tolist() for col in (t, *columns)]
-            f.write("".join(map(row, zip(*chunk))))
-            continue
         fresh_values = zip(*(col[start:stop][is_fresh].tolist() for col in columns))
         tails = [tail % values for values in fresh_values]
         # row i takes the tail of the last fresh row at or before it
@@ -140,13 +135,17 @@ def _write_joined_refs_csv(
 def _output_files(*paths: str | Path):
     """Create or truncate each output file, so that a path that cannot be
     written fails with ``OSError`` before any computing; if the body then
-    raises, remove the files created here, so a failed run leaves none."""
+    raises, remove the files that did not exist before, so a failed run
+    leaves no new file. A path that already existed (a file, a link, a
+    device such as ``/dev/null``) is never removed."""
     created = []
     try:
         for path in paths:
+            existed = os.path.lexists(path)
             with open(path, "w", encoding="ascii"):
                 pass
-            created.append(Path(path))
+            if not existed:
+                created.append(Path(path))
         yield
     except BaseException:
         for path in created:

@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dynamics import StepSchedule
+from .dynamics import StepSchedule, _reject_unknown
 from .equilibrium import sne_bounds
 from .model import FirmParams, MarketParams, MarketState, PricePair
 
@@ -91,12 +91,6 @@ class ExperimentConfig:
         return replace(self, **changes)
 
 
-def _reject_unknown(mapping: dict, known: tuple[str, ...], where: str) -> None:
-    for key in mapping:
-        if key not in known:
-            raise ConfigError(f"unknown field '{key}' in {where}")
-
-
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing field '{key}' in {where}")
@@ -112,13 +106,15 @@ def _as_real(value, where: str) -> float:
 def _firm_from_dict(spec, where: str) -> FirmParams:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object with keys a, b, c")
-    _reject_unknown(spec, ("a", "b", "c"), where)
+    _reject_unknown(spec, ("a", "b", "c"), where, ConfigError)
     try:
         return FirmParams(
             a=_as_real(_require(spec, "a", where), f"{where}.a"),
             b=_as_real(_require(spec, "b", where), f"{where}.b"),
             c=_as_real(_require(spec, "c", where), f"{where}.c"),
         )
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -139,11 +135,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(doc, _TOP_FIELDS, "configuration")
+    _reject_unknown(doc, _TOP_FIELDS, "configuration", ConfigError)
     params_doc = _require(doc, "params", "configuration")
     if not isinstance(params_doc, dict):
         raise ConfigError("'params' must be an object")
-    _reject_unknown(params_doc, ("firm_H", "firm_L", "alpha", "p_lo", "p_hi"), "params")
+    _reject_unknown(
+        params_doc, ("firm_H", "firm_L", "alpha", "p_lo", "p_hi"), "params", ConfigError
+    )
     try:
         params = MarketParams(
             firm_H=_firm_from_dict(_require(params_doc, "firm_H", "params"), "params.firm_H"),
@@ -152,6 +150,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             p_lo=_as_real(_require(params_doc, "p_lo", "params"), "params.p_lo"),
             p_hi=_as_real(_require(params_doc, "p_hi", "params"), "params.p_hi"),
         )
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
     try:

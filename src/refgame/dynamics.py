@@ -51,6 +51,17 @@ RETENTION_LIMIT = 10_000_000
 ETA_CHUNK = 4096  # periods `simulate` runs between flushes of its record buffers
 
 
+def _reject_unknown(
+    spec: dict, known: tuple[str, ...], where: str, error: type[ValueError] = ValueError
+) -> None:
+    """Refuse a key of a configuration mapping that is not in ``known``,
+    naming the key and ``where`` it sits; every level of a configuration
+    document (see :mod:`refgame.config`) is checked with this one rule."""
+    for key in spec:
+        if key not in known:
+            raise error(f"unknown field '{key}' in {where}")
+
+
 class StepSchedule:
     """Step-size rule producing eta_t > 0 for t = 0, 1, 2, ...
 
@@ -146,9 +157,7 @@ class StepSchedule:
         field = {"constant": "eta", "inverse_sqrt": "c", "inverse_t": "d", "explicit": "values"}
         if not isinstance(kind, str) or kind not in field:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        for key in spec:
-            if key not in ("kind", field[kind]):
-                raise ValueError(f"unknown field '{key}' for kind {kind!r}")
+        _reject_unknown(spec, ("kind", field[kind]), f"{kind} schedule")
         if kind == "explicit":
             return cls.explicit(spec.get("values"))
         default = 1.0 if kind == "inverse_sqrt" else None

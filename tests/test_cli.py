@@ -97,18 +97,22 @@ class TestConfigParsing:
         with pytest.raises(rg.ConfigError, match="unknown field 'beta' in params"):
             rg.load_config(path)
 
-    def test_unknown_firm_field_refused(self, tmp_path):
+    def test_unknown_firm_field_refused(self, tmp_path, capsys):
+        # passed through unchanged, not wrapped again as "params: ..."
         doc = demo_config_dict()
         doc["params"]["firm_L"]["d"] = 1.0
         path = write_config(tmp_path, doc)
         with pytest.raises(rg.ConfigError, match=r"unknown field 'd' in params\.firm_L"):
             rg.load_config(path)
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: unknown field 'd' in params.firm_L\n"
 
     def test_unknown_schedule_field_refused(self, tmp_path):
         # "C" for "c" used to run as inverse_sqrt(1)
         path = write_config(tmp_path, demo_config_dict(schedule={"kind": "inverse_sqrt", "C": 5}))
-        with pytest.raises(rg.ConfigError, match="schedule: unknown field 'C'"):
+        with pytest.raises(rg.ConfigError) as err:
             rg.load_config(path)
+        assert str(err.value) == "schedule: unknown field 'C' in inverse_sqrt schedule"
 
     def test_unknown_field_exits_1_with_one_line(self, tmp_path, capsys):
         doc = demo_config_dict()
@@ -199,6 +203,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "forced failure" in err
         assert list(tmp_path.iterdir()) == []  # neither x.csv nor x_policy.csv
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_failed_run_keeps_a_path_that_existed(self, tmp_path, capsys, monkeypatch, kind):
+        # only files the run created are removed; an earlier output, or a
+        # link to one, stays (truncated, as opening it for writing does)
+        def boom(params, cfg=None):
+            raise rg.SolverError("forced failure", period=3)
+
+        monkeypatch.setattr(cli, "solve_sne", boom)
+        target = tmp_path / "earlier.csv"
+        target.write_text("earlier run\n", encoding="ascii")
+        out = target
+        if kind == "symlink":
+            out = tmp_path / "link.csv"
+            out.symlink_to(target)
+        code = cli.main(["figure1", "--variant", "c", "--horizon", "5", "--out", str(out)])
+        assert code == 2
+        assert "forced failure" in capsys.readouterr().err
+        assert out.is_symlink() == (kind == "symlink")
+        assert target.exists()
+        assert not cli._policy_csv_path(out).exists()  # created by the run, so removed
 
     @pytest.mark.parametrize("variant", ["a", "c"])
     def test_unwritable_out_exits_1_with_one_line(
@@ -346,7 +371,7 @@ class TestCsvRows:
     @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     def test_percent_format_equals_format(self, x):
-        # the premise of the row writer's single template
+        # the premise of the row writer's tail template
         assert "%.17g" % x == format(x, ".17g")
 
 
