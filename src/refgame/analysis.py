@@ -14,18 +14,33 @@ input and measures a trajectory or the static landscape against it:
   and yields the curvature constant the step-size rule 2/gamma is built
   from,
 * window statistics (``rate_fit``) for the decay rates t * dist^2 and
-  t^2 * gap^2, and a coarse verdict classifier (``cycle_detector``).
+  t^2 * gap^2, and a coarse verdict classifier (``cycle_detector``),
+* ``check_properties``: the property checks of ``refgame verify`` on
+  one market, gathered in a ``PropertyReport``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .model import MarketParams, PricePair, bound_constants, demand, scaled_derivative
+from .model import (
+    MarketParams,
+    PricePair,
+    bound_constants,
+    demand,
+    log_rev_derivative,
+    revenue,
+    scaled_derivative,
+    scaled_derivative_partials,
+)
+
+if TYPE_CHECKING:  # equilibrium imports this module
+    from .equilibrium import SneSolution
 
 __all__ = [
     "CONVERGED",
@@ -34,6 +49,7 @@ __all__ = [
     "RateReport",
     "RateConstants",
     "HessianCertificate",
+    "PropertyReport",
     "weighted_l1_distance",
     "quadrant",
     "sne_drift",
@@ -42,6 +58,7 @@ __all__ = [
     "rate_constants",
     "rate_fit",
     "cycle_detector",
+    "check_properties",
 ]
 
 CONVERGED = "CONVERGED"
@@ -52,6 +69,10 @@ UNDECIDED = "UNDECIDED"
 # a tail floor above _APART with stable oscillation amplitude means cycling
 _SETTLED = 1e-3
 _APART = 1e-2
+
+# random states drawn by check_properties
+_GRADIENT_STATES = 100
+_BOUND_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,14 +128,40 @@ class HessianCertificate:
     gamma_estimate: float
 
 
+@dataclass(frozen=True)
+class PropertyReport:
+    """Outcome of :func:`check_properties`: one field per summary line of
+    ``refgame verify``, in its print order, then ``failures``, the names
+    of the failed checks in the order gradient, bounds, drift, hessian.
+
+    ``gradient`` fails unless ``gradient_max_rel_err`` < 1e-6; ``bounds``
+    unless ``bounds_violations`` (counted with 1e-12 slack) is 0;
+    ``drift`` unless ``drift_grid_min`` > 0 and the shell minima, given as
+    (radius, least drift) pairs, increase with the radius; ``hessian``
+    unless ``hessian_fd_max_rel_err`` < 1e-5. ``hessian_pd`` is always
+    True: ``solve_sne`` refuses a Hessian that is not positive definite.
+    """
+
+    gradient_states: int
+    gradient_max_rel_err: float
+    bounds_samples: int
+    bounds_violations: int
+    drift_grid_points: int
+    drift_grid_min: float
+    drift_shell_minima: tuple[tuple[float, float], ...]
+    drift_shells_increasing: bool
+    hessian_pd: bool
+    hessian_fd_max_rel_err: float
+    failures: tuple[str, ...]
+
+
 def weighted_l1_distance(params: MarketParams, p, sne: PricePair):
     """Sensitivity-weighted l1 distance to the stationary prices.
 
     |p_H** - p_H| / (b_H+c_H) + |p_L** - p_L| / (b_L+c_L); zero exactly
     at the stationary point. Accepts array components.
     """
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     p_H, p_L = p
     return np.abs(sne.p_H - p_H) / s_H + np.abs(sne.p_L - p_L) / s_L
 
@@ -165,8 +212,7 @@ def local_potential(params: MarketParams, p, sne: PricePair):
     decrease of the squared distance under the ascent dynamics.
     """
     p_H, p_L = p
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     g_H, g_L = scaled_derivative(params, (p_H, p_L), (p_H, p_L))
     return s_H * g_H * (sne.p_H - p_H) + s_L * g_L * (sne.p_L - p_L)
 
@@ -187,7 +233,7 @@ def hessian_certificate(params: MarketParams, sne: PricePair) -> HessianCertific
     d_H, d_L = float(d_H), float(d_L)
     b_H, c_H = params.firm_H.b, params.firm_H.c
     b_L, c_L = params.firm_L.b, params.firm_L.c
-    s_H, s_L = b_H + c_H, b_L + c_L
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     h_HH = 2.0 * s_H * (1.0 - d_H) * (s_H - c_H * d_H)
     h_LL = 2.0 * s_L * (1.0 - d_L) * (s_L - c_L * d_L)
     h_HL = -(b_H * s_L + b_L * s_H) * d_H * d_L
@@ -218,8 +264,7 @@ def rate_constants(params: MarketParams, gamma_estimate: float) -> RateConstants
     if alpha == 1.0:
         raise ValueError("rate constants are undefined at alpha = 1")
     m_g, l_r = bound_constants(params)
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     sum_sq = s_H**2 + s_L**2
     lam = (1.0 + alpha**2) / 2.0
     lam0 = ((1.0 + alpha**2) / (1.0 - alpha**2)) * m_g**2 * sum_sq
@@ -317,3 +362,140 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
         if 0.5 <= ratio <= 2.0:
             return CYCLING
     return UNDECIDED
+
+
+def _floored_rel(err: float, ref: float) -> float:
+    return abs(err) / max(1.0, abs(ref))
+
+
+def _central_diff(f, coords: list, k: int, h: float = 1e-6) -> float:
+    """Central difference of f(p_H, p_L, r_H, r_L) in coordinate k."""
+    up, down = list(coords), list(coords)
+    up[k] += h
+    down[k] -= h
+    return (f(*up) - f(*down)) / (2.0 * h)
+
+
+def _gradient_error(params: MarketParams, n_states: int, rng) -> float:
+    """Max floored relative error of D_i and of the 2 x 4 partials of G
+    against central differences, over n_states random box states."""
+    worst = 0.0
+    for _ in range(n_states):
+        coords = list(rng.uniform(params.p_lo, params.p_hi, 4))
+        analytic = log_rev_derivative(params, coords[:2], coords[2:])
+        table = scaled_derivative_partials(params, coords[:2], coords[2:])
+        for i in (0, 1):
+            def log_rev_i(*c):
+                return math.log(revenue(params, c[:2], c[2:])[i])
+
+            def g_i(*c):
+                return scaled_derivative(params, c[:2], c[2:])[i]
+
+            fd = _central_diff(log_rev_i, coords, i)
+            worst = max(worst, _floored_rel(fd - analytic[i], analytic[i]))
+            # partials columns: own price, other price, own ref, other ref
+            for col, k in enumerate((i, 1 - i, 2 + i, 3 - i)):
+                fd = _central_diff(g_i, coords, k)
+                worst = max(worst, _floored_rel(fd - table[i, col], table[i, col]))
+    return float(worst)
+
+
+def _bound_violations(params: MarketParams, n_samples: int, rng) -> int:
+    """Count violations of |G_i| <= m_g and reference-gradient norm <= l_r."""
+    m_g, l_r = bound_constants(params)
+    states = rng.uniform(params.p_lo, params.p_hi, size=(4, n_samples))
+    prices, refs = (states[0], states[1]), (states[2], states[3])
+    g_H, g_L = scaled_derivative(params, prices, refs)
+    table = scaled_derivative_partials(params, prices, refs)
+    grad_H = np.hypot(table[0, 2], table[0, 3])
+    grad_L = np.hypot(table[1, 2], table[1, 3])
+    checks = ((np.abs(g_H), m_g), (np.abs(g_L), m_g), (grad_H, l_r), (grad_L, l_r))
+    # one-ulp slack, so equality at a bound is no violation
+    return sum(int(np.sum(values > bound + 1e-12)) for values, bound in checks)
+
+
+def _shell_minimum(params: MarketParams, sne: PricePair, eps: float, n: int = 400) -> float:
+    """Min of the drift over the weighted-l1 sphere of radius eps."""
+    lo, hi = params.p_lo, params.p_hi
+    t = (np.arange(n) + 0.5) / n
+    best = math.inf
+    for sig_H, sig_L in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        p_H = sne.p_H + sig_H * t * eps * params.firm_H.sensitivity
+        p_L = sne.p_L + sig_L * (1.0 - t) * eps * params.firm_L.sensitivity
+        ok = (p_H >= lo) & (p_H <= hi) & (p_L >= lo) & (p_L <= hi)
+        if np.any(ok):
+            best = min(best, float(np.min(sne_drift(params, (p_H[ok], p_L[ok]), sne))))
+    return best
+
+
+def _drift_minima(params: MarketParams, sne: PricePair):
+    """(least drift on a 100 x 100 box grid off the SNE, its point count,
+    (radius, least drift) on shells of 1/4, 1/2 and 1 times 0.9 of the
+    largest weighted-l1 radius that stays in the box on every axis)."""
+    grid = np.linspace(params.p_lo, params.p_hi, 100)
+    gx, gy = np.meshgrid(grid, grid)
+    keep = (gx - sne.p_H) ** 2 + (gy - sne.p_L) ** 2 > 1e-3**2
+    vals = sne_drift(params, (gx[keep], gy[keep]), sne)
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
+    eps_max = 0.9 * min(
+        (params.p_hi - sne.p_H) / s_H,
+        (sne.p_H - params.p_lo) / s_H,
+        (params.p_hi - sne.p_L) / s_L,
+        (sne.p_L - params.p_lo) / s_L,
+    )
+    radii = (0.25 * eps_max, 0.5 * eps_max, eps_max)
+    shells = tuple((eps, _shell_minimum(params, sne, eps)) for eps in radii)
+    return float(np.min(vals)), int(keep.sum()), shells
+
+
+def _hessian_error(params: MarketParams, sne: PricePair) -> float:
+    """Max floored relative error of the closed-form Hessian of the local
+    potential against second differences with step 1e-4."""
+    matrix = hessian_certificate(params, sne).matrix
+    h = 1e-4
+
+    def pot(p_H, p_L):
+        return float(local_potential(params, (p_H, p_L), sne))
+
+    x, y = sne.p_H, sne.p_L
+    fd = np.empty((2, 2))
+    fd[0, 0] = (pot(x + h, y) - 2.0 * pot(x, y) + pot(x - h, y)) / h**2
+    fd[1, 1] = (pot(x, y + h) - 2.0 * pot(x, y) + pot(x, y - h)) / h**2
+    fd[0, 1] = fd[1, 0] = (
+        pot(x + h, y + h) - pot(x + h, y - h) - pot(x - h, y + h) + pot(x - h, y - h)
+    ) / (4.0 * h**2)
+    return float(np.max(np.abs(fd - matrix) / np.maximum(1.0, np.abs(matrix))))
+
+
+def check_properties(params: MarketParams, sne: "SneSolution", rng) -> PropertyReport:
+    """The four property checks of ``refgame verify`` on one market.
+
+    * ``gradient``: D_i and the 2 x 4 partials of G against central
+      differences at 100 random box states; the worst floored relative
+      error |err| / max(1, |ref|) must be below 1e-6.
+    * ``bounds``: |G_i| <= m_g and the reference-gradient norm <= l_r of
+      :func:`bound_constants`, each with 1e-12 slack, at 10 000 states.
+    * ``drift``: :func:`sne_drift` must be positive on a box grid off the
+      SNE and grow over three weighted-l1 shells around it.
+    * ``hessian``: the closed-form Hessian of :func:`local_potential`
+      against second differences; floored relative error below 1e-5.
+
+    ``sne`` comes from ``solve_sne``. ``rng``, a numpy Generator, draws
+    the gradient states, then the bound states, and nothing else.
+    """
+    grad_err = _gradient_error(params, _GRADIENT_STATES, rng)
+    violations = _bound_violations(params, _BOUND_SAMPLES, rng)
+    drift_min, n_grid, shells = _drift_minima(params, sne.prices)
+    increasing = shells[0][1] < shells[1][1] < shells[2][1]
+    hess_err = _hessian_error(params, sne.prices)
+    passed = {
+        "gradient": grad_err < 1e-6,
+        "bounds": violations == 0,
+        "drift": drift_min > 0.0 and increasing,
+        "hessian": hess_err < 1e-5,
+    }
+    return PropertyReport(
+        _GRADIENT_STATES, grad_err, _BOUND_SAMPLES, violations, n_grid, drift_min,
+        shells, increasing, True, hess_err,
+        failures=tuple(name for name, ok in passed.items() if not ok),
+    )

@@ -7,7 +7,8 @@
     refgame figure1  [--variant a|b|c] [--horizon N] [--out PATH]
 
 Exit codes: 0 all checks passed, 1 validation error or an output file
-that cannot be written, 2 solver failure, 3 property failure. Summaries
+that cannot be written, 2 solver failure, 3 property failure (from
+``verify`` only: ``verify_failures`` names the failed checks). Summaries
 go to standard output as ``key = value`` lines; trajectories are written
 as CSV with the fixed header
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -34,11 +35,11 @@ import numpy as np
 
 from . import analysis
 from .config import (
+    FIGURE1_POLICY_HORIZON,
     FIGURE1_VARIANTS,
     ConfigError,
     ExperimentConfig,
     figure1_config,
-    figure1_policy_horizon,
     load_config,
     random_market,
 )
@@ -51,15 +52,7 @@ from .equilibrium import (
     solve_sne,
     validate_price_box,
 )
-from .model import (
-    MarketParams,
-    PricePair,
-    bound_constants,
-    log_rev_derivative,
-    revenue,
-    scaled_derivative,
-    scaled_derivative_partials,
-)
+from .model import MarketParams, PricePair
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,8 +91,14 @@ def _write_rows(f, t: np.ndarray, *columns: np.ndarray) -> None:
 
 
 def _say(key: str, value) -> None:
-    if isinstance(value, float):
+    """Print ``key = value``: a bool as true or false, a float to 12
+    significant digits, a tuple of (x, y) pairs as ``x:y`` items to 6."""
+    if isinstance(value, bool):
+        value = "true" if value else "false"
+    elif isinstance(value, float):
         value = format(value, ".12g")
+    elif isinstance(value, tuple):
+        value = " ".join(f"{x:.6g}:{y:.6g}" for x, y in value)
     print(f"{key} = {value}")
 
 
@@ -204,21 +203,17 @@ def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
     _say("rate_window", f"{report.window[0]}..{report.window[1]}")
     _say("rate_sup_t_dist2", report.sup_t_dist2)
     _say("rate_sup_t2_gap2", report.sup_t2_gap2)
-    _say("rate_converged", str(report.converged).lower())
+    _say("rate_converged", report.converged)
     return EXIT_OK
 
 
 def cmd_sne(config: ExperimentConfig) -> int:
-    _validated(config.params)
     sol = solve_sne(config.params)
     _say("command", "sne")
     _print_sne(sol)
-    contained = all(
-        lower < value < upper
-        for value, (lower, upper) in zip(sol.prices, sol.bounds)
-    )
-    _say("bounds_contained", str(contained).lower())
-    return EXIT_OK if contained else EXIT_PROPERTY
+    # solve_sne refuses an SNE outside its bounds with SolverError
+    _say("bounds_contained", True)
+    return EXIT_OK
 
 
 def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
@@ -229,7 +224,7 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
         sol = solve_sne(config.params)
         sne = sol.prices
         traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
-        policy_horizon = min(config.horizon, figure1_policy_horizon())
+        policy_horizon = min(config.horizon, FIGURE1_POLICY_HORIZON)
         policy = equilibrium_path(config.params, config.init_references, policy_horizon)
 
         write_trajectory_csv(out_path, traj, sne)
@@ -253,200 +248,35 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
     return EXIT_OK
 
 
-def _central_diff(f, x: float, h: float = 1e-6) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def _floored_rel(err: float, ref: float) -> float:
-    return abs(err) / max(1.0, abs(ref))
-
-
-def _verify_gradients(params: MarketParams, n_states: int, rng) -> float:
-    """Max floored relative error of D and the four G partials vs FD."""
-    worst = 0.0
-    lo, hi = params.p_lo, params.p_hi
-    for _ in range(n_states):
-        p_H, p_L, r_H, r_L = rng.uniform(lo, hi, 4)
-        # D_i against the finite difference of log revenue in own price
-        for i, p_i in ((0, p_H), (1, p_L)):
-            def log_rev(x):
-                p = (x, p_L) if i == 0 else (p_H, x)
-                pi = revenue(params, p, (r_H, r_L))[i]
-                return math.log(pi)
-
-            analytic = log_rev_derivative(params, (p_H, p_L), (r_H, r_L))[i]
-            fd = _central_diff(log_rev, p_i)
-            worst = max(worst, _floored_rel(fd - analytic, analytic))
-        # the 2x4 partial table against finite differences of G
-        table = scaled_derivative_partials(params, (p_H, p_L), (r_H, r_L))
-        coords = [p_H, p_L, r_H, r_L]
-        for row, firm in enumerate(("H", "L")):
-            own, other = (0, 1) if firm == "H" else (1, 0)
-            layout = [own, other, 2 + own, 2 + other]
-            for col, coord_idx in enumerate(layout):
-                def g_of(x):
-                    c = list(coords)
-                    c[coord_idx] = x
-                    return scaled_derivative(params, (c[0], c[1]), (c[2], c[3]))[row]
-
-                fd = _central_diff(g_of, coords[coord_idx])
-                worst = max(worst, _floored_rel(fd - table[row, col], table[row, col]))
-    return worst
-
-
-def _verify_bounds(params: MarketParams, n_samples: int, rng) -> int:
-    """Count violations of |G_i| <= m_g and reference-gradient norm <= l_r."""
-    m_g, l_r = bound_constants(params)
-    lo, hi = params.p_lo, params.p_hi
-    states = rng.uniform(lo, hi, size=(4, n_samples))
-    g_H, g_L = scaled_derivative(params, (states[0], states[1]), (states[2], states[3]))
-    table = scaled_derivative_partials(
-        params, (states[0], states[1]), (states[2], states[3])
-    )
-    grad_H = np.hypot(table[0, 2], table[0, 3])
-    grad_L = np.hypot(table[1, 2], table[1, 3])
-    # one-ulp slack so equality-at-the-bound never counts as a violation
-    tol = 1e-12
-    violations = int(np.sum(np.abs(g_H) > m_g + tol))
-    violations += int(np.sum(np.abs(g_L) > m_g + tol))
-    violations += int(np.sum(grad_H > l_r + tol))
-    violations += int(np.sum(grad_L > l_r + tol))
-    return violations
-
-
-def _shell_minimum(params: MarketParams, sne: PricePair, eps: float, n: int = 400) -> float:
-    """Min of the drift over the weighted-l1 sphere of radius eps."""
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
-    t = (np.arange(n) + 0.5) / n
-    best = math.inf
-    for sig_H in (1.0, -1.0):
-        for sig_L in (1.0, -1.0):
-            p_H = sne.p_H + sig_H * t * eps * s_H
-            p_L = sne.p_L + sig_L * (1.0 - t) * eps * s_L
-            ok = (
-                (p_H >= params.p_lo)
-                & (p_H <= params.p_hi)
-                & (p_L >= params.p_lo)
-                & (p_L <= params.p_hi)
-            )
-            if not np.any(ok):
-                continue
-            vals = analysis.sne_drift(params, (p_H[ok], p_L[ok]), sne)
-            best = min(best, float(np.min(vals)))
-    return best
-
-
-def _shell_radii(params: MarketParams, sne: PricePair) -> tuple[float, float, float]:
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
-    eps_max = 0.9 * min(
-        (params.p_hi - sne.p_H) / s_H,
-        (sne.p_H - params.p_lo) / s_H,
-        (params.p_hi - sne.p_L) / s_L,
-        (sne.p_L - params.p_lo) / s_L,
-    )
-    return (0.25 * eps_max, 0.5 * eps_max, eps_max)
-
-
-def _verify_drift(params: MarketParams, sne: PricePair) -> tuple[float, int, list, bool]:
-    grid = np.linspace(params.p_lo, params.p_hi, 100)
-    gx, gy = np.meshgrid(grid, grid)
-    keep = (gx - sne.p_H) ** 2 + (gy - sne.p_L) ** 2 > 1e-3**2
-    vals = analysis.sne_drift(params, (gx[keep], gy[keep]), sne)
-    radii = _shell_radii(params, sne)
-    minima = [(_shell_minimum(params, sne, e)) for e in radii]
-    increasing = minima[0] < minima[1] < minima[2]
-    return float(np.min(vals)), int(keep.sum()), list(zip(radii, minima)), increasing
-
-
-def _verify_hessian(params: MarketParams, sne: PricePair) -> tuple[float, bool]:
-    cert = analysis.hessian_certificate(params, sne)
-    h = 1e-4
-
-    def pot(p_H, p_L):
-        return float(analysis.local_potential(params, (p_H, p_L), sne))
-
-    x, y = sne.p_H, sne.p_L
-    fd = np.empty((2, 2))
-    fd[0, 0] = (pot(x + h, y) - 2.0 * pot(x, y) + pot(x - h, y)) / h**2
-    fd[1, 1] = (pot(x, y + h) - 2.0 * pot(x, y) + pot(x, y - h)) / h**2
-    fd[0, 1] = fd[1, 0] = (
-        pot(x + h, y + h) - pot(x + h, y - h) - pot(x - h, y + h) + pot(x - h, y - h)
-    ) / (4.0 * h**2)
-    err = max(
-        _floored_rel(fd[i, j] - cert.matrix[i, j], cert.matrix[i, j])
-        for i in (0, 1)
-        for j in (0, 1)
-    )
-    pd = cert.det > 0.0 and cert.trace > 0.0
-    return err, pd
-
-
 def cmd_verify(
     config: ExperimentConfig | None,
     random_n: int = 0,
     seed: int = 0,
 ) -> int:
+    if random_n < 0:
+        raise ConfigError(f"--random must be >= 0, got {random_n}")
     params = config.params if config is not None else figure1_config("a").params
-    _validated(params)
     rng = np.random.default_rng(seed)
-    failures = []
-
+    report = analysis.check_properties(params, solve_sne(params), rng)
     _say("command", "verify")
     _say("seed", seed)
+    for field in dataclasses.fields(report):
+        if field.name != "failures":
+            _say(field.name, getattr(report, field.name))
 
-    grad_err = _verify_gradients(params, 100, rng)
-    _say("gradient_states", 100)
-    _say("gradient_max_rel_err", grad_err)
-    if not grad_err < 1e-6:
-        failures.append("gradient")
-
-    violations = _verify_bounds(params, 10_000, rng)
-    _say("bounds_samples", 10_000)
-    _say("bounds_violations", violations)
-    if violations:
-        failures.append("bounds")
-
-    sol = solve_sne(params)
-    drift_min, n_grid, shells, increasing = _verify_drift(params, sol.prices)
-    _say("drift_grid_points", n_grid)
-    _say("drift_grid_min", drift_min)
-    _say(
-        "drift_shell_minima",
-        " ".join(f"{e:.6g}:{m:.6g}" for e, m in shells),
-    )
-    _say("drift_shells_increasing", str(increasing).lower())
-    if not (drift_min > 0.0 and increasing):
-        failures.append("drift")
-
-    hess_err, hess_pd = _verify_hessian(params, sol.prices)
-    _say("hessian_pd", str(hess_pd).lower())
-    _say("hessian_fd_max_rel_err", hess_err)
-    if not (hess_pd and hess_err < 1e-5):
-        failures.append("hessian")
-
-    contained = 0
+    # solve_sne refuses an SNE outside its bounds, so each solved market is contained
     solver_failures = 0
     for _ in range(random_n):
-        inst = random_market(rng)
         try:
-            inst_sol = solve_sne(inst)
+            solve_sne(random_market(rng))
         except SolverError:
             solver_failures += 1
-            continue
-        if all(
-            lower < value < upper
-            for value, (lower, upper) in zip(inst_sol.prices, inst_sol.bounds)
-        ):
-            contained += 1
     _say("sweep_total", random_n)
-    _say("sweep_contained", contained)
+    _say("sweep_contained", random_n - solver_failures)
     _say("sweep_solver_failures", solver_failures)
-    if random_n and (contained != random_n or solver_failures):
-        failures.append("sweep")
 
-    _say("verify_pass", str(not failures).lower())
+    failures = [*report.failures, *(["sweep"] if solver_failures else [])]
+    _say("verify_pass", not failures)
     if failures:
         _say("verify_failures", ",".join(failures))
         return EXIT_PROPERTY
@@ -488,29 +318,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            config = load_config(args.config)
-            if args.horizon is not None:
-                config = config.override(horizon=args.horizon)
-            return cmd_simulate(config, args.out)
         if args.command == "sne":
             return cmd_sne(load_config(args.config))
-        if args.command == "compare":
-            config = load_config(args.config)
-            if args.horizon is not None:
-                config = config.override(horizon=args.horizon)
-            return cmd_compare(config, args.out)
         if args.command == "verify":
             config = load_config(args.config) if args.config else None
             return cmd_verify(config, random_n=args.random, seed=args.seed)
         if args.command == "figure1":
             config = figure1_config(args.variant)
-            if args.horizon is not None:
-                config = config.override(horizon=args.horizon)
-            if args.variant == "c":
-                return cmd_compare(config, args.out)
-            return cmd_simulate(config, args.out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        else:
+            config = load_config(args.config)
+        if args.horizon is not None:
+            config = config.override(horizon=args.horizon)
+        if args.command == "compare" or (args.command == "figure1" and args.variant == "c"):
+            return cmd_compare(config, args.out)
+        return cmd_simulate(config, args.out)
     except ValueError as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dynamics import StepSchedule, _reject_unknown
+from .dynamics import StepSchedule
 from .equilibrium import sne_bounds
 from .model import FirmParams, MarketParams, MarketState, PricePair
 
@@ -91,6 +91,13 @@ class ExperimentConfig:
         return replace(self, **changes)
 
 
+def _reject_unknown(spec: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse a key not in ``known``, naming it and ``where`` it sits."""
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"unknown field '{key}' in {where}")
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing field '{key}' in {where}")
@@ -106,7 +113,7 @@ def _as_real(value, where: str) -> float:
 def _firm_from_dict(spec, where: str) -> FirmParams:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object with keys a, b, c")
-    _reject_unknown(spec, ("a", "b", "c"), where, ConfigError)
+    _reject_unknown(spec, ("a", "b", "c"), where)
     try:
         return FirmParams(
             a=_as_real(_require(spec, "a", where), f"{where}.a"),
@@ -117,6 +124,23 @@ def _firm_from_dict(spec, where: str) -> FirmParams:
         raise
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
+
+
+def _schedule_from_dict(spec) -> StepSchedule:
+    """A schedule from its descriptor, e.g. {"kind": "inverse_sqrt", "c": 1.0};
+    a key other than ``kind`` and the kind's own field is refused, and ``c``
+    of ``inverse_sqrt`` defaults to 1."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError("schedule descriptor must be a mapping with a 'kind' key")
+    kind = spec["kind"]
+    field = {"constant": "eta", "inverse_sqrt": "c", "inverse_t": "d", "explicit": "values"}
+    if not isinstance(kind, str) or kind not in field:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    _reject_unknown(spec, ("kind", field[kind]), f"{kind} schedule")
+    if kind == "explicit":
+        return StepSchedule.explicit(spec.get("values"))
+    default = 1.0 if kind == "inverse_sqrt" else None
+    return StepSchedule(kind, spec.get(field[kind], default))
 
 
 def _pair_from_list(spec, where: str) -> PricePair:
@@ -135,13 +159,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(doc, _TOP_FIELDS, "configuration", ConfigError)
+    _reject_unknown(doc, _TOP_FIELDS, "configuration")
     params_doc = _require(doc, "params", "configuration")
     if not isinstance(params_doc, dict):
         raise ConfigError("'params' must be an object")
-    _reject_unknown(
-        params_doc, ("firm_H", "firm_L", "alpha", "p_lo", "p_hi"), "params", ConfigError
-    )
+    _reject_unknown(params_doc, ("firm_H", "firm_L", "alpha", "p_lo", "p_hi"), "params")
     try:
         params = MarketParams(
             firm_H=_firm_from_dict(_require(params_doc, "firm_H", "params"), "params.firm_H"),
@@ -155,7 +177,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
     try:
-        schedule = StepSchedule.from_dict(_require(doc, "schedule", "configuration"))
+        schedule = _schedule_from_dict(_require(doc, "schedule", "configuration"))
     except ValueError as err:
         raise ConfigError(f"schedule: {err}") from err
     horizon = _require(doc, "horizon", "configuration")
@@ -211,7 +233,8 @@ FIGURE1_VARIANTS = ("a", "b", "c")
 # a persistent cycle; (c) pairs the variant-(a) run with a 1000-period
 # equilibrium-policy path
 _FIGURE1_HORIZONS = {"a": 100_000, "b": 10_000, "c": 100_000}
-_FIGURE1_POLICY_HORIZON = 1_000
+# periods of the equilibrium-policy path a comparison runs, at most
+FIGURE1_POLICY_HORIZON = 1_000
 
 
 def figure1_config(variant: str = "a") -> ExperimentConfig:
@@ -235,10 +258,6 @@ def figure1_config(variant: str = "a") -> ExperimentConfig:
         horizon=_FIGURE1_HORIZONS[variant],
         output_path=f"figure1{variant}.csv",
     )
-
-
-def figure1_policy_horizon() -> int:
-    return _FIGURE1_POLICY_HORIZON
 
 
 def random_market(rng) -> MarketParams:

@@ -160,19 +160,41 @@ def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
     raise SolverError("lambert_w failed to converge", x=x, w=w)
 
 
+# Above this exponent sne_bounds solves W(k e^y) in log form: e^y overflows
+# past 709.8, and lambert_w's Halley denominator already near x = 1e307.
+_EXP_MAX = 700.0
+
+
+def _lambert_w_of_exp(y: float) -> float:
+    """W(e^y) for y > 1, the w with w + ln w = y, without forming e^y.
+
+    Newton from w0 = y - ln y, below the root of this increasing concave
+    function, so it converges from below; stops as :func:`lambert_w` does.
+    """
+    w = y - math.log(y)
+    for _ in range(100):
+        step = (w + math.log(w) - y) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= 1e-12 * w:
+            return w
+    raise SolverError("lambert_w failed to converge", log_x=y, w=w)
+
+
 def sne_bounds(params: MarketParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-firm (lower, upper) bounds that bracket the stationary prices.
 
     lower_i = 1/(b_i+c_i); upper_i adds W(k*exp(a_i - k))/b_i with
-    k = b_i/(b_i+c_i). Both are strict for the true solution.
+    k = b_i/(b_i+c_i). Both are strict for the true solution. Past
+    a_i - k = 700 the W term is solved in log form, so it never overflows.
     """
     out = []
     for firm in params.firms:
-        s = firm.b + firm.c
+        s = firm.sensitivity
         lower = 1.0 / s
         k = firm.b / s
-        upper = lower + lambert_w(k * math.exp(firm.a - k)) / firm.b
-        out.append((lower, upper))
+        y = firm.a - k
+        w = lambert_w(k * math.exp(y)) if y <= _EXP_MAX else _lambert_w_of_exp(math.log(k) + y)
+        out.append((lower, lower + w / firm.b))
     return (out[0], out[1])
 
 
@@ -424,12 +446,7 @@ def equilibrium_path(
     consts = _consts(params)
     s_H, s_L = consts[1], consts[4]
     n = horizon + 1
-    arr_pH = np.empty(n)
-    arr_pL = np.empty(n)
-    arr_rH = np.empty(n)
-    arr_rL = np.empty(n)
-    arr_DH = np.empty(n)
-    arr_DL = np.empty(n)
+    columns = np.empty((6, n))  # p_H, p_L, r_H, r_L, D_H, D_L
 
     guess: PricePair | None = None
     for t in range(n):
@@ -443,23 +460,8 @@ def equilibrium_path(
             ) from err
         guess = p
         _, _, q_H, q_L = _demands_fast(consts, p.p_H, p.p_L, r_H, r_L)
-        arr_pH[t] = p.p_H
-        arr_pL[t] = p.p_L
-        arr_rH[t] = r_H
-        arr_rL[t] = r_L
-        arr_DH[t] = 1.0 / p.p_H - s_H * q_H
-        arr_DL[t] = 1.0 / p.p_L - s_L * q_L
+        columns[:, t] = (p.p_H, p.p_L, r_H, r_L, 1.0 / p.p_H - s_H * q_H, 1.0 / p.p_L - s_L * q_L)
         if t < horizon:
             r_H, r_L = reference_update(params, PricePair(r_H, r_L), p)
 
-    return Trajectory(
-        params=params,
-        schedule="equilibrium-policy",
-        p_H=arr_pH,
-        p_L=arr_pL,
-        r_H=arr_rH,
-        r_L=arr_rL,
-        D_H=arr_DH,
-        D_L=arr_DL,
-        eta=np.zeros(n),
-    )
+    return Trajectory(params, "equilibrium-policy", *columns, eta=np.zeros(n))

@@ -80,6 +80,12 @@ class FirmParams:
         if self.c < 0.0:
             raise ValueError(f"FirmParams.c must be >= 0, got {self.c}")
 
+    @property
+    def sensitivity(self) -> float:
+        """``b + c``: how fast the utility falls in the own price when the
+        reference price is held fixed; written ``b_i+c_i`` in the formulas."""
+        return self.b + self.c
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -139,7 +145,7 @@ def utility(firm: FirmParams, p, r):
     box or not.
     """
     _check_finite(p=p, r=r)
-    return firm.a - (firm.b + firm.c) * p + firm.c * r
+    return firm.a - firm.sensitivity * p + firm.c * r
 
 
 def demand(params: MarketParams, prices, references):
@@ -190,8 +196,7 @@ def log_rev_derivative(params: MarketParams, prices, references):
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("log_rev_derivative is undefined at p_i = 0")
     d_H, d_L, _ = demand(params, prices, references)
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     return 1.0 / p_H + s_H * (d_H - 1.0), 1.0 / p_L + s_L * (d_L - 1.0)
 
 
@@ -205,8 +210,7 @@ def scaled_derivative(params: MarketParams, prices, references):
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("scaled_derivative is undefined at p_i = 0")
     d_H, d_L, _ = demand(params, prices, references)
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     return 1.0 / (s_H * p_H) + d_H - 1.0, 1.0 / (s_L * p_L) + d_L - 1.0
 
 
@@ -229,10 +233,8 @@ def scaled_derivative_partials(params: MarketParams, prices, references) -> np.n
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("scaled_derivative_partials is undefined at p_i = 0")
     d_H, d_L, _ = demand(params, prices, references)
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
-    c_H = params.firm_H.c
-    c_L = params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
+    c_H, c_L = params.firm_H.c, params.firm_L.c
     cross = d_H * d_L
     row_H = np.stack(
         [
@@ -262,8 +264,7 @@ def bound_constants(params: MarketParams) -> tuple[float, float]:
     of G_i with respect to the reference pair, i.e. it is the Lipschitz
     constant of G in the references.
     """
-    s_H = params.firm_H.b + params.firm_H.c
-    s_L = params.firm_L.b + params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     m_g = max(1.0 / (s_H * params.p_lo), 1.0 / (s_L * params.p_lo)) + 1.0
     l_r = 0.25 * math.hypot(params.firm_H.c, params.firm_L.c)
     return m_g, l_r
@@ -272,7 +273,7 @@ def bound_constants(params: MarketParams) -> tuple[float, float]:
 def _consts(params: MarketParams) -> tuple[float, float, float, float, float, float]:
     """Flattened coefficients (a_H, b_H+c_H, c_H, a_L, b_L+c_L, c_L)."""
     f_H, f_L = params.firm_H, params.firm_L
-    return (f_H.a, f_H.b + f_H.c, f_H.c, f_L.a, f_L.b + f_L.c, f_L.c)
+    return (f_H.a, f_H.sensitivity, f_H.c, f_L.a, f_L.sensitivity, f_L.c)
 
 
 def _demands_fast(consts, p_H: float, p_L: float, r_H: float, r_L: float):

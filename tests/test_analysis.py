@@ -203,6 +203,26 @@ class TestRateConstants:
 STATIONARY_ETA = 0.5
 
 
+class TestCheckProperties:
+    def test_figure1_passes_every_check(self, fig1, fig1_sne):
+        report = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0))
+        assert report.failures == ()
+        assert report.gradient_max_rel_err < 1e-6
+        assert report.bounds_violations == 0
+        assert report.drift_grid_min > 0.0 and report.drift_shells_increasing
+        assert report.hessian_fd_max_rel_err < 1e-5
+
+    def test_rng_draws_gradient_states_then_bound_samples_only(self, fig1, fig1_sne):
+        # the verify sweep draws its markets from the same generator next
+        rng = np.random.default_rng(11)
+        rg.check_properties(fig1, fig1_sne, rng)
+        twin = np.random.default_rng(11)
+        for _ in range(100):
+            twin.uniform(fig1.p_lo, fig1.p_hi, 4)
+        twin.uniform(fig1.p_lo, fig1.p_hi, size=(4, 10_000))
+        assert rng.uniform() == twin.uniform()
+
+
 def _constant_trajectory(params, point, n=100):
     state = rg.MarketState(prices=point, references=point)
     return rg.simulate(params, state, rg.StepSchedule.constant(STATIONARY_ETA), n)

@@ -7,10 +7,10 @@ import refgame.config
 PUBLIC_NAMES = [
     "BoxCheck", "CONVERGED", "CYCLING", "ConfigError", "ExperimentConfig",
     "FIGURE1_VARIANTS", "FirmParams", "HessianCertificate", "MarketParams",
-    "MarketState", "PricePair", "RETENTION_LIMIT", "RateConstants", "RateReport",
-    "SneSolution", "SolverConfig", "SolverError", "StepSchedule", "Trajectory",
+    "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT", "RateConstants",
+    "RateReport", "SneSolution", "SolverConfig", "SolverError", "StepSchedule", "Trajectory",
     "TrajectoryRecord", "UNDECIDED", "ascent_step", "best_response",
-    "bound_constants", "cycle_detector", "demand", "equilibrium_path",
+    "bound_constants", "check_properties", "cycle_detector", "demand", "equilibrium_path",
     "equilibrium_policy", "figure1_config", "figure1_params", "hessian_certificate",
     "lambert_w", "load_config", "local_potential", "log_rev_derivative",
     "quadrant", "random_market", "rate_constants", "rate_fit", "reference_update",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import refgame as rg
 import refgame.cli as cli
+import refgame.config
 
 
 def demo_config_dict(**overrides):
@@ -46,6 +47,46 @@ def summary_dict(captured: str) -> dict:
             key, _, value = line.partition(" = ")
             out[key.strip()] = value.strip()
     return out
+
+
+# frozen from the command before its property checks moved into analysis
+VERIFY_RANDOM_20_SEED_3 = """\
+command = verify
+seed = 3
+gradient_states = 100
+gradient_max_rel_err = 1.04619926086e-09
+bounds_samples = 10000
+bounds_violations = 0
+drift_grid_points = 10000
+drift_grid_min = 0.0326062318516
+drift_shell_minima = 0.103719:0.0281521 0.207438:0.0515917 0.414875:0.0883589
+drift_shells_increasing = true
+hessian_pd = true
+hessian_fd_max_rel_err = 1.3359152943e-08
+sweep_total = 20
+sweep_contained = 20
+sweep_solver_failures = 0
+verify_pass = true
+"""
+
+SNE_FIGURE1 = """\
+command = sne
+sne_p_H = 1.92041336614
+sne_p_L = 0.800678399099
+sne_residual = 3.24407167795e-13
+sne_iterations = 6
+bound_lower_H = 0.354609929078
+bound_upper_H = 3.29274417303
+bound_lower_L = 0.657894736842
+bound_upper_L = 2.65711172333
+hessian_det = 7.31515392559
+hessian_trace = 5.8948138406
+hessian_min_eig = 1.77605999123
+gamma_estimate = 0.888029995616
+bounds_contained = true
+"""
+
+VERIFY_KEYS = [line.partition(" = ")[0] for line in VERIFY_RANDOM_20_SEED_3.splitlines()]
 
 
 class TestConfigParsing:
@@ -113,6 +154,14 @@ class TestConfigParsing:
         with pytest.raises(rg.ConfigError) as err:
             rg.load_config(path)
         assert str(err.value) == "schedule: unknown field 'C' in inverse_sqrt schedule"
+
+    def test_schedule_from_dict_round_trip(self):
+        s = refgame.config._schedule_from_dict({"kind": "inverse_t", "d": 2.5})
+        assert s.kind == "inverse_t" and s.sequence(1)[0] == 2.5
+        with pytest.raises(ValueError):
+            refgame.config._schedule_from_dict({"kind": "mystery"})
+        with pytest.raises(ValueError):
+            refgame.config._schedule_from_dict({})
 
     def test_unknown_field_exits_1_with_one_line(self, tmp_path, capsys):
         doc = demo_config_dict()
@@ -402,6 +451,28 @@ class TestSneCommand:
         assert float(summary["hessian_det"]) > 0.0
         assert summary["bounds_contained"] == "true"
 
+    def test_figure1_stdout_frozen(self, tmp_path, capsys):
+        path = write_config(tmp_path, demo_config_dict())
+        assert cli.main(["sne", "--config", path]) == 0
+        assert capsys.readouterr() == (SNE_FIGURE1, "")
+
+    @pytest.mark.parametrize("p_hi", [7.5, 900.0])
+    def test_large_intrinsic_value_ends_in_one_line(self, tmp_path, capsys, p_hi):
+        # k*exp(a_H - k) overflows a float; the bound is solved in log form
+        doc = demo_config_dict()
+        doc["params"]["firm_H"]["a"] = 1000.0
+        doc["params"]["p_hi"] = p_hi
+        code = cli.main(["sne", "--config", write_config(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        if p_hi == 7.5:
+            assert code == 1
+            assert (out, err) == ("", "error: price box inadmissible: p_hi must be >= 496.378\n")
+        else:
+            assert code == 0 and err == ""
+            summary = summary_dict(out)
+            assert summary["bound_upper_H"] == "496.378319694"
+            assert float(summary["bound_lower_H"]) < float(summary["sne_p_H"]) < 496.378319694
+
 
 class TestCompareCommand:
     def test_demo_compare_small(self, tmp_path, capsys):
@@ -433,6 +504,24 @@ class TestCompareCommand:
         capsys.readouterr()
 
 
+# per case, the property check that fails and an input of
+# analysis.check_properties replaced so that it does
+BROKEN_INPUTS = {
+    # D_i one off everywhere
+    "gradient": (
+        "gradient", "log_rev_derivative", lambda *a: np.add(rg.log_rev_derivative(*a), 1.0)
+    ),
+    # bounds of zero that every sample exceeds
+    "bounds": ("bounds", "bound_constants", lambda params: (0.0, 0.0)),
+    # drift pointing away from the SNE
+    "drift_grid": ("drift", "sne_drift", lambda *a: -rg.sne_drift(*a)),
+    # positive drift that does not grow with the shell radius
+    "drift_shells": ("drift", "_shell_minimum", lambda *a: 1.0),
+    # a potential twice the one the closed-form Hessian describes
+    "hessian": ("hessian", "local_potential", lambda *a: 2.0 * rg.local_potential(*a)),
+}
+
+
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
         assert cli.main(["verify", "--random", "3", "--seed", "7"]) == 0
@@ -449,6 +538,59 @@ class TestVerifyCommand:
         assert float(summary["gradient_max_rel_err"]) < 1e-6
         assert summary["drift_shells_increasing"] == "true"
         assert summary["verify_pass"] == "true"
+
+    def test_random_20_seed_3_stdout_frozen(self, capsys):
+        assert cli.main(["verify", "--random", "20", "--seed", "3"]) == 0
+        assert capsys.readouterr() == (VERIFY_RANDOM_20_SEED_3, "")
+
+    def test_check_properties_returns_the_printed_values(self, fig1, fig1_sne):
+        # the sweep draws after the property checks, so seed 3's report is
+        # the one printed above it
+        report = rg.check_properties(fig1, fig1_sne, np.random.default_rng(3))
+        printed = summary_dict(VERIFY_RANDOM_20_SEED_3)
+        assert report.failures == ()
+        assert report.gradient_states == 100 and report.bounds_samples == 10_000
+        assert report.bounds_violations == 0 and report.drift_grid_points == 10_000
+        assert report.drift_shells_increasing is True and report.hessian_pd is True
+        for key in ("gradient_max_rel_err", "drift_grid_min", "hessian_fd_max_rel_err"):
+            assert format(getattr(report, key), ".12g") == printed[key]
+        shells = " ".join(f"{e:.6g}:{m:.6g}" for e, m in report.drift_shell_minima)
+        assert shells == printed["drift_shell_minima"]
+
+    @pytest.mark.parametrize("case", list(BROKEN_INPUTS))
+    def test_failed_check_exits_3_with_one_summary(self, capsys, monkeypatch, case):
+        name, target, broken = BROKEN_INPUTS[case]
+        monkeypatch.setattr(rg.analysis, target, broken)
+        assert cli.main(["verify"]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.partition(" = ")[0] for line in out.splitlines()] == [
+            *VERIFY_KEYS, "verify_failures"
+        ]
+        summary = summary_dict(out)
+        assert summary["verify_pass"] == "false"
+        assert summary["verify_failures"] == name
+
+    def test_failed_sweep_exits_3(self, capsys, monkeypatch):
+        solved = []
+
+        def solve_only_the_first(params, cfg=None):
+            solved.append(params)
+            if len(solved) > 1:
+                raise rg.SolverError("forced failure")
+            return rg.solve_sne(params)
+
+        monkeypatch.setattr(cli, "solve_sne", solve_only_the_first)
+        assert cli.main(["verify", "--random", "2"]) == 3
+        summary = summary_dict(capsys.readouterr().out)
+        assert summary["sweep_contained"] == "0"
+        assert summary["sweep_solver_failures"] == "2"
+        assert summary["verify_failures"] == "sweep"
+
+    def test_negative_sweep_size_exits_1_with_one_line(self, capsys):
+        # it used to print sweep_contained = 0 against sweep_total = -1 and exit 3
+        assert cli.main(["verify", "--random", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --random must be >= 0, got -1\n")
 
     def test_determinism_of_report(self, capsys):
         assert cli.main(["verify", "--random", "2", "--seed", "5"]) == 0

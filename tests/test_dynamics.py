@@ -100,14 +100,6 @@ class TestStepSchedule:
         # the premise of simulate's stop at an exact fixed point
         assert np.all(np.diff(schedule.sequence(10**6)) <= 0)
 
-    def test_from_dict_round_trip(self):
-        s = rg.StepSchedule.from_dict({"kind": "inverse_t", "d": 2.5})
-        assert s.kind == "inverse_t" and s.sequence(1)[0] == 2.5
-        with pytest.raises(ValueError):
-            rg.StepSchedule.from_dict({"kind": "mystery"})
-        with pytest.raises(ValueError):
-            rg.StepSchedule.from_dict({})
-
 
 def with_alpha(params: rg.MarketParams, alpha: float) -> rg.MarketParams:
     return dataclasses.replace(params, alpha=alpha)

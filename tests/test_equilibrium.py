@@ -115,6 +115,24 @@ class TestSneBounds:
         (lo_H, _), _ = rg.sne_bounds(fig1)
         assert math.isclose(lo_H, 1.0 / 2.82, rel_tol=1e-15)
 
+    # frozen: 1/2.82 + W(k e^(a - k))/2 with k = 2/2.82, from mpmath; the
+    # first two straddle the switch to the log form at a - k = 700
+    @pytest.mark.parametrize(
+        "a, upper",
+        [
+            (699.5, 346.3084788378671395625674),
+            (700.5, 346.8077577605280547691028),
+            (1000.0, 496.3783196937613004387750),
+            (1e6, 499992.9204573030307177132),
+        ],
+    )
+    def test_large_intrinsic_value_gives_a_finite_bound(self, a, upper):
+        # k * exp(a - k) overflows a float past a - k = 709.8
+        firm = rg.FirmParams(a=a, b=2.0, c=0.82)
+        params = rg.MarketParams(firm, firm, alpha=0.5, p_lo=0.1, p_hi=7.5)
+        (_, up_H), _ = rg.sne_bounds(params)
+        assert math.isclose(up_H, upper, rel_tol=1e-12)
+
     def test_large_reference_sensitivity_shrinks_lower(self):
         firm = rg.FirmParams(a=5.0, b=1.0, c=500.0)
         params = rg.MarketParams(firm, firm, alpha=0.5, p_lo=1e-4, p_hi=50.0)
