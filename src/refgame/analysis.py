@@ -5,14 +5,13 @@ input and measures a trajectory or the static landscape against it:
 
 * a weighted l1 distance whose weights cancel the firms' sensitivity
   scales,
-* the quadrant of a price pair relative to the stationary point,
 * ``sne_drift``: the signed sum of scaled derivatives pointing toward
   the stationary point, strictly positive away from it (off-equilibrium
   prices always drift back),
 * ``local_potential`` and its closed-form Hessian at the stationary
   point, whose positive definiteness certifies local quadratic growth
-  and yields the curvature constant the step-size rule 2/gamma is built
-  from,
+  and yields the curvature constant gamma of the step-size rule
+  eta_t = (2/gamma) / (t+1),
 * window statistics (``rate_fit``) for the decay rates t * dist^2 and
   t^2 * gap^2, and a coarse verdict classifier (``cycle_detector``),
 * ``check_properties``: the property checks of ``refgame verify`` on
@@ -47,15 +46,12 @@ __all__ = [
     "CYCLING",
     "UNDECIDED",
     "RateReport",
-    "RateConstants",
     "HessianCertificate",
     "PropertyReport",
     "weighted_l1_distance",
-    "quadrant",
     "sne_drift",
     "local_potential",
     "hessian_certificate",
-    "rate_constants",
     "rate_fit",
     "cycle_detector",
     "check_properties",
@@ -69,6 +65,8 @@ UNDECIDED = "UNDECIDED"
 # a tail floor above _APART with stable oscillation amplitude means cycling
 _SETTLED = 1e-3
 _APART = 1e-2
+# rate_fit's converged verdict: terminal sup-norm price distance below this
+_CONVERGED_TOL = 1e-2
 
 # random states drawn by check_properties
 _GRADIENT_STATES = 100
@@ -92,34 +90,13 @@ class RateReport:
 
 
 @dataclass(frozen=True)
-class RateConstants:
-    """Constant ledger for the 1/t step-size regime.
-
-    lam        (1 + alpha^2) / 2, the per-period contraction of the
-               price/reference gap (< 1 whenever alpha < 1)
-    lam0       gap noise coefficient ((1+alpha^2)/(1-alpha^2)) * m_g^2
-               * sum_i (b_i+c_i)^2
-    t_lam      sqrt(lam+1) / (sqrt(lam+1) - sqrt(2 lam)), the period
-               after which the gap induction closes
-    c1         m_g^2 * sum_i (b_i+c_i)^2, the squared-step noise term
-    c2         2 * l_r * (p_hi - p_lo) * sum_i (b_i+c_i), the
-               gap-coupling term
-    d_eta      2 / gamma: the recommended coefficient for the
-               eta_t = d_eta / (t+1) schedule
-    """
-
-    lam: float
-    lam0: float
-    t_lam: float
-    c1: float
-    c2: float
-    gamma_estimate: float
-    d_eta: float
-
-
-@dataclass(frozen=True)
 class HessianCertificate:
-    """Closed-form Hessian of the local potential at the stationary point."""
+    """Closed-form Hessian of the local potential at the stationary point.
+
+    ``gamma_estimate`` is half the smallest eigenvalue, the curvature
+    constant of the 1/t rate: the schedule eta_t = d / (t+1) with
+    d = 2 / gamma_estimate is the theorem's choice of coefficient.
+    """
 
     matrix: np.ndarray
     det: float
@@ -164,31 +141,6 @@ def weighted_l1_distance(params: MarketParams, p, sne: PricePair):
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     p_H, p_L = p
     return np.abs(sne.p_H - p_H) / s_H + np.abs(sne.p_L - p_L) / s_L
-
-
-def quadrant(p, sne: PricePair) -> str:
-    """Classify a price pair into N1..N4 around the stationary point.
-
-    Half-open conventions (strict on one axis, weak on the other):
-
-        N1: p_H >  sne_H  and  p_L >= sne_L
-        N2: p_H <= sne_H  and  p_L >  sne_L
-        N3: p_H <  sne_H  and  p_L <= sne_L
-        N4: p_H >= sne_H  and  p_L <  sne_L
-
-    Exact equality on both axes returns "ORIGIN". Every pair lands in
-    exactly one class.
-    """
-    p_H, p_L = float(p[0]), float(p[1])
-    if p_H == sne.p_H and p_L == sne.p_L:
-        return "ORIGIN"
-    if p_H > sne.p_H and p_L >= sne.p_L:
-        return "N1"
-    if p_H <= sne.p_H and p_L > sne.p_L:
-        return "N2"
-    if p_H < sne.p_H and p_L <= sne.p_L:
-        return "N3"
-    return "N4"
 
 
 def sne_drift(params: MarketParams, p, sne: PricePair):
@@ -251,43 +203,12 @@ def hessian_certificate(params: MarketParams, sne: PricePair) -> HessianCertific
     )
 
 
-def rate_constants(params: MarketParams, gamma_estimate: float) -> RateConstants:
-    """Evaluate the 1/t-regime constant ledger for a game instance.
-
-    ``gamma_estimate`` is the local curvature constant, normally
-    ``hessian_certificate(...).gamma_estimate``. Undefined at
-    alpha = 1 (frozen references never close the gap).
-    """
-    if not (isinstance(gamma_estimate, (int, float)) and gamma_estimate > 0.0):
-        raise ValueError(f"gamma_estimate must be > 0, got {gamma_estimate!r}")
-    alpha = params.alpha
-    if alpha == 1.0:
-        raise ValueError("rate constants are undefined at alpha = 1")
-    m_g, l_r = bound_constants(params)
-    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-    sum_sq = s_H**2 + s_L**2
-    lam = (1.0 + alpha**2) / 2.0
-    lam0 = ((1.0 + alpha**2) / (1.0 - alpha**2)) * m_g**2 * sum_sq
-    t_lam = math.sqrt(lam + 1.0) / (math.sqrt(lam + 1.0) - math.sqrt(2.0 * lam))
-    c1 = m_g**2 * sum_sq
-    c2 = 2.0 * l_r * (params.p_hi - params.p_lo) * (s_H + s_L)
-    return RateConstants(
-        lam=lam,
-        lam0=lam0,
-        t_lam=t_lam,
-        c1=c1,
-        c2=c2,
-        gamma_estimate=float(gamma_estimate),
-        d_eta=2.0 / float(gamma_estimate),
-    )
-
-
 def _window_bounds(
     traj: Trajectory,
     window_fraction: float,
     window: tuple[int, int] | None,
 ) -> tuple[int, int]:
-    t_last = traj.t0 + len(traj) - 1
+    t_last = len(traj) - 1
     if window is not None:
         t_start, t_end = int(window[0]), int(window[1])
     else:
@@ -295,7 +216,7 @@ def _window_bounds(
             raise ValueError(f"window_fraction must lie in (0, 1], got {window_fraction}")
         t_start = t_last - int(math.floor(window_fraction * t_last))
         t_end = t_last
-    if not traj.t0 <= t_start <= t_end <= t_last:
+    if not 0 <= t_start <= t_end <= t_last:
         raise ValueError(f"window [{t_start}, {t_end}] outside trajectory periods")
     return t_start, t_end
 
@@ -305,7 +226,6 @@ def rate_fit(
     sne: PricePair,
     window_fraction: float = 0.5,
     window: tuple[int, int] | None = None,
-    converged_tol: float = 1e-2,
 ) -> RateReport:
     """Suprema of t * dist^2 and t^2 * gap^2 over a trajectory window.
 
@@ -313,23 +233,22 @@ def rate_fit(
     explicit inclusive ``(t_start, t_end)`` pair is given (windows that
     do not touch the tail are how decay is compared across doubling
     horizons). ``converged`` reports whether the terminal sup-norm
-    price distance is below ``converged_tol``.
+    price distance is below 1e-2.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     t_start, t_end = _window_bounds(traj, window_fraction, window)
-    i0, i1 = t_start - traj.t0, t_end - traj.t0 + 1
+    w = slice(t_start, t_end + 1)
     t = np.arange(t_start, t_end + 1, dtype=float)
-    dist2 = (traj.p_H[i0:i1] - sne.p_H) ** 2 + (traj.p_L[i0:i1] - sne.p_L) ** 2
-    gap2 = (traj.r_H[i0:i1] - traj.p_H[i0:i1]) ** 2 + (
-        traj.r_L[i0:i1] - traj.p_L[i0:i1]
-    ) ** 2
+    p_H, p_L = traj.p_H[w], traj.p_L[w]
+    dist2 = (p_H - sne.p_H) ** 2 + (p_L - sne.p_L) ** 2
+    gap2 = (traj.r_H[w] - p_H) ** 2 + (traj.r_L[w] - p_L) ** 2
     terminal = max(abs(traj.p_H[-1] - sne.p_H), abs(traj.p_L[-1] - sne.p_L))
     return RateReport(
         sup_t_dist2=float(np.max(t * dist2)),
         sup_t2_gap2=float(np.max(t * t * gap2)),
         window=(t_start, t_end),
-        converged=bool(terminal < converged_tol),
+        converged=bool(terminal < _CONVERGED_TOL),
     )
 
 

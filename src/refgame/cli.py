@@ -45,7 +45,6 @@ from .config import (
 )
 from .dynamics import Trajectory, simulate
 from .equilibrium import (
-    SolverConfig,
     SolverError,
     SneSolution,
     equilibrium_path,
@@ -109,7 +108,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory, sne: PricePair) -> 
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(CSV_HEADER + "\n")
         _write_rows(
-            f, traj.periods, traj.p_H, traj.p_L, traj.r_H, traj.r_L,
+            f, np.arange(len(traj)), traj.p_H, traj.p_L, traj.r_H, traj.r_L,
             traj.D_H, traj.D_L, dist, eps,
         )
 
@@ -165,7 +164,7 @@ def _validated(params: MarketParams) -> None:
 
 def _print_sne(sol: SneSolution) -> None:
     (lo_H, up_H), (lo_L, up_L) = sol.bounds
-    det, trace, min_eig = sol.hessian_certificate
+    cert = sol.hessian_certificate
     _say("sne_p_H", sol.prices.p_H)
     _say("sne_p_L", sol.prices.p_L)
     _say("sne_residual", sol.residual)
@@ -174,10 +173,10 @@ def _print_sne(sol: SneSolution) -> None:
     _say("bound_upper_H", up_H)
     _say("bound_lower_L", lo_L)
     _say("bound_upper_L", up_L)
-    _say("hessian_det", det)
-    _say("hessian_trace", trace)
-    _say("hessian_min_eig", min_eig)
-    _say("gamma_estimate", 0.5 * min_eig)
+    _say("hessian_det", cert.det)
+    _say("hessian_trace", cert.trace)
+    _say("hessian_min_eig", cert.min_eig)
+    _say("gamma_estimate", cert.gamma_estimate)
 
 
 def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .model import (
 __all__ = [
     "RETENTION_LIMIT",
     "StepSchedule",
-    "TrajectoryRecord",
     "Trajectory",
     "reference_update",
     "ascent_step",
@@ -134,27 +133,14 @@ class StepSchedule:
         return f"StepSchedule.{self.describe()}"
 
 
-class TrajectoryRecord(NamedTuple):
-    """One period of a simulated path.
-
-    ``derivatives`` holds (D_H, D_L) evaluated at this period's state;
-    ``eta`` is the schedule value at ``t`` (the step consumed when
-    advancing to ``t + 1``; informational on the final record).
-    """
-
-    t: int
-    prices: PricePair
-    references: PricePair
-    derivatives: tuple[float, float]
-    eta: float
-
-
 @dataclass
 class Trajectory:
     """A finished simulation: per-period state stored as parallel arrays.
 
-    Records are indexed contiguously from ``t0`` (0 for an ordinary
-    run); arrays are read-only after construction.
+    Record t is period t, from 0 (the initial state) to len - 1. ``D_H``
+    and ``D_L`` hold the log-revenue derivatives at each record's state.
+    The step sizes are not stored: ``schedule`` names the rule that
+    produced them. Arrays are read-only after construction.
     """
 
     params: MarketParams
@@ -165,40 +151,22 @@ class Trajectory:
     r_L: np.ndarray
     D_H: np.ndarray
     D_L: np.ndarray
-    eta: np.ndarray
-    t0: int = 0
 
     def __post_init__(self) -> None:
-        n = self.p_H.size
-        for name in ("p_L", "r_H", "r_L", "D_H", "D_L", "eta"):
-            if getattr(self, name).size != n:
-                raise ValueError("trajectory arrays must share one length")
-        for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta"):
-            getattr(self, name).flags.writeable = False
+        columns = (self.p_H, self.p_L, self.r_H, self.r_L, self.D_H, self.D_L)
+        if any(column.size != self.p_H.size for column in columns):
+            raise ValueError("trajectory arrays must share one length")
+        for column in columns:
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return self.p_H.size
 
-    @property
-    def periods(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self))
-
-    def record(self, i: int) -> TrajectoryRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"record index {i} out of range for length {len(self)}")
-        if i < 0:
-            i += len(self)
-        return TrajectoryRecord(
-            t=self.t0 + i,
-            prices=PricePair(float(self.p_H[i]), float(self.p_L[i])),
-            references=PricePair(float(self.r_H[i]), float(self.r_L[i])),
-            derivatives=(float(self.D_H[i]), float(self.D_L[i])),
-            eta=float(self.eta[i]),
-        )
-
     def final_state(self) -> MarketState:
-        rec = self.record(len(self) - 1)
-        return MarketState(prices=rec.prices, references=rec.references)
+        return MarketState(
+            prices=PricePair(float(self.p_H[-1]), float(self.p_L[-1])),
+            references=PricePair(float(self.r_H[-1]), float(self.r_L[-1])),
+        )
 
 
 def reference_update(params: MarketParams, r: PricePair, p: PricePair) -> PricePair:
@@ -292,14 +260,11 @@ def simulate(
             f"({RETENTION_LIMIT} records held in memory)"
         )
 
-    # eta_0 .. eta_horizon; the final entry is informational only. An
-    # explicit schedule may be exactly `horizon` long, in which case the
-    # final record reuses its last value.
-    try:
-        etas = schedule.sequence(n)
-    except ValueError:
-        etas = schedule.sequence(horizon)
-        etas = np.append(etas, etas[-1])
+    # eta_0 .. eta_{horizon-1}, one per update; the last pass, which
+    # records t = horizon, repeats the final value for an update that is
+    # discarded.
+    etas = schedule.sequence(horizon)
+    etas = np.append(etas, etas[-1])
 
     a_H, s_H, c_H, a_L, s_L, c_L = _consts(params)
     lo, hi = params.p_lo, params.p_hi
@@ -357,4 +322,4 @@ def simulate(
                 column[j:] = column[j - 1]
             break
 
-    return Trajectory(params, schedule.describe(), *columns, eta=etas)
+    return Trajectory(params, schedule.describe(), *columns)

@@ -37,7 +37,6 @@ from .model import MarketParams, PricePair, _consts, _demands_fast
 
 __all__ = [
     "SolverError",
-    "SolverConfig",
     "BoxCheck",
     "SneSolution",
     "lambert_w",
@@ -63,23 +62,11 @@ class SolverError(RuntimeError):
         self.context = context
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Shared solver knobs.
-
-    ``tolerance`` is the residual target: the dimensionless max|G_i|
-    for the policy and stationary solvers, |D_i| for a best response.
-    ``max_iterations`` caps every iteration loop.
-    """
-
-    tolerance: float = 1e-12
-    max_iterations: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+# Residual target of every solver: the dimensionless max|G_i| for the policy
+# and stationary solvers, |D_i| for a best response.
+TOLERANCE = 1e-12
+# Cap on the iterations of every solver loop.
+MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -118,29 +105,31 @@ class SneSolution:
     ``residual`` is max|G_i(p**, p**)| at the solution, a dimensionless
     defect of the scaled first-order conditions (not in price units).
     ``iterations`` counts Newton steps. ``bounds`` holds the per-firm
-    (lower, upper) analytic bounds, and
-    ``hessian_certificate`` the (det, trace, min eigenvalue) of the
-    local-potential Hessian at the solution; positive det and trace
-    certify the local quadratic growth the rate theory relies on.
+    (lower, upper) analytic bounds, and ``hessian_certificate`` the
+    closed-form Hessian of the local potential at the solution; its
+    positive det and trace certify the local quadratic growth the rate
+    theory relies on, and its ``gamma_estimate`` sets the rate's step
+    coefficient 2 / gamma.
     """
 
     prices: PricePair
     residual: float
     iterations: int
     bounds: tuple[tuple[float, float], tuple[float, float]]
-    hessian_certificate: tuple[float, float, float]
+    hessian_certificate: analysis.HessianCertificate
 
 
-def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
+def lambert_w(x: float) -> float:
     """Principal-branch Lambert W on [0, inf): the w >= 0 with w*e^w = x.
 
     Halley iteration from w0 = log(1 + x), switched to the asymptotic
     seed w0 = log(x) - log(log(x)) for x > e. The iteration stops on
-    the relative step, once a Halley update moves w by at most tol * w
+    the relative step, once a Halley update moves w by at most 1e-12 * w
     (Corless et al. 1996), and returns the updated iterate. Convergence
-    is cubic, so the result is within tol of W(x) relatively for every
+    is cubic, so the result is within 1e-12 of W(x) relatively for every
     x, however small. The residual w*e^w - x is no stopping test: for
     x << 1 it is already below any absolute tolerance at the seed.
+    Past x = 1e300, W is solved in log form as w + ln w = ln x.
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise ValueError(f"lambert_w needs a finite argument, got {x!r}")
@@ -148,20 +137,22 @@ def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
         raise ValueError(f"lambert_w is restricted to x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x > 1e300:  # the Halley denominator overflows near 1e307
+        return _lambert_w_of_exp(math.log(x))
     w = math.log1p(x) if x <= math.e else math.log(x) - math.log(math.log(x))
-    for _ in range(max_iter):
+    for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         w -= step
-        if abs(step) <= tol * w:
+        if abs(step) <= 1e-12 * w:
             return w
     raise SolverError("lambert_w failed to converge", x=x, w=w)
 
 
 # Above this exponent sne_bounds solves W(k e^y) in log form: e^y overflows
-# past 709.8, and lambert_w's Halley denominator already near x = 1e307.
+# past 709.8.
 _EXP_MAX = 700.0
 
 
@@ -238,7 +229,6 @@ def best_response(
     firm: str,
     opponent_price: float,
     r: PricePair,
-    cfg: SolverConfig = SolverConfig(),
 ) -> float:
     """Revenue-maximizing price of one firm against a fixed opponent.
 
@@ -247,7 +237,7 @@ def best_response(
     D_i when one exists, otherwise the boundary where D_i points: p_lo
     when D_i(p_lo) <= 0, p_hi when D_i(p_hi) >= 0. Interior roots are
     located with Newton steps safeguarded by the sign bracket, to
-    |D_i| <= cfg.tolerance. Once the bracket holds no float strictly
+    |D_i| <= TOLERANCE. Once the bracket holds no float strictly
     inside it, no better iterate exists and SolverError is raised.
     """
     if firm not in ("H", "L"):
@@ -265,9 +255,9 @@ def best_response(
         return hi
 
     x = 0.5 * (lo + hi)
-    for it in range(cfg.max_iterations):
+    for it in range(MAX_ITERATIONS):
         f, df = _own_derivative(consts, firm, x, opponent_price, r)
-        if abs(f) <= cfg.tolerance:
+        if abs(f) <= TOLERANCE:
             return x
         if f > 0.0:
             lo = x
@@ -288,13 +278,13 @@ def best_response(
         "best_response failed to converge",
         firm=firm,
         bracket=(lo, hi),
-        iterations=cfg.max_iterations,
+        iterations=MAX_ITERATIONS,
         last=x,
     )
 
 
 def _newton(
-    params: MarketParams, r: PricePair | None, start: PricePair, cfg: SolverConfig
+    params: MarketParams, r: PricePair | None, start: PricePair
 ) -> tuple[float, float, float, int]:
     """Projected Newton on the scaled first-order conditions G = 0.
 
@@ -305,7 +295,7 @@ def _newton(
     Jacobian, clipped to the box and halved until max|G_i| over the
     free components falls by the Armijo factor 1 - 1e-4 * t. Returns
     (p_H, p_L, residual, iterations) once that residual is at most
-    cfg.tolerance.
+    TOLERANCE.
     """
     consts = _consts(params)
     s_H, s_L = consts[1], consts[4]
@@ -325,11 +315,11 @@ def _newton(
 
     x, y = min(max(start[0], lo), hi), min(max(start[1], lo), hi)
     trial = evaluate(x, y)
-    for it in range(cfg.max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
-        if res <= cfg.tolerance:
+        if res <= TOLERANCE:
             return x, y, res, it
-        if it == cfg.max_iterations:
+        if it == MAX_ITERATIONS:
             break
         j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
         j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
@@ -364,13 +354,12 @@ def _newton(
 def equilibrium_policy(
     params: MarketParams,
     r: PricePair,
-    cfg: SolverConfig = SolverConfig(),
     start: PricePair | None = None,
 ) -> PricePair:
     """One-shot equilibrium prices p*(r) for fixed references.
 
     Solves the first-order conditions G_i(p, r) = 0 by projected Newton
-    to max|G_i| <= cfg.tolerance, where a component on a box edge with
+    to max|G_i| <= TOLERANCE, where a component on a box edge with
     G_i pointing out of the box is exempt: there the maximizer sits on
     the boundary. ``start`` (clipped to the box) warm-starts the
     iteration, the box midpoint otherwise; the solution does not depend
@@ -380,15 +369,15 @@ def equilibrium_policy(
         raise ValueError("references must lie in the price box")
     mid = 0.5 * (params.p_lo + params.p_hi)
     r = PricePair(float(r[0]), float(r[1]))
-    p_H, p_L, _, _ = _newton(params, r, (mid, mid) if start is None else start, cfg)
+    p_H, p_L, _, _ = _newton(params, r, (mid, mid) if start is None else start)
     return PricePair(p_H, p_L)
 
 
-def solve_sne(params: MarketParams, cfg: SolverConfig = SolverConfig()) -> SneSolution:
+def solve_sne(params: MarketParams) -> SneSolution:
     """Solve the stationary equilibrium by projected Newton.
 
     Solves G_i(p, p) = 0 from the box midpoint to max|G_i| <=
-    cfg.tolerance; that dimensionless defect is the returned residual,
+    TOLERANCE; that dimensionless defect is the returned residual,
     and the Newton steps taken its iteration count. The returned
     solution carries the analytic bounds and the local Hessian
     certificate.
@@ -398,7 +387,7 @@ def solve_sne(params: MarketParams, cfg: SolverConfig = SolverConfig()) -> SneSo
         raise ValueError(check.describe())
 
     mid = 0.5 * (params.p_lo + params.p_hi)
-    p_H, p_L, residual, iterations = _newton(params, None, (mid, mid), cfg)
+    p_H, p_L, residual, iterations = _newton(params, None, (mid, mid))
     prices = PricePair(p_H, p_L)
     bounds = sne_bounds(params)
     for value, (lower, upper) in zip(prices, bounds):
@@ -420,7 +409,7 @@ def solve_sne(params: MarketParams, cfg: SolverConfig = SolverConfig()) -> SneSo
         residual=residual,
         iterations=iterations,
         bounds=bounds,
-        hessian_certificate=(cert.det, cert.trace, cert.min_eig),
+        hessian_certificate=cert,
     )
 
 
@@ -428,12 +417,12 @@ def equilibrium_path(
     params: MarketParams,
     r0: PricePair,
     horizon: int,
-    cfg: SolverConfig = SolverConfig(),
 ) -> Trajectory:
     """Full-information baseline: play p*(r_t) each period, smooth references.
 
-    Returns a trajectory in the same layout as the learning simulator
-    (the eta column is zero; no step size is involved). Each period's
+    Returns a trajectory in the same layout as the learning simulator,
+    with ``D_H``/``D_L`` the log-revenue derivatives at each period's
+    policy prices; no step size is involved. Each period's
     policy solve is warm-started from the previous one. Solver failures
     are re-raised with the offending period attached.
     """
@@ -451,7 +440,7 @@ def equilibrium_path(
     guess: PricePair | None = None
     for t in range(n):
         try:
-            p = equilibrium_policy(params, PricePair(r_H, r_L), cfg, start=guess)
+            p = equilibrium_policy(params, PricePair(r_H, r_L), start=guess)
         except SolverError as err:
             raise SolverError(
                 f"equilibrium_path failed at period {t}: {err}",
@@ -464,4 +453,4 @@ def equilibrium_path(
         if t < horizon:
             r_H, r_L = reference_update(params, PricePair(r_H, r_L), p)
 
-    return Trajectory(params, "equilibrium-policy", *columns, eta=np.zeros(n))
+    return Trajectory(params, "equilibrium-policy", *columns)

@@ -30,50 +30,6 @@ class TestWeightedL1Distance:
         )
 
 
-class TestQuadrant:
-    SNE = rg.PricePair(2.0, 1.0)
-
-    def test_origin(self):
-        assert rg.quadrant((2.0, 1.0), self.SNE) == "ORIGIN"
-
-    def test_boundary_conventions(self):
-        # axis points follow the half-open assignments
-        assert rg.quadrant((2.5, 1.0), self.SNE) == "N1"  # p_L == sne_L joins N1
-        assert rg.quadrant((2.0, 1.5), self.SNE) == "N2"  # p_H == sne_H joins N2
-        assert rg.quadrant((1.5, 1.0), self.SNE) == "N3"  # p_L == sne_L joins N3
-        assert rg.quadrant((2.0, 0.5), self.SNE) == "N4"  # p_H == sne_H joins N4
-
-    def test_open_quadrants(self):
-        assert rg.quadrant((3.0, 2.0), self.SNE) == "N1"
-        assert rg.quadrant((1.0, 2.0), self.SNE) == "N2"
-        assert rg.quadrant((1.0, 0.5), self.SNE) == "N3"
-        assert rg.quadrant((3.0, 0.5), self.SNE) == "N4"
-
-    def test_totality_and_uniqueness(self):
-        # direct re-statement of the four half-open conditions
-        def memberships(p):
-            p_H, p_L = p
-            s_H, s_L = self.SNE
-            return [
-                p_H > s_H and p_L >= s_L,
-                p_H <= s_H and p_L > s_L,
-                p_H < s_H and p_L <= s_L,
-                p_H >= s_H and p_L < s_L,
-            ]
-
-        rng = np.random.default_rng(13)
-        points = rng.uniform(0.0, 4.0, size=(500, 2)).tolist()
-        points += [(2.0, 1.0), (2.0, 3.0), (2.0, 0.2), (0.3, 1.0), (3.3, 1.0)]
-        for p in points:
-            label = rg.quadrant(p, self.SNE)
-            flags = memberships(p)
-            if label == "ORIGIN":
-                assert flags == [False, False, False, False]
-            else:
-                assert sum(flags) == 1
-                assert label == f"N{flags.index(True) + 1}"
-
-
 class TestSneDrift:
     def test_zero_at_stationary_point(self, fig1, fig1_sne):
         val = rg.sne_drift(fig1, fig1_sne.prices, fig1_sne.prices)
@@ -156,45 +112,6 @@ class TestHessianCertificate:
         eigs = np.linalg.eigvalsh(cert.matrix)
         assert math.isclose(cert.det, float(np.prod(eigs)), rel_tol=1e-10)
         assert math.isclose(cert.trace, float(np.sum(eigs)), rel_tol=1e-12)
-
-
-class TestRateConstants:
-    def _params(self, alpha):
-        firm = rg.FirmParams(a=2.0, b=1.0, c=0.5)
-        return rg.MarketParams(firm, firm, alpha=alpha, p_lo=0.2, p_hi=4.0)
-
-    def test_memoryless_case(self):
-        params = self._params(0.0)
-        m_g, _ = rg.bound_constants(params)
-        rc = rg.rate_constants(params, gamma_estimate=1.0)
-        assert rc.lam == 0.5
-        sum_sq = 2 * 1.5**2
-        assert math.isclose(rc.lam0, m_g**2 * sum_sq, rel_tol=1e-14)
-        assert math.isclose(rc.c1, m_g**2 * sum_sq, rel_tol=1e-14)
-
-    def test_heavy_memory_arithmetic(self):
-        rc = rg.rate_constants(self._params(0.9), gamma_estimate=2.0)
-        assert math.isclose(rc.lam, 0.905, rel_tol=1e-15)
-        assert rc.d_eta == 1.0
-
-    def test_demo_instance_all_finite_positive(self, fig1, fig1_sne):
-        gamma = rg.hessian_certificate(fig1, fig1_sne.prices).gamma_estimate
-        rc = rg.rate_constants(fig1, gamma)
-        for value in (rc.lam, rc.lam0, rc.t_lam, rc.c1, rc.c2, rc.gamma_estimate, rc.d_eta):
-            assert math.isfinite(value) and value > 0.0
-        assert rc.lam < 1.0
-
-    def test_frozen_memory_rejected(self):
-        with pytest.raises(ValueError):
-            rg.rate_constants(self._params(1.0), gamma_estimate=1.0)
-        with pytest.raises(ValueError):
-            rg.rate_constants(self._params(0.5), gamma_estimate=0.0)
-
-    def test_lipschitz_coupling_term(self):
-        params = self._params(0.5)
-        _, l_r = rg.bound_constants(params)
-        rc = rg.rate_constants(params, gamma_estimate=1.0)
-        assert math.isclose(rc.c2, 2.0 * l_r * (4.0 - 0.2) * 3.0, rel_tol=1e-14)
 
 
 # A constant step below the critical step of the figure1 SNE (about 0.848):
@@ -297,7 +214,6 @@ class TestCycleDetector:
             r_L=np.full(n, 4.0),
             D_H=np.zeros(n),
             D_L=np.zeros(n),
-            eta=np.ones(n),
         )
         assert rg.cycle_detector(traj, sne, tail_fraction=0.5) == rg.UNDECIDED
 

@@ -1,4 +1,7 @@
-"""The package's public names: each listed once, each resolvable."""
+"""The package's public names: each listed once, each resolvable, each read."""
+
+import ast
+from pathlib import Path
 
 import refgame as rg
 import refgame.config
@@ -7,13 +10,13 @@ import refgame.config
 PUBLIC_NAMES = [
     "BoxCheck", "CONVERGED", "CYCLING", "ConfigError", "ExperimentConfig",
     "FIGURE1_VARIANTS", "FirmParams", "HessianCertificate", "MarketParams",
-    "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT", "RateConstants",
-    "RateReport", "SneSolution", "SolverConfig", "SolverError", "StepSchedule", "Trajectory",
-    "TrajectoryRecord", "UNDECIDED", "ascent_step", "best_response",
+    "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT",
+    "RateReport", "SneSolution", "SolverError", "StepSchedule", "Trajectory",
+    "UNDECIDED", "ascent_step", "best_response",
     "bound_constants", "check_properties", "cycle_detector", "demand", "equilibrium_path",
     "equilibrium_policy", "figure1_config", "figure1_params", "hessian_certificate",
     "lambert_w", "load_config", "local_potential", "log_rev_derivative",
-    "quadrant", "random_market", "rate_constants", "rate_fit", "reference_update",
+    "random_market", "rate_fit", "reference_update",
     "revenue", "scaled_derivative", "scaled_derivative_partials", "simulate",
     "sne_bounds", "sne_drift", "solve_sne", "utility", "validate_price_box",
     "weighted_l1_distance",
@@ -32,3 +35,54 @@ def test_each_public_name_listed_once_and_resolvable():
 
 def test_load_config_exported_by_its_module():
     assert "load_config" in refgame.config.__all__
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# the program: the package and the benchmark, without the benchmark's tests
+PROGRAM_FILES = [
+    *sorted((ROOT / "src" / "refgame").glob("*.py")),
+    *sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")),
+]
+
+# public names the program never reads, kept as independent test oracles
+ORACLES = {
+    # the one-period ascent that simulate's inlined kernel must match bit for bit
+    "ascent_step",
+    # the single-firm solver that equilibrium_policy's joint Newton is checked against
+    "best_response",
+}
+
+
+def exported_reads() -> dict[str, set]:
+    """For each public name, the top-level definitions of the program that
+    read it, as a ``Name`` or an ``Attribute``: their names, or None for a
+    module-level statement. A read inside the name's own definition is
+    not counted."""
+    exported = set(rg.__all__)
+    reads = {name: set() for name in exported}
+    for path in PROGRAM_FILES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if isinstance(node.ctx, ast.Load) and name in exported and name != owner:
+                    reads[name].add(owner)
+    return reads
+
+
+def test_every_public_name_has_a_reader():
+    # a read inside the definition of an unread public name is no read:
+    # repeat until the unread set is stable
+    reads = exported_reads()
+    unread: set[str] = set()
+    while True:
+        now = {name for name, owners in reads.items() if owners <= unread}
+        if now == unread:
+            break
+        unread = now
+    assert unread == ORACLES

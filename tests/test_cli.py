@@ -232,7 +232,7 @@ class TestSimulateCommand:
         capsys.readouterr()
 
     def test_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        def boom(params, cfg=None):
+        def boom(params):
             raise rg.SolverError("forced failure", period=3)
 
         monkeypatch.setattr(cli, "solve_sne", boom)
@@ -242,7 +242,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("variant", ["a", "c"])
     def test_failed_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch, variant):
-        def boom(params, cfg=None):
+        def boom(params):
             raise rg.SolverError("forced failure", period=3)
 
         monkeypatch.setattr(cli, "solve_sne", boom)
@@ -257,7 +257,7 @@ class TestSimulateCommand:
     def test_failed_run_keeps_a_path_that_existed(self, tmp_path, capsys, monkeypatch, kind):
         # only files the run created are removed; an earlier output, or a
         # link to one, stays (truncated, as opening it for writing does)
-        def boom(params, cfg=None):
+        def boom(params):
             raise rg.SolverError("forced failure", period=3)
 
         monkeypatch.setattr(cli, "solve_sne", boom)
@@ -293,16 +293,18 @@ class TestSimulateCommand:
         assert "Traceback" not in err
 
 
+TRAJECTORY_COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
+
 # float cells the writer must print exactly as format(x, ".17g") does
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 123456789012345680.0, 1e-5, 4.85, -2.5950508119722233]
 
 
-def edge_trajectory(params, n: int, t0: int = 0) -> rg.Trajectory:
+def edge_trajectory(params, n: int) -> rg.Trajectory:
     cols = {
         name: np.resize(np.roll(EDGE_FLOATS, k), n)
-        for k, name in enumerate(("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta"))
+        for k, name in enumerate(TRAJECTORY_COLUMNS)
     }
-    return rg.Trajectory(params=params, schedule="constant(1)", t0=t0, **cols)
+    return rg.Trajectory(params=params, schedule="constant(1)", **cols)
 
 
 def reference_cells(t, *values) -> str:
@@ -318,7 +320,7 @@ def reference_trajectory_text(params, traj: rg.Trajectory, sne: rg.PricePair) ->
     eps = np.abs(sne.p_H - traj.p_H) / s_H + np.abs(sne.p_L - traj.p_L) / s_L
     lines = [cli.CSV_HEADER] + [
         reference_cells(
-            traj.t0 + i, traj.p_H[i], traj.p_L[i], traj.r_H[i], traj.r_L[i],
+            i, traj.p_H[i], traj.p_L[i], traj.r_H[i], traj.r_L[i],
             traj.D_H[i], traj.D_L[i], dist[i], eps[i],
         )
         for i in range(len(traj))
@@ -326,10 +328,7 @@ def reference_trajectory_text(params, traj: rg.Trajectory, sne: rg.PricePair) ->
     return "\n".join(lines) + "\n"
 
 
-TRAJECTORY_COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta")
-
-
-def runs_trajectory(params, n: int, runs, t0: int = 0, seed: int = 0) -> rg.Trajectory:
+def runs_trajectory(params, n: int, runs, seed: int = 0) -> rg.Trajectory:
     """n rows of distinct random floats, then for each (start, stop) in
     ``runs`` rows start..stop-1 made bit-identical to row start."""
     rng = np.random.default_rng(seed)
@@ -337,7 +336,7 @@ def runs_trajectory(params, n: int, runs, t0: int = 0, seed: int = 0) -> rg.Traj
     for start, stop in runs:
         for col in cols.values():
             col[start:stop] = col[start]
-    return rg.Trajectory(params=params, schedule="constant(1)", t0=t0, **cols)
+    return rg.Trajectory(params=params, schedule="constant(1)", **cols)
 
 
 FIG1_SNE_PRICES = rg.PricePair(1.920413366139232, 0.8006783990990236)
@@ -356,7 +355,7 @@ RUN_LAYOUTS = {
 class TestCsvRows:
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS + 1])
     def test_trajectory_rows_match_per_cell_format(self, tmp_path, fig1, n):
-        traj = edge_trajectory(fig1, n, t0=7)
+        traj = edge_trajectory(fig1, n)
         out = tmp_path / "edge.csv"
         cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
         text = out.read_bytes().decode("ascii")
@@ -366,7 +365,7 @@ class TestCsvRows:
     @pytest.mark.parametrize("layout", list(RUN_LAYOUTS))
     def test_runs_of_identical_rows_match_per_cell_format(self, tmp_path, fig1, layout):
         n, runs = RUN_LAYOUTS[layout]
-        traj = runs_trajectory(fig1, n, runs, t0=7)
+        traj = runs_trajectory(fig1, n, runs)
         out = tmp_path / "runs.csv"
         cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
         assert out.read_bytes().decode("ascii") == reference_trajectory_text(
@@ -389,7 +388,7 @@ class TestCsvRows:
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS + 1])
     def test_joined_refs_rows_match_per_cell_format(self, tmp_path, fig1, n):
         learn = edge_trajectory(fig1, n + 5)
-        policy = edge_trajectory(fig1, n, t0=3)
+        policy = edge_trajectory(fig1, n)
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
         gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
@@ -405,7 +404,7 @@ class TestCsvRows:
     def test_joined_refs_with_a_repeated_tail(self, tmp_path, fig1):
         n = CHUNK + 300
         learn = runs_trajectory(fig1, n + 5, [(900, n + 5)], seed=1)
-        policy = runs_trajectory(fig1, n, [(1000, n)], t0=3, seed=2)
+        policy = runs_trajectory(fig1, n, [(1000, n)], seed=2)
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
         gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
@@ -574,7 +573,7 @@ class TestVerifyCommand:
     def test_failed_sweep_exits_3(self, capsys, monkeypatch):
         solved = []
 
-        def solve_only_the_first(params, cfg=None):
+        def solve_only_the_first(params):
             solved.append(params)
             if len(solved) > 1:
                 raise rg.SolverError("forced failure")

@@ -23,6 +23,14 @@ def demo_state() -> rg.MarketState:
     )
 
 
+def state_at(traj: rg.Trajectory, t: int) -> rg.MarketState:
+    """The recorded (prices, references) of period t."""
+    return rg.MarketState(
+        prices=rg.PricePair(float(traj.p_H[t]), float(traj.p_L[t])),
+        references=rg.PricePair(float(traj.r_H[t]), float(traj.r_L[t])),
+    )
+
+
 class TestStepSchedule:
     def test_constant(self):
         s = rg.StepSchedule.constant(0.7)
@@ -193,8 +201,7 @@ class TestSimulate:
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(1.0), 1)
         step = rg.ascent_step(fig1, demo_state(), 1.0)
         assert len(traj) == 2
-        assert traj.record(1).prices == step.prices
-        assert traj.record(1).references == step.references
+        assert state_at(traj, 1) == step
 
     def test_bad_horizon(self, fig1):
         with pytest.raises(ValueError):
@@ -204,12 +211,8 @@ class TestSimulate:
 
     def test_record_zero_is_initial_state(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 10)
-        rec = traj.record(0)
-        assert rec.t == 0
-        assert rec.prices == demo_state().prices
-        assert rec.references == demo_state().references
-        assert math.isclose(rec.derivatives[0], D_H0, rel_tol=1e-12)
-        assert rec.eta == 1.0
+        assert state_at(traj, 0) == demo_state()
+        assert math.isclose(traj.D_H[0], D_H0, rel_tol=1e-12)
 
     def test_feasibility(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(1.0), 5000)
@@ -240,16 +243,15 @@ class TestSimulate:
     def test_determinism_bitwise(self, fig1):
         a = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 3000)
         b = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 3000)
-        for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta"):
+        for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_recorded_derivatives_match_model(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 50)
         for i in (0, 7, 50):
-            rec = traj.record(i)
-            D = rg.log_rev_derivative(fig1, rec.prices, rec.references)
-            assert math.isclose(rec.derivatives[0], float(D[0]), rel_tol=1e-12)
-            assert math.isclose(rec.derivatives[1], float(D[1]), rel_tol=1e-12)
+            D = rg.log_rev_derivative(fig1, *state_at(traj, i))
+            assert math.isclose(traj.D_H[i], float(D[0]), rel_tol=1e-12)
+            assert math.isclose(traj.D_L[i], float(D[1]), rel_tol=1e-12)
 
     def test_gap_decays_under_diminishing_steps(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 100_000)
@@ -280,40 +282,41 @@ class TestSimulate:
     def test_explicit_schedule_consumed(self, fig1):
         values = [1.0, 0.5, 0.25]
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.explicit(values), 3)
-        np.testing.assert_allclose(traj.eta, [1.0, 0.5, 0.25, 0.25])
+        state = demo_state()
+        for t, eta in enumerate(values, start=1):
+            state = rg.ascent_step(fig1, state, eta)
+            assert state_at(traj, t) == state
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt", "inverse_t", "explicit"])
     def test_equals_iterated_steps_across_eta_chunks(self, fig1, kind, offset):
         horizon = dynamics.ETA_CHUNK + offset
         if kind == "explicit":
-            # exactly `horizon` values: the final record repeats the last one
+            # exactly `horizon` values, one per update
             schedule = rg.StepSchedule.explicit(0.9 / np.sqrt(np.arange(horizon) + 1.0))
-            etas = np.append(schedule.sequence(horizon), schedule.values[-1])
         else:
             schedule = rg.StepSchedule(kind, 0.9)
-            etas = schedule.sequence(horizon + 1)
+        etas = schedule.sequence(horizon)
         traj = rg.simulate(fig1, demo_state(), schedule, horizon)
-        assert np.array_equal(traj.eta, etas)
         state = demo_state()
         for t in range(horizon + 1):
-            rec = traj.record(t)
-            assert (rec.prices, rec.references) == (state.prices, state.references), t
+            assert state_at(traj, t) == state, t
             if t < horizon:
                 state = rg.ascent_step(fig1, state, float(etas[t]))
 
     def test_final_state_accessor(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(0.5), 8)
-        final = traj.final_state()
-        assert final.prices == traj.record(8).prices
-        assert final.references == traj.record(8).references
+        assert traj.final_state() == state_at(traj, 8)
 
 
-def array_digest(traj: rg.Trajectory) -> str:
-    """sha256 of the raw bytes of all seven trajectory arrays."""
+def array_digest(traj: rg.Trajectory, schedule: rg.StepSchedule) -> str:
+    """sha256 of the raw bytes of the six trajectory arrays, then of the
+    schedule's first len(traj) step sizes (the digests were frozen when
+    the trajectory still held that seventh column itself)."""
     h = hashlib.sha256()
-    for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L", "eta"):
+    for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L"):
         h.update(getattr(traj, name).tobytes())
+    h.update(schedule.sequence(len(traj)).tobytes())
     return h.hexdigest()
 
 
@@ -328,7 +331,7 @@ class TestKernelBits:
     def test_figure1_b_constant_step(self):
         cfg = rg.figure1_config("b")
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000)
-        assert array_digest(traj) == (
+        assert array_digest(traj, cfg.schedule) == (
             "ab785dee31201b55ace915b27e58199e52082c61810a0c6d26cdce52876a93c7"
         )
 
@@ -351,8 +354,9 @@ class TestKernelBits:
         init = rg.MarketState(
             prices=rg.PricePair(low, high), references=rg.PricePair(high, low)
         )
-        traj = rg.simulate(params, init, rg.StepSchedule.inverse_sqrt(1.0), 20_000)
-        assert array_digest(traj) == (
+        schedule = rg.StepSchedule.inverse_sqrt(1.0)
+        traj = rg.simulate(params, init, schedule, 20_000)
+        assert array_digest(traj, schedule) == (
             "8549331f716f0ac4d7dc156d1dc3f06ea2f06ebca39d2e6b33308b55f8306a1d"
         )
 
@@ -360,7 +364,7 @@ class TestKernelBits:
 def kernel_derivatives(params: rg.MarketParams, state: rg.MarketState) -> tuple:
     """(D_H, D_L) at ``state`` as the period kernel computes them afresh."""
     traj = rg.simulate(params, state, rg.StepSchedule.constant(1.0), 1)
-    return traj.record(0).derivatives
+    return float(traj.D_H[0]), float(traj.D_L[0])
 
 
 # a horizon that runs several ETA_CHUNKs past each case's fixed point
@@ -396,7 +400,7 @@ class TestFixedPointStop:
     def test_equals_iterated_steps_past_the_fixed_point(self, case):
         params, state, schedule = settling_cases()[case]
         traj = rg.simulate(params, state, schedule, SETTLING_HORIZON)
-        etas = traj.eta.tolist()
+        etas = schedule.sequence(SETTLING_HORIZON).tolist()
         states, derivatives, cache = [], [], {}
         for t in range(SETTLING_HORIZON + 1):
             key = (*state.prices, *state.references)
@@ -412,11 +416,6 @@ class TestFixedPointStop:
             assert np.array_equal(getattr(traj, name), states[:, k]), name
         assert np.array_equal(traj.D_H, derivatives[:, 0])
         assert np.array_equal(traj.D_L, derivatives[:, 1])
-        if schedule.kind == "explicit":
-            assert np.array_equal(traj.eta[:-1], schedule.values)
-            assert traj.eta[-1] == schedule.values[-1]
-        else:
-            assert np.array_equal(traj.eta, schedule.sequence(SETTLING_HORIZON + 1))
 
         # the premise: a fixed point reached inside a chunk, with at
         # least two whole chunks left to fill
@@ -436,6 +435,6 @@ class TestFixedPointStop:
         # iterated every period
         cfg = rg.figure1_config("a")
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, cfg.horizon)
-        assert array_digest(traj) == (
+        assert array_digest(traj, cfg.schedule) == (
             "3afa91e8af2f8881db3ecd1f591c861ce054fb5c03fce43130d6a140a90b53c0"
         )

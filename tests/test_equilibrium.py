@@ -6,6 +6,7 @@ the defining equations; the solvers under test never produced them.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refgame as rg
+import refgame.equilibrium as equilibrium
 
 # frozen: stationary prices and demands of the demo instance
 SNE_H = 1.920413366139232687344
@@ -88,6 +90,12 @@ class TestLambertW:
             w = rg.lambert_w(float(x))
             assert w >= 0.0
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, x)
+
+    @pytest.mark.parametrize("x", [1e300, 1e307, 1.7e308, sys.float_info.max])
+    def test_near_the_float_maximum(self, x):
+        # w e^w = x in log form; w * e^w itself would overflow
+        w = rg.lambert_w(x)
+        assert abs(w + math.log(w) - math.log(x)) <= 1e-14 * math.log(x)
 
     def test_against_scipy(self):
         for x in np.logspace(-6, 9, 40):
@@ -239,10 +247,10 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             rg.best_response(fig1, "H", 100.0, rg.PricePair(1.0, 1.0))
 
-    def test_collapsed_bracket_fails_fast(self):
-        cfg = rg.SolverConfig(tolerance=1e-15)
+    def test_collapsed_bracket_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "TOLERANCE", 1e-15)
         with pytest.raises(rg.SolverError) as err:
-            rg.best_response(COLLAPSING, "L", COLLAPSING_OPPONENT, COLLAPSING_R0, cfg)
+            rg.best_response(COLLAPSING, "L", COLLAPSING_OPPONENT, COLLAPSING_R0)
         lo, hi = err.value.context["bracket"]
         assert err.value.context["iterations"] < 200
         assert not lo < 0.5 * (lo + hi) < hi
@@ -311,8 +319,8 @@ class TestSolveSne:
         assert math.isclose(sol.prices.p_L, SNE_L, rel_tol=1e-9)
         for value, (lower, upper) in zip(sol.prices, sol.bounds):
             assert lower < value < upper
-        det, trace, min_eig = sol.hessian_certificate
-        assert det > 0.0 and trace > 0.0 and min_eig > 0.0
+        cert = sol.hessian_certificate
+        assert cert.det > 0.0 and cert.trace > 0.0 and cert.min_eig > 0.0
 
     def test_symmetric_matches_scalar_reduction(self, symmetric):
         sol = rg.solve_sne(symmetric)
@@ -368,18 +376,13 @@ class TestSolveSne:
 
 
 class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rg.SolverConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            rg.SolverConfig(max_iterations=0)
-
-    def test_solver_error_carries_context(self, fig1):
+    def test_solver_error_carries_context(self, fig1, monkeypatch):
         # an absurdly tight tolerance cannot be met: Newton stalls at the
         # floating-point floor and the error must carry its context
-        cfg = rg.SolverConfig(tolerance=1e-300, max_iterations=50)
+        monkeypatch.setattr(equilibrium, "TOLERANCE", 1e-300)
+        monkeypatch.setattr(equilibrium, "MAX_ITERATIONS", 50)
         with pytest.raises(rg.SolverError) as err:
-            rg.solve_sne(fig1, cfg)
+            rg.solve_sne(fig1)
         assert "iterations" in err.value.context
 
 
