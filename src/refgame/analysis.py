@@ -261,8 +261,11 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     1e-2, actually oscillates (several direction reversals), and keeps
     a comparable oscillation amplitude across its two halves (ratio
     within [0.5, 2]); UNDECIDED otherwise (drifting, aliased, or mixed
-    tails all land here).
+    tails all land here). An empty trajectory is refused, as by
+    :func:`rate_fit`.
     """
+    if len(traj) == 0:
+        raise ValueError("trajectory is empty")
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     n = len(traj)
@@ -367,10 +370,9 @@ def _drift_minima(params: MarketParams, sne: PricePair):
     return float(np.min(vals)), int(keep.sum()), shells
 
 
-def _hessian_error(params: MarketParams, sne: PricePair) -> float:
-    """Max floored relative error of the closed-form Hessian of the local
-    potential against second differences with step 1e-4."""
-    matrix = hessian_certificate(params, sne).matrix
+def _hessian_error(params: MarketParams, sne: PricePair, matrix: np.ndarray) -> float:
+    """Max floored relative error of ``matrix``, the closed-form Hessian of
+    the local potential at ``sne``, against second differences with step 1e-4."""
     h = 1e-4
 
     def pot(p_H, p_L):
@@ -406,7 +408,7 @@ def check_properties(params: MarketParams, sne: "SneSolution", rng) -> PropertyR
     violations = _bound_violations(params, _BOUND_SAMPLES, rng)
     drift_min, n_grid, shells = _drift_minima(params, sne.prices)
     increasing = shells[0][1] < shells[1][1] < shells[2][1]
-    hess_err = _hessian_error(params, sne.prices)
+    hess_err = _hessian_error(params, sne.prices, sne.hessian_certificate.matrix)
     passed = {
         "gradient": grad_err < 1e-6,
         "bounds": violations == 0,

@@ -51,7 +51,7 @@ from .equilibrium import (
     solve_sne,
     validate_price_box,
 )
-from .model import MarketParams, PricePair
+from .model import PricePair
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -156,12 +156,6 @@ def _policy_csv_path(out: str | Path) -> Path:
     return out.with_name(out.stem + "_policy" + (out.suffix or ".csv"))
 
 
-def _validated(params: MarketParams) -> None:
-    check = validate_price_box(params)
-    if not check.ok:
-        raise ConfigError(check.describe())
-
-
 def _print_sne(sol: SneSolution) -> None:
     (lo_H, up_H), (lo_L, up_L) = sol.bounds
     cert = sol.hessian_certificate
@@ -180,7 +174,7 @@ def _print_sne(sol: SneSolution) -> None:
 
 
 def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
-    _validated(config.params)
+    validate_price_box(config.params)
     out_path = out or config.output_path
     with _output_files(out_path):
         sol = solve_sne(config.params)
@@ -216,7 +210,7 @@ def cmd_sne(config: ExperimentConfig) -> int:
 
 
 def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
-    _validated(config.params)
+    validate_price_box(config.params)
     out_path = Path(out or config.output_path)
     joined_path = _policy_csv_path(out_path)
     with _output_files(out_path, joined_path):

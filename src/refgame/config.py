@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dynamics import StepSchedule
+from .dynamics import StepSchedule, _check_horizon
 from .equilibrium import sne_bounds
 from .model import FirmParams, MarketParams, MarketState, PricePair
 
@@ -72,8 +72,7 @@ class ExperimentConfig:
     output_path: str = "trajectory.csv"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ConfigError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        _check_horizon(self.horizon, ConfigError)
         for label, pair in (
             ("init_prices", self.init_prices),
             ("init_references", self.init_references),
@@ -181,8 +180,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"schedule: {err}") from err
     horizon = _require(doc, "horizon", "configuration")
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ConfigError(f"horizon must be an integer, got {horizon!r}")
     return ExperimentConfig(
         params=params,
         init_prices=_pair_from_list(_require(doc, "init_prices", "configuration"), "init_prices"),

@@ -185,6 +185,12 @@ def reference_update(params: MarketParams, r: PricePair, p: PricePair) -> PriceP
     return PricePair(*(min(max(alpha * r_i + omega * p_i, lo), hi) for r_i, p_i in zip(r, p)))
 
 
+def _check_horizon(horizon, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``horizon`` is an int >= 1; a bool is no horizon."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise error(f"horizon must be an integer >= 1, got {horizon!r}")
+
+
 def _state_floats(params: MarketParams, state: MarketState):
     p_H, p_L = float(state.prices[0]), float(state.prices[1])
     r_H, r_L = float(state.references[0]), float(state.references[1])
@@ -249,8 +255,7 @@ def simulate(
     * the reference update does not read eta, and D depends on the
       state alone, so the recorded D repeats as well.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    _check_horizon(horizon)
     p_H, p_L, r_H, r_L = _state_floats(params, init)
 
     n = horizon + 1

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .dynamics import Trajectory, reference_update
+from .dynamics import Trajectory, _check_horizon, reference_update
 from .model import MarketParams, PricePair, _consts, _demands_fast
 
 __all__ = [
     "SolverError",
-    "BoxCheck",
     "SneSolution",
     "lambert_w",
     "sne_bounds",
@@ -67,35 +66,6 @@ class SolverError(RuntimeError):
 TOLERANCE = 1e-12
 # Cap on the iterations of every solver loop.
 MAX_ITERATIONS = 100_000
-
-
-@dataclass(frozen=True)
-class BoxCheck:
-    """Outcome of the price-box admissibility test.
-
-    The box is admissible when ``p_lo <= lower_threshold`` (the smaller
-    of the two component lower bounds) and ``p_hi >= upper_threshold``
-    (the larger of the two component upper bounds).
-    """
-
-    ok: bool
-    lower_ok: bool
-    upper_ok: bool
-    lower_threshold: float
-    upper_threshold: float
-
-    def describe(self) -> str:
-        if self.ok:
-            return (
-                f"price box admissible (p_lo <= {self.lower_threshold:.6g}, "
-                f"p_hi >= {self.upper_threshold:.6g})"
-            )
-        parts = []
-        if not self.lower_ok:
-            parts.append(f"p_lo must be <= {self.lower_threshold:.6g}")
-        if not self.upper_ok:
-            parts.append(f"p_hi must be >= {self.upper_threshold:.6g}")
-        return "price box inadmissible: " + "; ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -189,24 +159,26 @@ def sne_bounds(params: MarketParams) -> tuple[tuple[float, float], tuple[float, 
     return (out[0], out[1])
 
 
-def validate_price_box(params: MarketParams) -> BoxCheck:
+def validate_price_box(params: MarketParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """Check that [p_lo, p_hi] is wide enough to contain the stationary point.
 
-    Passes iff p_lo is at most the smaller component lower bound and
-    p_hi at least the larger component upper bound.
+    The box is admissible iff p_lo is at most the smaller component lower
+    bound and p_hi at least the larger component upper bound of
+    :func:`sne_bounds`. Returns those bounds when it is; otherwise raises
+    ``ValueError("price box inadmissible: p_lo must be <= X; p_hi must
+    be >= Y")``, naming only the thresholds that are missed.
     """
-    (lo_H, up_H), (lo_L, up_L) = sne_bounds(params)
-    lower_threshold = min(lo_H, lo_L)
-    upper_threshold = max(up_H, up_L)
-    lower_ok = params.p_lo <= lower_threshold
-    upper_ok = params.p_hi >= upper_threshold
-    return BoxCheck(
-        ok=lower_ok and upper_ok,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        lower_threshold=lower_threshold,
-        upper_threshold=upper_threshold,
-    )
+    bounds = sne_bounds(params)
+    (lo_H, up_H), (lo_L, up_L) = bounds
+    lower, upper = min(lo_H, lo_L), max(up_H, up_L)
+    missed = []
+    if params.p_lo > lower:
+        missed.append(f"p_lo must be <= {lower:.6g}")
+    if params.p_hi < upper:
+        missed.append(f"p_hi must be >= {upper:.6g}")
+    if missed:
+        raise ValueError("price box inadmissible: " + "; ".join(missed))
+    return bounds
 
 
 def _own_derivative(consts, firm: str, p_own: float, p_other: float, r: PricePair):
@@ -378,18 +350,15 @@ def solve_sne(params: MarketParams) -> SneSolution:
 
     Solves G_i(p, p) = 0 from the box midpoint to max|G_i| <=
     TOLERANCE; that dimensionless defect is the returned residual,
-    and the Newton steps taken its iteration count. The returned
-    solution carries the analytic bounds and the local Hessian
-    certificate.
+    and the Newton steps taken its iteration count. An inadmissible
+    price box raises the ``ValueError`` of :func:`validate_price_box`;
+    the bounds that call returns are the solution's analytic bounds,
+    beside the local Hessian certificate.
     """
-    check = validate_price_box(params)
-    if not check.ok:
-        raise ValueError(check.describe())
-
+    bounds = validate_price_box(params)
     mid = 0.5 * (params.p_lo + params.p_hi)
     p_H, p_L, residual, iterations = _newton(params, None, (mid, mid))
     prices = PricePair(p_H, p_L)
-    bounds = sne_bounds(params)
     for value, (lower, upper) in zip(prices, bounds):
         if not (lower < value < upper):
             raise SolverError(
@@ -426,8 +395,7 @@ def equilibrium_path(
     policy solve is warm-started from the previous one. Solver failures
     are re-raised with the offending period attached.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    _check_horizon(horizon)
     r_H, r_L = float(r0[0]), float(r0[1])
     if not params.in_box(r_H, r_L):
         raise ValueError("initial references must lie in the price box")

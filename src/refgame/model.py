@@ -94,8 +94,9 @@ class MarketParams:
     ``alpha`` is the exponential-smoothing memory of the reference
     price (1 = frozen references, 0 = references track last prices).
     ``[p_lo, p_hi]`` is the feasible price interval; whether it is wide
-    enough to contain the stationary equilibrium is *not* checked here,
-    call :func:`refgame.equilibrium.validate_price_box` for that.
+    enough to contain the stationary equilibrium is *not* checked here:
+    :func:`refgame.equilibrium.validate_price_box` returns the bounds of
+    the stationary prices when it is, and raises ``ValueError`` when not.
     """
 
     firm_H: FirmParams

@@ -217,6 +217,13 @@ class TestCycleDetector:
         )
         assert rg.cycle_detector(traj, sne, tail_fraction=0.5) == rg.UNDECIDED
 
+    def test_empty_trajectory_refused(self, fig1, fig1_sne):
+        traj = rg.Trajectory(fig1, "synthetic", *(np.empty(0) for _ in range(6)))
+        with pytest.raises(ValueError, match="trajectory is empty"):
+            rg.cycle_detector(traj, fig1_sne.prices)
+        with pytest.raises(ValueError, match="trajectory is empty"):
+            rg.rate_fit(traj, fig1_sne.prices)
+
     def test_tail_fraction_validated(self, fig1, fig1_sne):
         traj = _constant_trajectory(fig1, fig1_sne.prices, n=20)
         with pytest.raises(ValueError):

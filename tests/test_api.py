@@ -8,7 +8,7 @@ import refgame.config
 
 # frozen: the exported names, one entry per name
 PUBLIC_NAMES = [
-    "BoxCheck", "CONVERGED", "CYCLING", "ConfigError", "ExperimentConfig",
+    "CONVERGED", "CYCLING", "ConfigError", "ExperimentConfig",
     "FIGURE1_VARIANTS", "FirmParams", "HessianCertificate", "MarketParams",
     "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT",
     "RateReport", "SneSolution", "SolverError", "StepSchedule", "Trajectory",

@@ -115,6 +115,20 @@ class TestConfigParsing:
         with pytest.raises(rg.ConfigError, match="horizon"):
             rg.load_config(path)
 
+    @pytest.mark.parametrize("horizon", [1.5, True, "10"])
+    def test_non_integer_horizon_exits_1_with_one_line(self, tmp_path, capsys, horizon):
+        path = write_config(tmp_path, demo_config_dict(horizon=horizon))
+        with pytest.raises(rg.ConfigError):
+            rg.load_config(path)
+        assert cli.main(["sne", "--config", path]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: horizon must be an integer >= 1, got {horizon!r}\n"
+        )
+
+    def test_override_refuses_a_bool_horizon(self):
+        with pytest.raises(rg.ConfigError, match="horizon must be an integer >= 1, got True"):
+            rg.figure1_config("a").override(horizon=True)
+
     def test_out_of_box_initial_state(self, tmp_path):
         path = write_config(tmp_path, demo_config_dict(init_prices=[9.0, 1.0]))
         with pytest.raises(rg.ConfigError, match="init_prices"):

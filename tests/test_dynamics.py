@@ -208,6 +208,9 @@ class TestSimulate:
             rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(1.0), 0)
         with pytest.raises(ValueError):
             rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(1.0), 2.5)
+        # a bool is an int in Python, but it is no horizon
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1, got True"):
+            rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(1.0), True)
 
     def test_record_zero_is_initial_state(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 10)

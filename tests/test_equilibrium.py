@@ -153,20 +153,39 @@ class TestValidatePriceBox:
         firm = rg.FirmParams(a=10.0, b=1.0, c=1.0)
         return rg.MarketParams(firm, firm, alpha=0.5, p_lo=p_lo, p_hi=p_hi)
 
+    def _refusal(self, p_lo, p_hi) -> str:
+        with pytest.raises(ValueError) as err:
+            rg.validate_price_box(self._params(p_lo, p_hi))
+        return str(err.value)
+
     def test_pass(self):
-        check = rg.validate_price_box(self._params(0.4, 8.0))
-        assert check.ok and check.lower_ok and check.upper_ok
+        params = self._params(0.4, 8.0)
+        bounds = rg.validate_price_box(params)
+        assert bounds == rg.sne_bounds(params)
+        assert math.isclose(bounds[0][1], WORKED_UPPER, rel_tol=1e-12)
 
     def test_fail_upper_reports_threshold(self):
-        check = rg.validate_price_box(self._params(0.4, 7.0))
-        assert not check.ok and check.lower_ok and not check.upper_ok
-        assert math.isclose(check.upper_threshold, WORKED_UPPER, rel_tol=1e-12)
-        assert "7.3784" in check.describe()
+        assert self._refusal(0.4, 7.0) == "price box inadmissible: p_hi must be >= 7.37846"
 
     def test_fail_lower(self):
-        check = rg.validate_price_box(self._params(0.6, 8.0))
-        assert not check.ok and not check.lower_ok
-        assert check.lower_threshold == 0.5
+        assert self._refusal(0.6, 8.0) == "price box inadmissible: p_lo must be <= 0.5"
+
+    def test_fail_both_joins_the_two_parts(self):
+        assert self._refusal(0.6, 7.0) == (
+            "price box inadmissible: p_lo must be <= 0.5; p_hi must be >= 7.37846"
+        )
+
+    def test_solve_sne_evaluates_the_bounds_once(self, fig1, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return rg.sne_bounds(params)
+
+        monkeypatch.setattr(equilibrium, "sne_bounds", counted)
+        sol = rg.solve_sne(fig1)
+        assert calls == [fig1]
+        assert sol.bounds == rg.sne_bounds(fig1)
 
 
 def monopoly_root_oracle(a: float, b: float, lo: float, hi: float) -> float:
@@ -455,3 +474,6 @@ class TestEquilibriumPath:
             rg.equilibrium_path(fig1, rg.PricePair(0.01, 1.0), 10)
         with pytest.raises(ValueError):
             rg.equilibrium_path(fig1, rg.PricePair(1.0, 1.0), 0)
+        # a bool is an int in Python, but it is no horizon
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1, got True"):
+            rg.equilibrium_path(fig1, rg.PricePair(1.0, 1.0), True)
