@@ -20,6 +20,10 @@ one row per period, LF line endings, each float cell exactly
 stationary equilibrium solved once per run; ``eps_l1`` the
 sensitivity-weighted l1 distance. ``sne_residual`` in a summary is the
 dimensionless max|G_i| of the scaled first-order conditions at the SNE.
+
+``compare`` (and ``figure1 --variant c``) also writes ``<out stem>_policy.csv``:
+the learning and equilibrium-policy reference paths, both over the run's
+one horizon, and their gap, one row per period.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import numpy as np
 
 from . import analysis
 from .config import (
-    FIGURE1_POLICY_HORIZON,
     FIGURE1_VARIANTS,
     ConfigError,
     ExperimentConfig,
@@ -113,20 +116,12 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory, sne: PricePair) -> 
         )
 
 
-def _write_joined_refs_csv(
-    path: str | Path, learn: Trajectory, policy: Trajectory
-) -> None:
-    """Joined reference-price paths over the policy path's horizon."""
-    n = min(len(learn), len(policy))
-    gap = np.hypot(
-        learn.r_H[:n] - policy.r_H[:n], learn.r_L[:n] - policy.r_L[:n]
-    )
+def _write_joined_refs_csv(path: str | Path, learn: Trajectory, policy: Trajectory) -> None:
+    """Joined reference-price paths of one horizon, one row per period."""
+    gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write("t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap\n")
-        _write_rows(
-            f, np.arange(n), learn.r_H[:n], learn.r_L[:n],
-            policy.r_H[:n], policy.r_L[:n], gap,
-        )
+        _write_rows(f, np.arange(len(learn)), learn.r_H, learn.r_L, policy.r_H, policy.r_L, gap)
 
 
 @contextlib.contextmanager
@@ -217,8 +212,7 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
         sol = solve_sne(config.params)
         sne = sol.prices
         traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
-        policy_horizon = min(config.horizon, FIGURE1_POLICY_HORIZON)
-        policy = equilibrium_path(config.params, config.init_references, policy_horizon)
+        policy = equilibrium_path(config.params, config.init_references, config.horizon)
 
         write_trajectory_csv(out_path, traj, sne)
         _write_joined_refs_csv(joined_path, traj, policy)
@@ -231,7 +225,6 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
     _say("command", "compare")
     _say("schedule", traj.schedule)
     _say("horizon", config.horizon)
-    _say("policy_horizon", policy_horizon)
     _say("output", str(out_path))
     _say("output_policy", str(joined_path))
     _print_sne(sol)

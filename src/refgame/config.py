@@ -22,10 +22,10 @@ Schedule kinds: ``{"kind": "constant", "eta": x}``,
 ``{"kind": "inverse_sqrt", "c": x}``, ``{"kind": "inverse_t", "d": x}``,
 ``{"kind": "explicit", "values": [...]}``.
 
-``output_path`` is optional. A field not named above, at any level, is
-refused with ``ConfigError`` naming the field and where it sits, so a
-misspelt field never falls back to a default. One exception: a
-top-level ``"seed"`` is accepted and ignored, so older documents that
+``output_path`` is optional, a non-empty string. A field not named above,
+at any level, is refused with ``ConfigError`` naming the field and where
+it sits, so a misspelt field never falls back to a default. One exception:
+a top-level ``"seed"`` is accepted and ignored, so older documents that
 carry it still load (the randomised ``verify`` sweep takes ``--seed``).
 
 The bundled ``figure1`` preset is the two-firm instance used throughout
@@ -73,6 +73,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_horizon(self.horizon, ConfigError)
+        if not (isinstance(self.output_path, str) and self.output_path):
+            raise ConfigError(f"output_path must be a non-empty string, got {self.output_path!r}")
         for label, pair in (
             ("init_prices", self.init_prices),
             ("init_references", self.init_references),
@@ -188,7 +190,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ),
         schedule=schedule,
         horizon=horizon,
-        output_path=str(doc.get("output_path", "trajectory.csv")),
+        output_path=doc.get("output_path", "trajectory.csv"),
     )
 
 
@@ -227,11 +229,9 @@ def figure1_params() -> MarketParams:
 FIGURE1_VARIANTS = ("a", "b", "c")
 
 # preset horizons: long enough for variant (a) to settle and (b) to show
-# a persistent cycle; (c) pairs the variant-(a) run with a 1000-period
-# equilibrium-policy path
+# a persistent cycle; (c) pairs the variant-(a) run with an
+# equilibrium-policy path over the same horizon
 _FIGURE1_HORIZONS = {"a": 100_000, "b": 10_000, "c": 100_000}
-# periods of the equilibrium-policy path a comparison runs, at most
-FIGURE1_POLICY_HORIZON = 1_000
 
 
 def figure1_config(variant: str = "a") -> ExperimentConfig:
@@ -240,7 +240,7 @@ def figure1_config(variant: str = "a") -> ExperimentConfig:
     Variant "a": eta_t = 1/sqrt(t+1) for 1e5 periods (settles).
     Variant "b": eta_t = 1 for 1e4 periods (cycles).
     Variant "c": same schedule as "a"; meant to be run as a comparison
-    against the equilibrium-policy path (policy horizon 1000).
+    against the equilibrium-policy path over the same 1e5 periods.
     """
     if variant not in FIGURE1_VARIANTS:
         raise ConfigError(f"variant must be one of {FIGURE1_VARIANTS}, got {variant!r}")

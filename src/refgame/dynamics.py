@@ -186,9 +186,16 @@ def reference_update(params: MarketParams, r: PricePair, p: PricePair) -> PriceP
 
 
 def _check_horizon(horizon, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless ``horizon`` is an int >= 1; a bool is no horizon."""
+    """The horizon rule of :func:`simulate`, ``equilibrium_path`` and
+    ``ExperimentConfig``: raise ``error`` unless ``horizon`` is an int >= 1
+    (a bool is none) whose ``horizon + 1`` records fit in RETENTION_LIMIT."""
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise error(f"horizon must be an integer >= 1, got {horizon!r}")
+    if horizon >= RETENTION_LIMIT:
+        raise error(
+            f"horizon {horizon} exceeds the retention limit "
+            f"({RETENTION_LIMIT} records held in memory)"
+        )
 
 
 def _state_floats(params: MarketParams, state: MarketState):
@@ -259,12 +266,6 @@ def simulate(
     p_H, p_L, r_H, r_L = _state_floats(params, init)
 
     n = horizon + 1
-    if n > RETENTION_LIMIT:
-        raise ValueError(
-            f"horizon {horizon} exceeds the retention limit "
-            f"({RETENTION_LIMIT} records held in memory)"
-        )
-
     # eta_0 .. eta_{horizon-1}, one per update; the last pass, which
     # records t = horizon, repeats the final value for an update that is
     # discarded.

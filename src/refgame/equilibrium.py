@@ -389,36 +389,41 @@ def equilibrium_path(
 ) -> Trajectory:
     """Full-information baseline: play p*(r_t) each period, smooth references.
 
-    Returns a trajectory in the same layout as the learning simulator,
-    with ``D_H``/``D_L`` the log-revenue derivatives at each period's
-    policy prices; no step size is involved. Each period's
-    policy solve is warm-started from the previous one. Solver failures
-    are re-raised with the offending period attached.
+    Returns ``horizon + 1`` records in the simulator's layout, ``D_H``/``D_L``
+    being the log-revenue derivatives at each period's policy prices. Period
+    t solves ``p_t = equilibrium_policy(r_t, start=p_{t-1})`` and sets
+    ``r_{t+1} = reference_update(r_t, p_t)``; a solver failure is re-raised
+    with the period attached. Once, for some t >= 1, ``p_t == p_{t-1}`` and
+    ``r_{t+1} == r_t`` bit for bit, the rest is filled with record t. That
+    is exact: period t+1 would call the deterministic policy with period
+    t's reference and start, so it and every later period repeat record t.
     """
     _check_horizon(horizon)
-    r_H, r_L = float(r0[0]), float(r0[1])
-    if not params.in_box(r_H, r_L):
+    r = PricePair(float(r0[0]), float(r0[1]))
+    if not params.in_box(*r):
         raise ValueError("initial references must lie in the price box")
 
     consts = _consts(params)
     s_H, s_L = consts[1], consts[4]
-    n = horizon + 1
-    columns = np.empty((6, n))  # p_H, p_L, r_H, r_L, D_H, D_L
+    columns = np.empty((6, horizon + 1))  # p_H, p_L, r_H, r_L, D_H, D_L
 
     guess: PricePair | None = None
-    for t in range(n):
+    for t in range(horizon + 1):
         try:
-            p = equilibrium_policy(params, PricePair(r_H, r_L), start=guess)
+            p = equilibrium_policy(params, r, start=guess)
         except SolverError as err:
             raise SolverError(
                 f"equilibrium_path failed at period {t}: {err}",
                 period=t,
                 **err.context,
             ) from err
-        guess = p
-        _, _, q_H, q_L = _demands_fast(consts, p.p_H, p.p_L, r_H, r_L)
-        columns[:, t] = (p.p_H, p.p_L, r_H, r_L, 1.0 / p.p_H - s_H * q_H, 1.0 / p.p_L - s_L * q_L)
-        if t < horizon:
-            r_H, r_L = reference_update(params, PricePair(r_H, r_L), p)
+        _, _, q_H, q_L = _demands_fast(consts, *p, *r)
+        columns[:, t] = (*p, *r, 1.0 / p.p_H - s_H * q_H, 1.0 / p.p_L - s_L * q_L)
+        r_next = reference_update(params, r, p)
+        # every value lies in [p_lo, p_hi] with p_lo > 0, so == is bit equality
+        if p == guess and r_next == r:
+            columns[:, t + 1 :] = columns[:, t : t + 1]
+            break
+        r, guess = r_next, p
 
     return Trajectory(params, "equilibrium-policy", *columns)

@@ -125,6 +125,18 @@ class TestConfigParsing:
             "", f"error: horizon must be an integer >= 1, got {horizon!r}\n"
         )
 
+    @pytest.mark.parametrize("value", [None, 5, "", ["x.csv"]])
+    def test_output_path_must_be_a_non_empty_string(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, demo_config_dict(output_path=value))
+        with pytest.raises(rg.ConfigError, match="output_path"):
+            rg.load_config(path)
+        assert cli.main(["simulate", "--config", path]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: output_path must be a non-empty string, got {value!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_override_refuses_a_bool_horizon(self):
         with pytest.raises(rg.ConfigError, match="horizon must be an integer >= 1, got True"):
             rg.figure1_config("a").override(horizon=True)
@@ -401,11 +413,13 @@ class TestCsvRows:
 
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS + 1])
     def test_joined_refs_rows_match_per_cell_format(self, tmp_path, fig1, n):
-        learn = edge_trajectory(fig1, n + 5)
-        policy = edge_trajectory(fig1, n)
+        learn = edge_trajectory(fig1, n)
+        policy = dataclasses.replace(
+            learn, r_H=np.roll(learn.r_H, 3), r_L=np.roll(learn.r_L, 5)
+        )
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
-        gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
+        gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
         lines = out.read_text(encoding="ascii").split("\n")
         assert lines[0] == "t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap"
         assert lines[1:] == [
@@ -417,11 +431,11 @@ class TestCsvRows:
 
     def test_joined_refs_with_a_repeated_tail(self, tmp_path, fig1):
         n = CHUNK + 300
-        learn = runs_trajectory(fig1, n + 5, [(900, n + 5)], seed=1)
+        learn = runs_trajectory(fig1, n, [(900, n)], seed=1)
         policy = runs_trajectory(fig1, n, [(1000, n)], seed=2)
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
-        gap = np.hypot(learn.r_H[:n] - policy.r_H, learn.r_L[:n] - policy.r_L)
+        gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
         lines = out.read_text(encoding="ascii").split("\n")
         assert lines[1:] == [
             reference_cells(
@@ -495,9 +509,18 @@ class TestCompareCommand:
         summary = summary_dict(capsys.readouterr().out)
         policy_file = tmp_path / "cmp_policy.csv"
         assert out.exists() and policy_file.exists()
-        header = policy_file.read_text(encoding="ascii").split("\n")[0]
-        assert header == "t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap"
-        assert int(summary["policy_horizon"]) == 1000
+        lines = policy_file.read_text(encoding="ascii").split("\n")
+        assert lines[0] == "t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap"
+        # one horizon for both paths: a row for each of the 3001 periods
+        assert lines[-1] == "" and len(lines) - 2 == 3001
+        rows = np.array([line.split(",") for line in lines[1:-1]], dtype=float)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(3001))
+        config = rg.load_config(path)
+        policy = rg.equilibrium_path(config.params, config.init_references, 3000)
+        np.testing.assert_array_equal(rows[:, 3], policy.r_H)
+        np.testing.assert_array_equal(rows[:, 4], policy.r_L)
+        # the run has one horizon, so the summary states one
+        assert list(summary)[:5] == ["command", "schedule", "horizon", "output", "output_policy"]
         assert float(summary["terminal_mutual_gap"]) < 1e-2
 
     def test_stationary_start_has_zero_gap(self, tmp_path, capsys, fig1_sne):

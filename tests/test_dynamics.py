@@ -274,6 +274,8 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "RETENTION_LIMIT", 100)
         with pytest.raises(ValueError, match="retention limit"):
             rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(0.5), 200)
+        with pytest.raises(ValueError, match="retention limit"):
+            rg.equilibrium_path(fig1, demo_state().references, 200)
         out = tmp_path / "x.csv"
         code = cli.main(["figure1", "--horizon", "200", "--out", str(out)])
         assert code == 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import refgame as rg
 import refgame.equilibrium as equilibrium
+from refgame.model import _consts, _demands_fast
 
 # frozen: stationary prices and demands of the demo instance
 SNE_H = 1.920413366139232687344
@@ -58,9 +59,37 @@ STIFF = rg.MarketParams(
     p_hi=8.092705084036004,
 )
 STIFF_R0 = rg.PricePair(1.1663842933423356, 1.438100073151389)
+# market 152 of the same sweep: its policy path is bit-fixed from period 18,
+# inside the sweep's 20-period paths
+EARLY_FIXED = rg.MarketParams(
+    firm_H=rg.FirmParams(a=1.7379509027364524, b=0.14329094783289273, c=2.6626927858835043),
+    firm_L=rg.FirmParams(a=10.340110088189828, b=2.8096518474695213, c=0.4483857695145944),
+    alpha=0.034441395010944384,
+    p_lo=0.27623990444686997,
+    p_hi=3.2100281152947368,
+)
+EARLY_FIXED_R0 = rg.PricePair(1.9048466384265152, 2.1294873442996423)
+# the figure1 policy path from its start references is bit-fixed from period 417
+FIG1_R0 = rg.PricePair(0.10, 2.95)
+FIG1_FIXED_FROM = 417
 
 # deterministic examples, so tier-1 runs the same markets every time
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def policy_path_oracle(params, r0, horizon, policy=None):
+    """(p, r) of every period by the plain loop, with no stop: period t
+    solves p_t = policy(r_t, start=p_{t-1}) and sets r_{t+1} =
+    reference_update(r_t, p_t). Returns two (2, horizon + 1) arrays."""
+    policy = policy or rg.equilibrium_policy
+    prices, refs = [], []
+    r, guess = rg.PricePair(*r0), None
+    for _ in range(horizon + 1):
+        p = policy(params, r, start=guess)
+        prices.append(p)
+        refs.append(r)
+        r, guess = rg.reference_update(params, r, p), p
+    return np.array(prices).T, np.array(refs).T
 
 
 def bisect_w(target: float, lo: float, hi: float, iters: int = 80) -> float:
@@ -468,6 +497,70 @@ class TestEquilibriumPath:
                 rg.PricePair(traj.p_H[t], traj.p_L[t]),
             )
             assert (traj.r_H[t + 1], traj.r_L[t + 1]) == tuple(update), t
+
+    @pytest.mark.parametrize(
+        "market, horizon",
+        [
+            ("fig1", 300),  # not yet fixed
+            ("fig1", FIG1_FIXED_FROM),  # fixed at the last period: nothing to fill
+            ("fig1", FIG1_FIXED_FROM + 1),  # one record filled
+            ("fig1", 1000),
+            ("early", 20),
+        ],
+    )
+    def test_stop_matches_period_by_period(self, fig1, market, horizon):
+        params, r0 = (fig1, FIG1_R0) if market == "fig1" else (EARLY_FIXED, EARLY_FIXED_R0)
+        traj = rg.equilibrium_path(params, r0, horizon)
+        p, r = policy_path_oracle(params, r0, horizon)
+        assert p.tobytes() == np.stack([traj.p_H, traj.p_L]).tobytes()
+        assert r.tobytes() == np.stack([traj.r_H, traj.r_L]).tobytes()
+        # D_i = 1/p_i - s_i (1 - d_i), recomputed at the oracle's states
+        consts = _consts(params)
+        D = []
+        for p_H, p_L, r_H, r_L in zip(*p, *r):
+            _, _, q_H, q_L = _demands_fast(consts, p_H, p_L, r_H, r_L)
+            D.append((1.0 / p_H - consts[1] * q_H, 1.0 / p_L - consts[4] * q_L))
+        assert np.array(D).T.tobytes() == np.stack([traj.D_H, traj.D_L]).tobytes()
+
+    @pytest.mark.parametrize(
+        "market, horizon, solves",
+        [("fig1", 1000, FIG1_FIXED_FROM + 1), ("fig1", 300, 301), ("early", 20, 19)],
+    )
+    def test_stop_solves_up_to_the_fixed_point_only(
+        self, fig1, monkeypatch, market, horizon, solves
+    ):
+        params, r0 = (fig1, FIG1_R0) if market == "fig1" else (EARLY_FIXED, EARLY_FIXED_R0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rg.equilibrium_policy(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "equilibrium_policy", counted)
+        assert len(equilibrium.equilibrium_path(params, r0, horizon)) == horizon + 1
+        assert len(calls) == solves
+
+    def test_stop_waits_for_the_price_to_repeat(self, fig1, monkeypatch):
+        # The solver returns a start that already meets its tolerance
+        # unchanged, so with it r_{t+1} == r_t alone implies p_{t+1} == p_t.
+        # The stop must hold for any deterministic policy, so this one
+        # creeps p_H up one ulp a period, 40 times, while alpha close to 1
+        # keeps the references bit-fixed throughout.
+        params = dataclasses.replace(fig1, alpha=0.999)
+        cap = 2.0 + 40 * math.ulp(2.0)
+
+        def creeping(params, r, start=None):
+            if start is None:
+                return rg.PricePair(2.0, 1.0)
+            return rg.PricePair(min(math.nextafter(start.p_H, math.inf), cap), start.p_L)
+
+        r0 = rg.PricePair(2.0, 1.0)
+        p, r = policy_path_oracle(params, r0, 60, policy=creeping)
+        assert np.all(r[:, 1:] == r[:, :1]) and p[0, 40] == cap > p[0, 39]
+        monkeypatch.setattr(equilibrium, "equilibrium_policy", creeping)
+        traj = equilibrium.equilibrium_path(params, r0, 60)
+        assert p.tobytes() == np.stack([traj.p_H, traj.p_L]).tobytes()
+        assert r.tobytes() == np.stack([traj.r_H, traj.r_L]).tobytes()
 
     def test_rejects_bad_inputs(self, fig1):
         with pytest.raises(ValueError):
