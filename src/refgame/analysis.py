@@ -30,8 +30,9 @@ from .dynamics import Trajectory
 from .model import (
     MarketParams,
     PricePair,
+    _consts,
+    _shares,
     bound_constants,
-    demand,
     log_rev_derivative,
     revenue,
     scaled_derivative,
@@ -181,13 +182,12 @@ def hessian_certificate(params: MarketParams, sne: PricePair) -> HessianCertific
     and the smallest eigenvalue is positive; ``gamma_estimate`` is half
     that eigenvalue (the potential dominates gamma * dist^2 nearby).
     """
-    d_H, d_L, _ = demand(params, sne, sne)
-    d_H, d_L = float(d_H), float(d_L)
+    d_H, d_L, q_H, q_L = _shares(_consts(params), *sne, *sne)
     b_H, c_H = params.firm_H.b, params.firm_H.c
     b_L, c_L = params.firm_L.b, params.firm_L.c
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-    h_HH = 2.0 * s_H * (1.0 - d_H) * (s_H - c_H * d_H)
-    h_LL = 2.0 * s_L * (1.0 - d_L) * (s_L - c_L * d_L)
+    h_HH = 2.0 * s_H * q_H * (s_H - c_H * d_H)
+    h_LL = 2.0 * s_L * q_L * (s_L - c_L * d_L)
     h_HL = -(b_H * s_L + b_L * s_H) * d_H * d_L
     matrix = np.array([[h_HH, h_HL], [h_HL, h_LL]])
     eigs = np.linalg.eigvalsh(matrix)

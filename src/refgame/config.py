@@ -129,19 +129,24 @@ def _firm_from_dict(spec, where: str) -> FirmParams:
 
 def _schedule_from_dict(spec) -> StepSchedule:
     """A schedule from its descriptor, e.g. {"kind": "inverse_sqrt", "c": 1.0};
-    a key other than ``kind`` and the kind's own field is refused, and ``c``
-    of ``inverse_sqrt`` defaults to 1."""
+    a key other than ``kind`` and the kind's own field is refused, ``c`` of
+    ``inverse_sqrt`` defaults to 1, and the coefficient and each explicit
+    value must be a number (not a bool)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("schedule descriptor must be a mapping with a 'kind' key")
     kind = spec["kind"]
     field = {"constant": "eta", "inverse_sqrt": "c", "inverse_t": "d", "explicit": "values"}
     if not isinstance(kind, str) or kind not in field:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    _reject_unknown(spec, ("kind", field[kind]), f"{kind} schedule")
+    where = f"{kind} schedule"
+    _reject_unknown(spec, ("kind", field[kind]), where)
     if kind == "explicit":
-        return StepSchedule.explicit(spec.get("values"))
-    default = 1.0 if kind == "inverse_sqrt" else None
-    return StepSchedule(kind, spec.get(field[kind], default))
+        values = _require(spec, "values", where)
+        if not isinstance(values, list):
+            raise ConfigError(f"field values must be a list of numbers, got {values!r}")
+        return StepSchedule.explicit([_as_real(v, f"values[{k}]") for k, v in enumerate(values)])
+    coef = spec.get("c", 1.0) if kind == "inverse_sqrt" else _require(spec, field[kind], where)
+    return StepSchedule(kind, _as_real(coef, field[kind]))
 
 
 def _pair_from_list(spec, where: str) -> PricePair:

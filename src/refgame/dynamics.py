@@ -33,7 +33,7 @@ from .model import (
     MarketState,
     PricePair,
     _consts,
-    _demands_fast,
+    _shares,
 )
 
 __all__ = [
@@ -223,9 +223,9 @@ def ascent_step(params: MarketParams, state: MarketState, eta: float) -> MarketS
     consts = _consts(params)
     lo, hi = params.p_lo, params.p_hi
 
-    d_H, d_L, _, _ = _demands_fast(consts, p_H, p_L, r_H, r_L)
-    D_H = 1.0 / p_H + consts[1] * (d_H - 1.0)
-    D_L = 1.0 / p_L + consts[4] * (d_L - 1.0)
+    _, _, q_H, q_L = _shares(consts, p_H, p_L, r_H, r_L)
+    D_H = 1.0 / p_H - consts[1] * q_H
+    D_L = 1.0 / p_L - consts[4] * q_L
 
     new_prices = PricePair(
         min(max(p_H + eta * D_H, lo), hi),
@@ -290,6 +290,8 @@ def simulate(
     for i in range(0, n, ETA_CHUNK):
         j = min(i + ETA_CHUNK, n)
         for eta in etas[i:j].tolist():
+            # model._shares and the D_i of ascent_step, inlined: calling
+            # the kernel once per period costs about 30% more
             u_H = a_H - s_H * p_H + c_H * r_H
             u_L = a_L - s_L * p_L + c_L * r_L
             m = u_H if u_H > u_L else u_L
@@ -299,8 +301,8 @@ def simulate(
             e_L = exp(u_L - m)
             e_0 = exp(-m)
             inv = 1.0 / (e_0 + e_H + e_L)
-            D_H = 1.0 / p_H + s_H * (e_H * inv - 1.0)
-            D_L = 1.0 / p_L + s_L * (e_L * inv - 1.0)
+            D_H = 1.0 / p_H - s_H * ((e_0 + e_L) * inv)
+            D_L = 1.0 / p_L - s_L * ((e_0 + e_H) * inv)
             put_pH(p_H)
             put_pL(p_L)
             put_rH(r_H)

@@ -19,9 +19,7 @@ decreasing in the own price (safeguarded Newton in a sign bracket).
 The policy and the stationary point share one projected Newton
 iteration on G with the analytic 2x2 Jacobian and a backtracking line
 search on max|G_i| (Kelley 1995, ch. 8). Both Jacobians are strictly
-column-diagonally dominant, so the step always exists. The complement
-1 - d_i is formed as (e_0 + e_-i)/total, never by subtraction, so G
-keeps its relative precision where demand saturates and d_i rounds to 1.
+column-diagonally dominant, so the step always exists.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 
 from . import analysis
 from .dynamics import Trajectory, _check_horizon, reference_update
-from .model import MarketParams, PricePair, _consts, _demands_fast
+from .model import MarketParams, PricePair, _consts, _shares
 
 __all__ = [
     "SolverError",
@@ -181,19 +179,12 @@ def validate_price_box(params: MarketParams) -> tuple[tuple[float, float], tuple
     return bounds
 
 
-def _own_derivative(consts, firm: str, p_own: float, p_other: float, r: PricePair):
-    """(D_i, dD_i/dp_i) for one firm at the assembled state."""
-    if firm == "H":
-        d_H, d_L, _, _ = _demands_fast(consts, p_own, p_other, r[0], r[1])
-        s = consts[1]
-        d = d_H
-    else:
-        d_H, d_L, _, _ = _demands_fast(consts, p_other, p_own, r[0], r[1])
-        s = consts[4]
-        d = d_L
-    D = 1.0 / p_own + s * (d - 1.0)
-    dD = -1.0 / (p_own * p_own) - s * s * d * (1.0 - d)
-    return D, dD
+def _own_derivative(consts, i: int, p_own: float, p_other: float, r: PricePair):
+    """(D_i, dD_i/dp_i) for firm i (0 = H, 1 = L) at the assembled state."""
+    prices = (p_own, p_other) if i == 0 else (p_other, p_own)
+    shares = _shares(consts, *prices, *r)
+    d, q, s = shares[i], shares[2 + i], consts[1 + 3 * i]
+    return 1.0 / p_own - s * q, -1.0 / (p_own * p_own) - s * s * d * q
 
 
 def best_response(
@@ -217,18 +208,19 @@ def best_response(
     if not params.in_box(opponent_price, r[0], r[1]):
         raise ValueError("opponent price and references must lie in the price box")
     consts = _consts(params)
+    i = "HL".index(firm)
     lo, hi = params.p_lo, params.p_hi
 
-    f_lo, _ = _own_derivative(consts, firm, lo, opponent_price, r)
+    f_lo, _ = _own_derivative(consts, i, lo, opponent_price, r)
     if f_lo <= 0.0:
         return lo
-    f_hi, _ = _own_derivative(consts, firm, hi, opponent_price, r)
+    f_hi, _ = _own_derivative(consts, i, hi, opponent_price, r)
     if f_hi >= 0.0:
         return hi
 
     x = 0.5 * (lo + hi)
     for it in range(MAX_ITERATIONS):
-        f, df = _own_derivative(consts, firm, x, opponent_price, r)
+        f, df = _own_derivative(consts, i, x, opponent_price, r)
         if abs(f) <= TOLERANCE:
             return x
         if f > 0.0:
@@ -277,7 +269,7 @@ def _newton(
     k_H, k_L = (params.firm_H.b, params.firm_L.b) if r is None else (s_H, s_L)
 
     def evaluate(x: float, y: float):
-        d_H, d_L, q_H, q_L = _demands_fast(consts, x, y, *((x, y) if r is None else r))
+        d_H, d_L, q_H, q_L = _shares(consts, x, y, *((x, y) if r is None else r))
         g_H = 1.0 / (s_H * x) - q_H
         g_L = 1.0 / (s_L * y) - q_L
         free_H = not ((x <= lo and g_H <= 0.0) or (x >= hi and g_H >= 0.0))
@@ -417,7 +409,7 @@ def equilibrium_path(
                 period=t,
                 **err.context,
             ) from err
-        _, _, q_H, q_L = _demands_fast(consts, *p, *r)
+        _, _, q_H, q_L = _shares(consts, *p, *r)
         columns[:, t] = (*p, *r, 1.0 / p.p_H - s_H * q_H, 1.0 / p.p_L - s_L * q_L)
         r_next = reference_update(params, r, p)
         # every value lies in [p_lo, p_hi] with p_lo > 0, so == is bit equality

@@ -138,8 +138,8 @@ def _check_finite(**named) -> None:
 def utility(firm: FirmParams, p, r):
     """Deterministic utility a - b*p + c*(r - p) of one product.
 
-    Evaluated as (a - (b+c)*p) + c*r, the order the period kernels use,
-    so that this path and the hot path round alike: near D_i = 0 the
+    Evaluated as (a - (b+c)*p) + c*r, the order :func:`_shares` uses,
+    so that the two round alike: near D_i = 0 the
     log-revenue derivative is a difference of two O(1) terms, and a
     one-ulp change in u shows there as a 1e-12 relative error. No
     clamping; defined for any finite price and reference, inside the
@@ -147,6 +147,21 @@ def utility(firm: FirmParams, p, r):
     """
     _check_finite(p=p, r=r)
     return firm.a - firm.sensitivity * p + firm.c * r
+
+
+def _logit(params: MarketParams, prices, references):
+    """(d_H, d_L, d_0, q_H, q_L) by the expressions of :func:`_shares`, so
+    scalars carry its bits; arrays take ``np.exp``, which differs from
+    ``math.exp`` in the last bit for about one argument in twenty."""
+    u_H = utility(params.firm_H, prices[0], references[0])
+    u_L = utility(params.firm_L, prices[1], references[1])
+    shift = np.maximum(0.0, np.maximum(u_H, u_L))
+    exp = math.exp if np.ndim(shift) == 0 else np.exp
+    e_H = exp(u_H - shift)
+    e_L = exp(u_L - shift)
+    e_0 = exp(-shift)
+    inv = 1.0 / (e_0 + e_H + e_L)
+    return e_H * inv, e_L * inv, e_0 * inv, (e_0 + e_L) * inv, (e_0 + e_H) * inv
 
 
 def demand(params: MarketParams, prices, references):
@@ -160,23 +175,11 @@ def demand(params: MarketParams, prices, references):
     dominated one underflow to 0.0, so each share is clamped onto
     [tiny, 1 - 2^-53], the representable values nearest the exact share
     that lie strictly inside (0, 1); the shares still sum to 1 within
-    2^-53. Away from that clamp, scalar shares are bit-identical to
-    the period kernel's. Defined on all finite inputs, not only the
-    price box.
+    2^-53. Away from that clamp, scalar shares are bit-identical to those
+    of :func:`_shares`. Defined on all finite inputs, not only the price box.
     """
-    p_H, p_L = prices
-    r_H, r_L = references
-    u_H = utility(params.firm_H, p_H, r_H)
-    u_L = utility(params.firm_L, p_L, r_L)
-    shift = np.maximum(0.0, np.maximum(u_H, u_L))
-    # scalars take math.exp like the period kernel; numpy's exp differs
-    # from it in the last bit for about one argument in twenty
-    exp = math.exp if np.ndim(shift) == 0 else np.exp
-    e_H = exp(u_H - shift)
-    e_L = exp(u_L - shift)
-    e_0 = exp(-shift)
-    inv = 1.0 / (e_0 + e_H + e_L)
-    return tuple(np.clip(e * inv, _SHARE_MIN, _SHARE_MAX) for e in (e_H, e_L, e_0))
+    d_H, d_L, d_0, _, _ = _logit(params, prices, references)
+    return tuple(np.clip(d, _SHARE_MIN, _SHARE_MAX) for d in (d_H, d_L, d_0))
 
 
 def revenue(params: MarketParams, prices, references):
@@ -189,20 +192,20 @@ def revenue(params: MarketParams, prices, references):
 def log_rev_derivative(params: MarketParams, prices, references):
     """Own-price derivative of each firm's log revenue, (D_H, D_L).
 
-    D_i = 1/p_i + (b_i + c_i) * (d_i - 1). A firm can evaluate this
+    D_i = 1/p_i - (b_i + c_i) (1 - d_i). A firm can evaluate this
     from its own posted price and realized demand alone, which is what
     makes decentralized gradient pricing feasible.
     """
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("log_rev_derivative is undefined at p_i = 0")
-    d_H, d_L, _ = demand(params, prices, references)
+    _, _, _, q_H, q_L = _logit(params, prices, references)
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-    return 1.0 / p_H + s_H * (d_H - 1.0), 1.0 / p_L + s_L * (d_L - 1.0)
+    return 1.0 / p_H - s_H * q_H, 1.0 / p_L - s_L * q_L
 
 
 def scaled_derivative(params: MarketParams, prices, references):
-    """(G_H, G_L) with G_i = D_i / (b_i + c_i) = 1/((b_i+c_i) p_i) + d_i - 1.
+    """(G_H, G_L) with G_i = D_i / (b_i + c_i) = 1/((b_i+c_i) p_i) - (1 - d_i).
 
     The scaling puts both firms' ascent directions on a common footing;
     all sign and bound diagnostics are stated in terms of G.
@@ -210,9 +213,9 @@ def scaled_derivative(params: MarketParams, prices, references):
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("scaled_derivative is undefined at p_i = 0")
-    d_H, d_L, _ = demand(params, prices, references)
+    _, _, _, q_H, q_L = _logit(params, prices, references)
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-    return 1.0 / (s_H * p_H) + d_H - 1.0, 1.0 / (s_L * p_L) + d_L - 1.0
+    return 1.0 / (s_H * p_H) - q_H, 1.0 / (s_L * p_L) - q_L
 
 
 def scaled_derivative_partials(params: MarketParams, prices, references) -> np.ndarray:
@@ -233,23 +236,23 @@ def scaled_derivative_partials(params: MarketParams, prices, references) -> np.n
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("scaled_derivative_partials is undefined at p_i = 0")
-    d_H, d_L, _ = demand(params, prices, references)
+    d_H, d_L, _, q_H, q_L = _logit(params, prices, references)
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     c_H, c_L = params.firm_H.c, params.firm_L.c
     cross = d_H * d_L
     row_H = np.stack(
         [
-            -1.0 / (s_H * np.asarray(p_H, dtype=float) ** 2) - s_H * d_H * (1.0 - d_H),
+            -1.0 / (s_H * np.asarray(p_H, dtype=float) ** 2) - s_H * d_H * q_H,
             s_L * cross,
-            c_H * d_H * (1.0 - d_H),
+            c_H * d_H * q_H,
             -c_L * cross,
         ]
     )
     row_L = np.stack(
         [
-            -1.0 / (s_L * np.asarray(p_L, dtype=float) ** 2) - s_L * d_L * (1.0 - d_L),
+            -1.0 / (s_L * np.asarray(p_L, dtype=float) ** 2) - s_L * d_L * q_L,
             s_H * cross,
-            c_L * d_L * (1.0 - d_L),
+            c_L * d_L * q_L,
             -c_H * cross,
         ]
     )
@@ -277,21 +280,17 @@ def _consts(params: MarketParams) -> tuple[float, float, float, float, float, fl
     return (f_H.a, f_H.sensitivity, f_H.c, f_L.a, f_L.sensitivity, f_L.c)
 
 
-def _demands_fast(consts, p_H: float, p_L: float, r_H: float, r_L: float):
-    """Scalar logit shares and their complements on pre-flattened coefficients.
+def _shares(consts, p_H: float, p_L: float, r_H: float, r_L: float):
+    """The logit kernel: (d_H, d_L, q_H, q_L) on pre-flattened coefficients.
 
-    Returns (d_H, d_L, 1 - d_H, 1 - d_L). Each complement is formed as
-    (e_0 + e_-i)/total, never by subtraction, so it keeps full relative
-    precision where a share saturates towards 1.
-
-    Hot-path twin of :func:`demand` (math.exp instead of numpy, no
-    validation) used by the period loops in the dynamics and
-    equilibrium solvers. It evaluates the same expressions in the same
-    order (the utility as a - (b+c)*p + c*r, the shares as e_i times
-    1/total), so on scalars it matches :func:`demand` bit for bit,
-    except where :func:`demand` clamps a saturated share onto
-    [tiny, 1 - 2^-53]; here such a share may round to exactly 1.0 or
-    0.0. The test suite pins the two paths against each other.
+    q_i is the complement 1 - d_i, formed as (e_0 + e_-i)/total and
+    never by subtraction, so it keeps full relative precision where d_i
+    saturates towards 1 (a subtraction would give 0 or 2^-53 there).
+    Every site that needs 1 - d_i reads q_i: D_i = 1/p_i - (b_i+c_i) q_i,
+    G_i = 1/((b_i+c_i) p_i) - q_i, and d_i (1 - d_i) is d_i q_i. No
+    share or complement is clamped, and nothing is validated; scalars
+    only (``math.exp``). :func:`_logit` evaluates the same expressions on
+    arrays, and ``dynamics.simulate`` inlines them in its period loop.
     """
     a_H, s_H, c_H, a_L, s_L, c_L = consts
     u_H = a_H - s_H * p_H + c_H * r_H

@@ -3,6 +3,18 @@ import pytest
 
 import refgame as rg
 
+# Market 279 of the benchmark's sweep (bench/workloads.py, make_markets),
+# frozen as a literal so that tier-1 does not import bench/. Where firm H's
+# reference runs far above its price, d_H rounds to 1: at p = (1, 1),
+# r = (30, 1) the true 1 - d_H is 6.8e-43, and a subtraction gives 0 or 2^-53.
+SATURATED = rg.MarketParams(
+    firm_H=rg.FirmParams(a=51.88463513085218, b=0.18824291688731337, c=1.8485389935518624),
+    firm_L=rg.FirmParams(a=10.599684460719814, b=2.385029211902435, c=1.7593511153176002),
+    alpha=0.291332591444203,
+    p_lo=0.21716153657251372,
+    p_hi=266.9523140634842,
+)
+
 
 @pytest.fixture(scope="session")
 def fig1() -> rg.MarketParams:

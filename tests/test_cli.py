@@ -49,7 +49,8 @@ def summary_dict(captured: str) -> dict:
     return out
 
 
-# frozen from the command before its property checks moved into analysis
+# frozen from the command once the Hessian certificate read 1 - d_i as the
+# exact complement (e_0 + e_-i)/total
 VERIFY_RANDOM_20_SEED_3 = """\
 command = verify
 seed = 3
@@ -62,7 +63,7 @@ drift_grid_min = 0.0326062318516
 drift_shell_minima = 0.103719:0.0281521 0.207438:0.0515917 0.414875:0.0883589
 drift_shells_increasing = true
 hessian_pd = true
-hessian_fd_max_rel_err = 1.3359152943e-08
+hessian_fd_max_rel_err = 1.33586913828e-08
 sweep_total = 20
 sweep_contained = 20
 sweep_solver_failures = 0
@@ -180,6 +181,34 @@ class TestConfigParsing:
         with pytest.raises(rg.ConfigError) as err:
             rg.load_config(path)
         assert str(err.value) == "schedule: unknown field 'C' in inverse_sqrt schedule"
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"kind": "constant", "eta": "1"}, "field eta must be a number, got '1'"),
+            ({"kind": "constant", "eta": True}, "field eta must be a number, got True"),
+            ({"kind": "inverse_sqrt", "c": [1]}, "field c must be a number, got [1]"),
+            ({"kind": "inverse_t", "d": None}, "field d must be a number, got None"),
+            (
+                {"kind": "explicit", "values": {"a": 1}},
+                "field values must be a list of numbers, got {'a': 1}",
+            ),
+            (
+                {"kind": "explicit", "values": [True, 0.5]},
+                "field values[0] must be a number, got True",
+            ),
+            ({"kind": "explicit", "values": [1, "1"]}, "field values[1] must be a number, got '1'"),
+            ({"kind": "constant"}, "missing field 'eta' in constant schedule"),
+        ],
+        ids=["eta_str", "eta_bool", "c_list", "d_null", "values_obj", "bool_value", "str_value",
+             "no_eta"],
+    )
+    def test_schedule_field_of_the_wrong_type_exits_1_with_one_line(
+        self, tmp_path, capsys, schedule, message
+    ):
+        path = write_config(tmp_path, demo_config_dict(schedule=schedule))
+        assert cli.main(["sne", "--config", path]) == 1
+        assert capsys.readouterr() == ("", f"error: schedule: {message}\n")
 
     def test_schedule_from_dict_round_trip(self):
         s = refgame.config._schedule_from_dict({"kind": "inverse_t", "d": 2.5})
@@ -666,12 +695,13 @@ class TestFigure1Command:
 
     def test_variant_a_full_csv_bits(self, tmp_path, capsys):
         # the whole 1e5-period file, frozen from the writer that formatted
-        # every cell; the path settles at period 760, so most rows repeat
+        # every cell, on the kernel with the exact complement; the path
+        # settles at period 760, so most rows repeat
         out = tmp_path / "a.csv"
         assert cli.main(["figure1", "--variant", "a", "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e831beb6a30526a876ebb1265d78f483e2bda4cf255d648505fbd3e2e675ba97"
+            "5ad4aa76ac2cf0ea71bbf314e385f3639581a8b845c2406e1014a75e42befd7e"
         )
 
     def test_unknown_variant_rejected(self, capsys):

@@ -10,7 +10,9 @@ import pytest
 import refgame as rg
 import refgame.cli as cli
 import refgame.dynamics as dynamics
-from conftest import spectral_radius, step_jacobian
+from refgame.model import _SHARE_MAX, _SHARE_MIN, _consts, _shares
+
+from conftest import SATURATED, spectral_radius, step_jacobian
 
 # frozen: log-revenue derivatives at the demo start state (see test_model)
 D_H0 = -2.5950508119722233822
@@ -252,9 +254,12 @@ class TestSimulate:
     def test_recorded_derivatives_match_model(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 50)
         for i in (0, 7, 50):
-            D = rg.log_rev_derivative(fig1, *state_at(traj, i))
-            assert math.isclose(traj.D_H[i], float(D[0]), rel_tol=1e-12)
-            assert math.isclose(traj.D_L[i], float(D[1]), rel_tol=1e-12)
+            state = state_at(traj, i)
+            # no share is clamped here, so the scalar path carries the kernel's bits
+            shares = _shares(_consts(fig1), *state.prices, *state.references)
+            assert all(_SHARE_MIN < d < _SHARE_MAX for d in shares[:2])
+            D = rg.log_rev_derivative(fig1, *state)
+            assert (traj.D_H[i], traj.D_L[i]) == D
 
     def test_gap_decays_under_diminishing_steps(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.inverse_sqrt(), 100_000)
@@ -309,6 +314,22 @@ class TestSimulate:
             if t < horizon:
                 state = rg.ascent_step(fig1, state, float(etas[t]))
 
+    @pytest.mark.parametrize(
+        "schedule", [rg.StepSchedule.constant(1.0), rg.StepSchedule.inverse_sqrt(1.0)]
+    )
+    def test_equals_iterated_steps_where_demand_saturates(self, schedule):
+        # r_H far above p_H: d_H rounds to 1.0 in most of the 301 records
+        state = rg.MarketState(rg.PricePair(1.0, 1.0), rg.PricePair(30.0, 1.0))
+        traj = rg.simulate(SATURATED, state, schedule, 300)
+        etas = schedule.sequence(300).tolist()
+        saturated = 0
+        for t in range(301):
+            assert state_at(traj, t) == state, t
+            saturated += _shares(_consts(SATURATED), *state.prices, *state.references)[0] == 1.0
+            if t < 300:
+                state = rg.ascent_step(SATURATED, state, etas[t])
+        assert saturated > 250
+
     def test_final_state_accessor(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(0.5), 8)
         assert traj.final_state() == state_at(traj, 8)
@@ -326,7 +347,8 @@ def array_digest(traj: rg.Trajectory, schedule: rg.StepSchedule) -> str:
 
 
 class TestKernelBits:
-    """Every recorded bit of two runs, frozen from the pre-rewrite kernel.
+    """Every recorded bit of two runs, frozen from the kernel that reads
+    1 - d_i as the exact complement (e_0 + e_-i)/total.
 
     The whole path is hashed, not the final state: the eta = 1 cycle of
     figure1 (b) is exactly periodic in floats, so its final state after
@@ -337,7 +359,7 @@ class TestKernelBits:
         cfg = rg.figure1_config("b")
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000)
         assert array_digest(traj, cfg.schedule) == (
-            "ab785dee31201b55ace915b27e58199e52082c61810a0c6d26cdce52876a93c7"
+            "c7a61174387050002b860799f29d0b57a4a9e153ef0c3e7aede3676b6b8bd437"
         )
 
     def test_random_market_inverse_sqrt(self):
@@ -362,7 +384,7 @@ class TestKernelBits:
         schedule = rg.StepSchedule.inverse_sqrt(1.0)
         traj = rg.simulate(params, init, schedule, 20_000)
         assert array_digest(traj, schedule) == (
-            "8549331f716f0ac4d7dc156d1dc3f06ea2f06ebca39d2e6b33308b55f8306a1d"
+            "5dc3bcb233ac59037bd7953e1aa5205d9a279d583a115a2db0002d3492482d55"
         )
 
 
@@ -437,9 +459,9 @@ class TestFixedPointStop:
     def test_figure1_a_full_run_bits(self):
         # every recorded bit of the 1e5-period paper run, which settles at
         # period 760 and is filled from there, frozen from the kernel that
-        # iterated every period
+        # iterated every period and read 1 - d_i as the exact complement
         cfg = rg.figure1_config("a")
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, cfg.horizon)
         assert array_digest(traj, cfg.schedule) == (
-            "3afa91e8af2f8881db3ecd1f591c861ce054fb5c03fce43130d6a140a90b53c0"
+            "73144bcd0f261101a6e62474a183d6d02c228945f865b982acdb995f48bbd058"
         )

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import refgame as rg
 import refgame.equilibrium as equilibrium
-from refgame.model import _consts, _demands_fast
+from refgame.model import _consts, _shares
+
+from conftest import SATURATED
 
 # frozen: stationary prices and demands of the demo instance
 SNE_H = 1.920413366139232687344
@@ -29,18 +31,11 @@ OMEGA = 0.567143290409783873
 # frozen: 1/2 + W(0.5 * exp(9.5)), the worked box-threshold value
 WORKED_UPPER = 7.378458279838826520726
 
-# Markets 279, 149 and 100 of the benchmark's sweep (bench/workloads.py,
-# make_markets), frozen as literals so that tier-1 does not import bench/.
-# SATURATED: d_H rounds to 1 near the SNE (p_H ~ 190.7), so forming 1 - d_H
-# by subtraction divides by zero. COLLAPSING: firm L's best response at its
-# start reference, at tolerance 1e-15, narrows its bracket to adjacent floats.
-SATURATED = rg.MarketParams(
-    firm_H=rg.FirmParams(a=51.88463513085218, b=0.18824291688731337, c=1.8485389935518624),
-    firm_L=rg.FirmParams(a=10.599684460719814, b=2.385029211902435, c=1.7593511153176002),
-    alpha=0.291332591444203,
-    p_lo=0.21716153657251372,
-    p_hi=266.9523140634842,
-)
+# Markets 149 and 100 of the benchmark's sweep (bench/workloads.py,
+# make_markets), frozen as literals so that tier-1 does not import bench/;
+# market 279 is conftest.SATURATED. COLLAPSING: near firm L's best response
+# at its start reference, |D_L| is at least 8.3e-16 at every float, so at
+# tolerance 1e-16 the bracket narrows to adjacent floats.
 COLLAPSING = rg.MarketParams(
     firm_H=rg.FirmParams(a=9.254048986320017, b=0.10716105487085836, c=1.682176971296709),
     firm_L=rg.FirmParams(a=3.289876667890146, b=1.3023082439833065, c=1.6724614032909377),
@@ -296,7 +291,7 @@ class TestBestResponse:
             rg.best_response(fig1, "H", 100.0, rg.PricePair(1.0, 1.0))
 
     def test_collapsed_bracket_fails_fast(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "TOLERANCE", 1e-15)
+        monkeypatch.setattr(equilibrium, "TOLERANCE", 1e-16)
         with pytest.raises(rg.SolverError) as err:
             rg.best_response(COLLAPSING, "L", COLLAPSING_OPPONENT, COLLAPSING_R0)
         lo, hi = err.value.context["bracket"]
@@ -518,7 +513,7 @@ class TestEquilibriumPath:
         consts = _consts(params)
         D = []
         for p_H, p_L, r_H, r_L in zip(*p, *r):
-            _, _, q_H, q_L = _demands_fast(consts, p_H, p_L, r_H, r_L)
+            _, _, q_H, q_L = _shares(consts, p_H, p_L, r_H, r_L)
             D.append((1.0 / p_H - consts[1] * q_H, 1.0 / p_L - consts[4] * q_L))
         assert np.array(D).T.tobytes() == np.stack([traj.D_H, traj.D_L]).tobytes()
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import refgame as rg
-from refgame.model import _consts, _demands_fast
+from refgame.model import _SHARE_MAX, _SHARE_MIN, _consts, _logit, _shares
 
-from conftest import in_box_states
+from conftest import SATURATED, in_box_states
 
 # frozen oracle values at prices (4.85, 4.86), references (0.10, 2.95)
 D_H0 = -2.5950508119722233822
@@ -274,7 +274,44 @@ class TestScalarFastPath:
         consts = _consts(fig1)
         states = in_box_states(fig1, 200, seed=11)
         for p_H, p_L, r_H, r_L in states:
-            fast = _demands_fast(consts, p_H, p_L, r_H, r_L)
+            fast = _shares(consts, p_H, p_L, r_H, r_L)
+            assert all(_SHARE_MIN < d < _SHARE_MAX for d in fast[:2])  # no share clamped
             slow = rg.demand(fig1, (p_H, p_L), (r_H, r_L))
-            assert math.isclose(fast[0], float(slow[0]), rel_tol=1e-13)
-            assert math.isclose(fast[1], float(slow[1]), rel_tol=1e-13)
+            assert (fast[0], fast[1]) == (slow[0], slow[1])
+            d_H, d_L, _, q_H, q_L = _logit(fig1, (p_H, p_L), (r_H, r_L))
+            assert (d_H, d_L, q_H, q_L) == fast
+
+
+# frozen oracle values on SATURATED, firm H: the own-price and own-reference
+# entries of scaled_derivative_partials, G_H and D_H, at two in-box states
+# where 1 - d_H is 6.8e-43 and 2.5e-31
+SATURATED_ORACLE = {
+    ((1.0, 1.0), (30.0, 1.0)): (
+        -0.490970582012080831426791026709,
+        1.26348318900062628342516399216e-42,
+        0.490970582012080831426791026709,
+        1.00000000000000000000000000000,
+    ),
+    ((5.0, 1.0), (20.0, 1.0)): (
+        -0.0196388232804832332570716410689,
+        4.65505579639806230377743443402e-31,
+        0.0981941164024161662853582053415,
+        0.199999999999999999999999999999,
+    ),
+}
+
+
+class TestSaturatedComplement:
+    @pytest.mark.parametrize("state", list(SATURATED_ORACLE))
+    def test_matches_oracle_where_demand_saturates(self, state):
+        prices, references = state
+        assert SATURATED.in_box(*prices, *references)
+        table = rg.scaled_derivative_partials(SATURATED, prices, references)
+        got = (
+            table[0, 0],
+            table[0, 2],
+            rg.scaled_derivative(SATURATED, prices, references)[0],
+            rg.log_rev_derivative(SATURATED, prices, references)[0],
+        )
+        for value, frozen in zip(got, SATURATED_ORACLE[state]):
+            assert math.isclose(value, frozen, rel_tol=1e-13)
