@@ -8,7 +8,8 @@
 
 Exit codes: 0 all checks passed, 1 validation error or an output file
 that cannot be written, 2 solver failure, 3 property failure (from
-``verify`` only: ``verify_failures`` names the failed checks). Summaries
+``verify`` only: ``verify_failures`` names the failed checks). A config
+number outside the float range is a validation error and exits 1. Summaries
 go to standard output as ``key = value`` lines; trajectories are written
 as CSV with the fixed header
 

@@ -108,7 +108,10 @@ def _require(mapping: dict, key: str, where: str):
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"field {where} lies outside the float range") from None
 
 
 def _firm_from_dict(spec, where: str) -> FirmParams:

@@ -36,7 +36,6 @@ from .model import MarketParams, PricePair, _consts, _shares
 __all__ = [
     "SolverError",
     "SneSolution",
-    "lambert_w",
     "sne_bounds",
     "validate_price_box",
     "best_response",
@@ -87,72 +86,45 @@ class SneSolution:
     hessian_certificate: analysis.HessianCertificate
 
 
-def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W on [0, inf): the w >= 0 with w*e^w = x.
-
-    Halley iteration from w0 = log(1 + x), switched to the asymptotic
-    seed w0 = log(x) - log(log(x)) for x > e. The iteration stops on
-    the relative step, once a Halley update moves w by at most 1e-12 * w
-    (Corless et al. 1996), and returns the updated iterate. Convergence
-    is cubic, so the result is within 1e-12 of W(x) relatively for every
-    x, however small. The residual w*e^w - x is no stopping test: for
-    x << 1 it is already below any absolute tolerance at the seed.
-    Past x = 1e300, W is solved in log form as w + ln w = ln x.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ValueError(f"lambert_w needs a finite argument, got {x!r}")
-    if x < 0.0:
-        raise ValueError(f"lambert_w is restricted to x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x > 1e300:  # the Halley denominator overflows near 1e307
-        return _lambert_w_of_exp(math.log(x))
-    w = math.log1p(x) if x <= math.e else math.log(x) - math.log(math.log(x))
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= 1e-12 * w:
-            return w
-    raise SolverError("lambert_w failed to converge", x=x, w=w)
-
-
-# Above this exponent sne_bounds solves W(k e^y) in log form: e^y overflows
-# past 709.8.
-_EXP_MAX = 700.0
-
-
 def _lambert_w_of_exp(y: float) -> float:
-    """W(e^y) for y > 1, the w with w + ln w = y, without forming e^y.
+    """W(e^y) for every real y: the w > 0 with w + ln w = y.
 
-    Newton from w0 = y - ln y, below the root of this increasing concave
-    function, so it converges from below; stops as :func:`lambert_w` does.
+    Newton on f(w) = w + ln w - y, which is increasing and concave, so
+    from a seed below the root every step rises monotonically to it. The
+    seed is y - ln y for y > 1, else x/(1+x) with x = e^y, which is at
+    most W(x) because ln(1+x) >= x/(1+x); e^y is never formed above
+    y = 1, so nothing overflows. The iteration stops on the relative
+    step, once an update moves w by at most 1e-12 * w (Corless et al.
+    1996), and returns the updated iterate. Where e^y underflows to 0,
+    W is 0.
     """
-    w = y - math.log(y)
+    if y > 1.0:
+        w = y - math.log(y)
+    else:
+        x = math.exp(y)
+        if x == 0.0:
+            return 0.0
+        w = x / (1.0 + x)
     for _ in range(100):
-        step = (w + math.log(w) - y) / (1.0 + 1.0 / w)
+        step = ((w - y) + math.log(w)) / (1.0 + 1.0 / w)
         w -= step
         if abs(step) <= 1e-12 * w:
             return w
-    raise SolverError("lambert_w failed to converge", log_x=y, w=w)
+    raise SolverError("Lambert W failed to converge", log_x=y, w=w)
 
 
 def sne_bounds(params: MarketParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-firm (lower, upper) bounds that bracket the stationary prices.
 
     lower_i = 1/(b_i+c_i); upper_i adds W(k*exp(a_i - k))/b_i with
-    k = b_i/(b_i+c_i). Both are strict for the true solution. Past
-    a_i - k = 700 the W term is solved in log form, so it never overflows.
+    k = b_i/(b_i+c_i). Both are strict for the true solution.
     """
     out = []
     for firm in params.firms:
         s = firm.sensitivity
         lower = 1.0 / s
         k = firm.b / s
-        y = firm.a - k
-        w = lambert_w(k * math.exp(y)) if y <= _EXP_MAX else _lambert_w_of_exp(math.log(k) + y)
+        w = _lambert_w_of_exp(math.log(k) + (firm.a - k))
         out.append((lower, lower + w / firm.b))
     return (out[0], out[1])
 
@@ -327,10 +299,12 @@ def equilibrium_policy(
     G_i pointing out of the box is exempt: there the maximizer sits on
     the boundary. ``start`` (clipped to the box) warm-starts the
     iteration, the box midpoint otherwise; the solution does not depend
-    on it.
+    on it. A start with a NaN component is refused with ``ValueError``.
     """
     if not params.in_box(r[0], r[1]):
         raise ValueError("references must lie in the price box")
+    if start is not None and any(math.isnan(v) for v in start):
+        raise ValueError(f"start must not hold NaN, got {tuple(start)}")
     mid = 0.5 * (params.p_lo + params.p_hi)
     r = PricePair(float(r[0]), float(r[1]))
     p_H, p_L, _, _ = _newton(params, r, (mid, mid) if start is None else start)

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "UNDECIDED", "ascent_step", "best_response",
     "bound_constants", "check_properties", "cycle_detector", "demand", "equilibrium_path",
     "equilibrium_policy", "figure1_config", "figure1_params", "hessian_certificate",
-    "lambert_w", "load_config", "local_potential", "log_rev_derivative",
+    "load_config", "local_potential", "log_rev_derivative",
     "random_market", "rate_fit", "reference_update",
     "revenue", "scaled_derivative", "scaled_derivative_partials", "simulate",
     "sne_bounds", "sne_drift", "solve_sne", "utility", "validate_price_box",

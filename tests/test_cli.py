@@ -138,6 +138,29 @@ class TestConfigParsing:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "where, set_huge",
+        [
+            (
+                "schedule: field eta",
+                lambda doc: doc.update(schedule={"kind": "constant", "eta": 10**400}),
+            ),
+            ("field params.firm_H.a", lambda doc: doc["params"]["firm_H"].update(a=10**400)),
+            ("field params.p_hi", lambda doc: doc["params"].update(p_hi=10**400)),
+            ("field init_prices[0]", lambda doc: doc.update(init_prices=[10**400, 4.86])),
+        ],
+    )
+    def test_integer_beyond_float_range_exits_1_with_one_line(
+        self, tmp_path, capsys, where, set_huge
+    ):
+        doc = demo_config_dict()
+        set_huge(doc)
+        path = write_config(tmp_path, doc)
+        assert cli.main(["sne", "--config", path]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {where} lies outside the float range\n"
+        )
+
     def test_override_refuses_a_bool_horizon(self):
         with pytest.raises(rg.ConfigError, match="horizon must be an integer >= 1, got True"):
             rg.figure1_config("a").override(horizon=True)

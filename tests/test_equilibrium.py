@@ -98,40 +98,49 @@ def bisect_w(target: float, lo: float, hi: float, iters: int = 80) -> float:
     return 0.5 * (lo + hi)
 
 
+def lambert_w(x: float) -> float:
+    """W(x) for x > 0 through the package's one solver, W(e^y) at y = ln x."""
+    return equilibrium._lambert_w_of_exp(math.log(x))
+
+
 class TestLambertW:
     def test_anchors(self):
-        assert rg.lambert_w(0.0) == 0.0
-        assert math.isclose(rg.lambert_w(math.e), 1.0, rel_tol=1e-14)
-        assert math.isclose(rg.lambert_w(1.0), OMEGA, rel_tol=1e-14)
+        assert math.isclose(lambert_w(math.e), 1.0, rel_tol=1e-14)
+        assert math.isclose(lambert_w(1.0), OMEGA, rel_tol=1e-14)
 
     def test_against_bisection_oracle(self):
-        assert math.isclose(rg.lambert_w(1.0), bisect_w(1.0, 0.0, 1.0), rel_tol=1e-13)
-        assert math.isclose(rg.lambert_w(50.0), bisect_w(50.0, 0.0, 5.0), rel_tol=1e-13)
+        assert math.isclose(lambert_w(1.0), bisect_w(1.0, 0.0, 1.0), rel_tol=1e-13)
+        assert math.isclose(lambert_w(50.0), bisect_w(50.0, 0.0, 5.0), rel_tol=1e-13)
 
     def test_defining_identity_on_log_grid(self):
-        xs = np.concatenate([[0.0], np.logspace(-8, 10, 120)])
-        for x in xs:
-            w = rg.lambert_w(float(x))
-            assert w >= 0.0
+        for x in np.logspace(-8, 10, 120):
+            w = lambert_w(float(x))
+            assert w > 0.0
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, x)
 
     @pytest.mark.parametrize("x", [1e300, 1e307, 1.7e308, sys.float_info.max])
     def test_near_the_float_maximum(self, x):
         # w e^w = x in log form; w * e^w itself would overflow
-        w = rg.lambert_w(x)
+        w = lambert_w(x)
         assert abs(w + math.log(w) - math.log(x)) <= 1e-14 * math.log(x)
 
     def test_against_scipy(self):
         for x in np.logspace(-6, 9, 40):
-            ours = rg.lambert_w(float(x))
+            ours = lambert_w(float(x))
             ref = float(scipy.special.lambertw(x).real)
             assert math.isclose(ours, ref, rel_tol=1e-12)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            rg.lambert_w(-0.1)
-        with pytest.raises(ValueError):
-            rg.lambert_w(math.nan)
+    def test_underflow_gives_zero(self):
+        assert equilibrium._lambert_w_of_exp(-800.0) == 0.0
+
+    @pytest.mark.parametrize("y", [-720.0, -744.0])
+    def test_subnormal_argument(self, y):
+        # W(x) = x to first order; e^y is subnormal here, and a seed written
+        # as 1/(1 + e^-y) would overflow
+        assert math.isclose(equilibrium._lambert_w_of_exp(y), math.exp(y), rel_tol=1e-12)
+
+    def test_seed_switch_at_one(self):
+        assert equilibrium._lambert_w_of_exp(1.0) == 1.0
 
 
 class TestSneBounds:
@@ -147,8 +156,7 @@ class TestSneBounds:
         (lo_H, _), _ = rg.sne_bounds(fig1)
         assert math.isclose(lo_H, 1.0 / 2.82, rel_tol=1e-15)
 
-    # frozen: 1/2.82 + W(k e^(a - k))/2 with k = 2/2.82, from mpmath; the
-    # first two straddle the switch to the log form at a - k = 700
+    # frozen: 1/2.82 + W(k e^(a - k))/2 with k = 2/2.82, from mpmath
     @pytest.mark.parametrize(
         "a, upper",
         [
@@ -164,6 +172,15 @@ class TestSneBounds:
         params = rg.MarketParams(firm, firm, alpha=0.5, p_lo=0.1, p_hi=7.5)
         (_, up_H), _ = rg.sne_bounds(params)
         assert math.isclose(up_H, upper, rel_tol=1e-12)
+
+    def test_upper_matches_scipy_on_random_firms(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            params = rg.random_market(rng)
+            for firm, (lower, upper) in zip(params.firms, rg.sne_bounds(params)):
+                k = firm.b / firm.sensitivity
+                w = float(scipy.special.lambertw(k * math.exp(firm.a - k)).real)
+                assert math.isclose(upper, lower + w / firm.b, rel_tol=1e-15)
 
     def test_large_reference_sensitivity_shrinks_lower(self):
         firm = rg.FirmParams(a=5.0, b=1.0, c=500.0)
@@ -326,6 +343,19 @@ class TestEquilibriumPolicy:
         with pytest.raises(ValueError):
             rg.equilibrium_policy(fig1, rg.PricePair(0.01, 1.0))
 
+    @pytest.mark.parametrize("start", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_start(self, fig1, start):
+        # a NaN iterate fails both exits of the Newton line search, so the
+        # solve would never return
+        with pytest.raises(ValueError, match="NaN"):
+            rg.equilibrium_policy(fig1, rg.PricePair(1.0, 1.0), start=start)
+
+    def test_infinite_start_clamps_onto_the_box(self, fig1):
+        r = rg.PricePair(1.0, 1.0)
+        out = rg.equilibrium_policy(fig1, r, start=(math.inf, -math.inf))
+        edge = rg.equilibrium_policy(fig1, r, start=(fig1.p_hi, fig1.p_lo))
+        assert out == edge
+
     @PROPERTY_SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -418,7 +448,7 @@ class TestSolveSne:
         assert abs(traj.p_L[-1] - sne.p_L) < 1e-3
 
 
-class TestSolverConfig:
+class TestSolverError:
     def test_solver_error_carries_context(self, fig1, monkeypatch):
         # an absurdly tight tolerance cannot be met: Newton stalls at the
         # floating-point floor and the error must carry its context
