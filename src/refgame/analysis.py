@@ -234,16 +234,29 @@ def rate_fit(
     do not touch the tail are how decay is compared across doubling
     horizons). ``converged`` reports whether the terminal sup-norm
     price distance is below 1e-2.
+
+    Past a trajectory's stored records every record recurs each
+    ``traj.period`` periods, and ``fl(t * x)`` does not fall as t grows
+    for x >= 0, so there only the window's last ``traj.period`` periods
+    are evaluated: the suprema are exactly those over the whole window.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     t_start, t_end = _window_bounds(traj, window_fraction, window)
-    w = slice(t_start, t_end + 1)
-    t = np.arange(t_start, t_end + 1, dtype=float)
-    p_H, p_L = traj.p_H[w], traj.p_L[w]
+    stored = traj.onset + traj.period
+    if t_end < stored:
+        t, rows = np.arange(t_start, t_end + 1), slice(t_start, t_end + 1)
+    else:
+        t = rows = np.concatenate((
+            np.arange(t_start, stored),
+            np.arange(max(t_start, stored, t_end + 1 - traj.period), t_end + 1),
+        ))
+    p_H, p_L, r_H, r_L = traj._take(rows, "p_H", "p_L", "r_H", "r_L")
+    t = t.astype(float)
     dist2 = (p_H - sne.p_H) ** 2 + (p_L - sne.p_L) ** 2
-    gap2 = (traj.r_H[w] - p_H) ** 2 + (traj.r_L[w] - p_L) ** 2
-    terminal = max(abs(traj.p_H[-1] - sne.p_H), abs(traj.p_L[-1] - sne.p_L))
+    gap2 = (r_H - p_H) ** 2 + (r_L - p_L) ** 2
+    final = traj.final_state().prices
+    terminal = max(abs(final.p_H - sne.p_H), abs(final.p_L - sne.p_L))
     return RateReport(
         sup_t_dist2=float(np.max(t * dist2)),
         sup_t2_gap2=float(np.max(t * t * gap2)),
@@ -263,6 +276,13 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     within [0.5, 2]); UNDECIDED otherwise (drifting, aliased, or mixed
     tails all land here). An empty trajectory is refused, as by
     :func:`rate_fit`.
+
+    When the tail lies in a trajectory's repeating tail and spans at
+    least four of its periods, the verdict is read from one period, with
+    the same result: both halves then see every distance of the period,
+    so their amplitudes are equal, and distances that are not all equal
+    reverse direction at least twice in every period, so at least four
+    times in the tail.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
@@ -271,6 +291,15 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     n = len(traj)
     k = max(4, int(math.ceil(tail_fraction * n)))
     k = min(k, n)
+    if traj.period and n - k >= traj.onset and k >= 4 * traj.period:
+        t = np.arange(traj.onset, traj.onset + traj.period)
+        p_H, p_L = traj._take(t, "p_H", "p_L")
+        dist = np.hypot(p_H - sne.p_H, p_L - sne.p_L)
+        if np.all(dist < _SETTLED):
+            return CONVERGED
+        if float(np.min(dist)) > _APART and float(np.max(dist) - np.min(dist)) > 0.0:
+            return CYCLING
+        return UNDECIDED
     dist = np.hypot(traj.p_H[-k:] - sne.p_H, traj.p_L[-k:] - sne.p_L)
     if np.all(dist < _SETTLED):
         return CONVERGED

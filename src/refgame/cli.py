@@ -152,6 +152,11 @@ def _policy_csv_path(out: str | Path) -> Path:
     return out.with_name(out.stem + "_policy" + (out.suffix or ".csv"))
 
 
+def _gap_inf(x: PricePair, y: PricePair) -> float:
+    """Sup-norm distance of two price pairs."""
+    return max(abs(x.p_H - y.p_H), abs(x.p_L - y.p_L))
+
+
 def _print_sne(sol: SneSolution) -> None:
     (lo_H, up_H), (lo_L, up_L) = sol.bounds
     cert = sol.hessian_certificate
@@ -178,16 +183,17 @@ def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
         write_trajectory_csv(out_path, traj, sol.prices)
 
     sne = sol.prices
-    term_p = max(abs(traj.p_H[-1] - sne.p_H), abs(traj.p_L[-1] - sne.p_L))
-    term_r = max(abs(traj.r_H[-1] - sne.p_H), abs(traj.r_L[-1] - sne.p_L))
+    final = traj.final_state()
     report = analysis.rate_fit(traj, sne, window_fraction=0.5)
     _say("command", "simulate")
     _say("schedule", traj.schedule)
     _say("horizon", config.horizon)
     _say("output", str(out_path))
     _print_sne(sol)
-    _say("terminal_price_gap_inf", float(term_p))
-    _say("terminal_ref_gap_inf", float(term_r))
+    _say("terminal_price_gap_inf", _gap_inf(final.prices, sne))
+    _say("terminal_ref_gap_inf", _gap_inf(final.references, sne))
+    _say("orbit_period", traj.period)
+    _say("orbit_onset", traj.onset)
     _say("verdict", analysis.cycle_detector(traj, sne, tail_fraction=0.2))
     _say("rate_window", f"{report.window[0]}..{report.window[1]}")
     _say("rate_sup_t_dist2", report.sup_t_dist2)
@@ -218,20 +224,19 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
         write_trajectory_csv(out_path, traj, sne)
         _write_joined_refs_csv(joined_path, traj, policy)
 
-    term_grad = max(abs(traj.r_H[-1] - sne.p_H), abs(traj.r_L[-1] - sne.p_L))
-    term_pol = max(abs(policy.r_H[-1] - sne.p_H), abs(policy.r_L[-1] - sne.p_L))
-    mutual = max(
-        abs(traj.r_H[-1] - policy.r_H[-1]), abs(traj.r_L[-1] - policy.r_L[-1])
-    )
+    grad_refs = traj.final_state().references
+    policy_refs = policy.final_state().references
     _say("command", "compare")
     _say("schedule", traj.schedule)
     _say("horizon", config.horizon)
     _say("output", str(out_path))
     _say("output_policy", str(joined_path))
     _print_sne(sol)
-    _say("terminal_ref_gap_grad", float(term_grad))
-    _say("terminal_ref_gap_policy", float(term_pol))
-    _say("terminal_mutual_gap", float(mutual))
+    _say("terminal_ref_gap_grad", _gap_inf(grad_refs, sne))
+    _say("terminal_ref_gap_policy", _gap_inf(policy_refs, sne))
+    _say("terminal_mutual_gap", _gap_inf(grad_refs, policy_refs))
+    _say("orbit_period", traj.period)
+    _say("orbit_onset", traj.onset)
     return EXIT_OK
 
 

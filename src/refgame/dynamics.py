@@ -11,19 +11,24 @@ Both updates read the pre-step state (old p, old r). The reference
 projection only guards against the one-ulp rounding a convex
 combination of two in-box values can incur. Simulations are strictly
 sequential and bit-deterministic: identical inputs produce identical
-trajectories. A run that reaches an exact fixed point in floats (a
-period that leaves (p, r) bit-unchanged) is not iterated further:
-every later period would repeat it, so ``simulate`` fills the remaining
-records with it; see :func:`simulate` for why that is exact. A
-trajectory holds every period in memory, so a run of more than
-``RETENTION_LIMIT`` records is refused with ``ValueError``.
-Trajectories are immutable once built and safe to share across threads.
+trajectories.
+
+A run often ends in an exact orbit in floats: a fixed point (period 1)
+under any schedule, or, once the remaining steps are all equal, a
+cycle of a few periods, which is where a constant step usually ends.
+``simulate`` stops at such an orbit and keeps the repeating tail
+implicit: the trajectory stores the records up to the end of one period
+of the orbit, and every later record is one of those; see
+:func:`simulate` for why that is exact. A trajectory otherwise holds
+every period in memory, so a run of more than ``RETENTION_LIMIT``
+records is refused with ``ValueError``. Trajectories are immutable once
+built and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +53,7 @@ __all__ = [
 # Records one simulation may hold in memory; longer runs are refused.
 RETENTION_LIMIT = 10_000_000
 ETA_CHUNK = 4096  # periods `simulate` runs between flushes of its record buffers
+ORBIT_MAX = 64  # longest orbit period `simulate` looks for at each ETA_CHUNK end
 
 
 class StepSchedule:
@@ -133,39 +139,117 @@ class StepSchedule:
         return f"StepSchedule.{self.describe()}"
 
 
+class _Column:
+    """One of the six per-period columns of a :class:`Trajectory`.
+
+    The constructor sets it to the stored records; reading it gives the
+    full-length, read-only column, built from them on first read.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, traj, owner=None) -> np.ndarray:
+        if traj is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        column = traj._columns.get(self.name)
+        if column is None:
+            column = traj._columns[self.name] = traj._expand(traj._records[self.name])
+        return column
+
+    def __set__(self, traj, records: np.ndarray) -> None:
+        traj.__dict__.setdefault("_records", {})[self.name] = records
+
+
 @dataclass
 class Trajectory:
-    """A finished simulation: per-period state stored as parallel arrays.
+    """A finished simulation: per-period state as six parallel columns.
 
     Record t is period t, from 0 (the initial state) to len - 1. ``D_H``
     and ``D_L`` hold the log-revenue derivatives at each record's state.
     The step sizes are not stored: ``schedule`` names the rule that
-    produced them. Arrays are read-only after construction.
+    produced them.
+
+    Only records 0 .. onset + period - 1 are stored. When ``period`` is
+    k > 0, the last k of them repeat to the end: record t >= onset is
+    record ``onset + (t - onset) % k``. A trajectory built from columns
+    stores them all, with period 0 and onset len. Each column attribute
+    reads as the full-length array, built from the stored records on
+    first read; ``len``, :meth:`final_state`, ``rate_fit`` and
+    ``cycle_detector`` read the stored records and build none. Stored
+    records and built columns are read-only.
     """
 
     params: MarketParams
     schedule: str
-    p_H: np.ndarray
-    p_L: np.ndarray
-    r_H: np.ndarray
-    r_L: np.ndarray
-    D_H: np.ndarray
-    D_L: np.ndarray
+    p_H: np.ndarray = _Column()
+    p_L: np.ndarray = _Column()
+    r_H: np.ndarray = _Column()
+    r_L: np.ndarray = _Column()
+    D_H: np.ndarray = _Column()
+    D_L: np.ndarray = _Column()
+    period: int = field(default=0, init=False)
+    onset: int = field(init=False)
 
     def __post_init__(self) -> None:
-        columns = (self.p_H, self.p_L, self.r_H, self.r_L, self.D_H, self.D_L)
-        if any(column.size != self.p_H.size for column in columns):
+        records = self._records.values()
+        if any(column.size != self._records["p_H"].size for column in records):
             raise ValueError("trajectory arrays must share one length")
-        for column in columns:
+        for column in records:
             column.flags.writeable = False
+        self.onset = self._length = self._records["p_H"].size
+        self._columns = {}
+
+    @classmethod
+    def _repeating(
+        cls, params: MarketParams, schedule: str, records, length: int, period: int
+    ) -> "Trajectory":
+        """``length`` records, of which ``records`` (six columns) give the
+        first, and the last ``period`` of those repeat through the end.
+
+        The repeat is traced back through the given records to its
+        earliest onset, by bit comparison, and each column is copied to
+        the records 0 .. onset + period - 1 that it keeps.
+        """
+        same = np.ones(records[0].size - period, dtype=bool)
+        for column in records:
+            bits = column.view(np.uint64)
+            same &= bits[:-period] == bits[period:]
+        differ = np.flatnonzero(~same)
+        onset = int(differ[-1]) + 1 if differ.size else 0
+        traj = cls(params, schedule, *(np.array(c[: onset + period]) for c in records))
+        traj.onset, traj.period, traj._length = onset, period, length
+        return traj
+
+    def _take(self, t, *names: str) -> list:
+        """The named columns at period(s) ``t``, read from the stored
+        records: ``t`` is an int, an int array, or a slice of stored
+        records, which reads them without a copy."""
+        if self.period and not isinstance(t, slice):
+            t = np.where(t < self.onset, t, self.onset + (t - self.onset) % self.period)
+        return [self._records[name][t] for name in names]
+
+    def _expand(self, records: np.ndarray) -> np.ndarray:
+        if not self.period:
+            return records
+        column = np.empty(self._length)
+        column[: self.onset] = records[: self.onset]
+        # the tail as whole periods, then the part of one period left over
+        tail = column[self.onset :]
+        whole = tail.size - tail.size % self.period
+        tail[:whole].reshape(-1, self.period)[:] = records[self.onset :]
+        tail[whole:] = records[self.onset : self.onset + tail.size - whole]
+        column.flags.writeable = False
+        return column
 
     def __len__(self) -> int:
-        return self.p_H.size
+        return self._length
 
     def final_state(self) -> MarketState:
+        p_H, p_L, r_H, r_L = self._take(self._length - 1, "p_H", "p_L", "r_H", "r_L")
         return MarketState(
-            prices=PricePair(float(self.p_H[-1]), float(self.p_L[-1])),
-            references=PricePair(float(self.r_H[-1]), float(self.r_L[-1])),
+            prices=PricePair(float(p_H), float(p_L)),
+            references=PricePair(float(r_H), float(r_L)),
         )
 
 
@@ -244,23 +328,36 @@ def simulate(
     """Run the market for ``horizon`` periods from ``init``.
 
     Returns a trajectory of exactly ``horizon + 1`` records, record 0
-    being the initial state, all held in memory. A run of more than
-    ``RETENTION_LIMIT`` records is refused with ``ValueError`` before
-    any period is computed.
+    being the initial state. A run of more than ``RETENTION_LIMIT``
+    records is refused with ``ValueError`` before any period is
+    computed.
 
-    At the end of every ``ETA_CHUNK`` periods, if the period just run
-    left (p_H, p_L, r_H, r_L) bit-unchanged, the remaining records are
-    filled with the last one and the loop stops. The result is
+    At the end of every ``ETA_CHUNK`` periods but the last, with records
+    0 .. j - 1 computed, the loop looks for the smallest k <= ORBIT_MAX
+    such that the state of period j, computed but not yet recorded,
+    equals the state of record j - k bit for bit. It stops there when
+    k == 1, or when the step of period j - k equals the last step of the
+    run. The trajectory then stores the records up to the end of the
+    orbit's first period, traced back through records 0 .. j - 1, and
+    repeats that period to the end (see :class:`Trajectory`). That is
     bit-identical to running every period, because:
 
-    * the step sizes are non-increasing: ``explicit`` values are
-      validated so, and ``c / sqrt(t + 1)`` and ``d / (t + 1)`` are
-      built from monotone, correctly rounded operations;
-    * rounding is monotone, so ``fl(p + fl(eta * D)) == p`` implies the
-      same for every later ``eta' <= eta``, and a price clamped onto a
-      box edge stays clamped there;
-    * the reference update does not read eta, and D depends on the
-      state alone, so the recorded D repeats as well.
+    * the recorded D depends on the state alone, and the reference
+      update does not read eta, so equal states give equal records;
+    * k == 1, a fixed point: the step sizes are non-increasing
+      (``explicit`` values are validated so, and ``c / sqrt(t + 1)`` and
+      ``d / (t + 1)`` are built from monotone, correctly rounded
+      operations). Rounding is monotone, so ``fl(p + fl(eta * D)) == p``
+      implies the same for every later ``eta' <= eta``, and a price
+      clamped onto a box edge stays clamped there;
+    * k >= 2: the steps are non-increasing, so the step of period j - k
+      equals the last one only if every step from period j - k on is
+      that same value. The period map is then one fixed, autonomous map
+      of the state, and a state that recurs after k periods makes every
+      later record repeat with period k.
+
+    A diminishing schedule, whose steps differ from period to period,
+    stops at a fixed point only.
     """
     _check_horizon(horizon)
     p_H, p_L, r_H, r_L = _state_floats(params, init)
@@ -323,11 +420,19 @@ def simulate(
         for column, buffer in zip(columns, buffers):
             column[i:j] = buffer
             buffer.clear()
-        # Every state value lies in [p_lo, p_hi] with p_lo > 0, so == is
-        # bit equality here. On the last pass the fill below is empty.
-        if (p_H, p_L, r_H, r_L) == tuple(column[j - 1] for column in columns[:4]):
-            for column in columns:
-                column[j:] = column[j - 1]
+        if j == n:
             break
+        # hit[q]: the state of period j equals recorded state j - 1 - q,
+        # so it recurs after k = q + 1 periods. Every state value lies in
+        # [p_lo, p_hi] with p_lo > 0, so == is bit equality.
+        hit = np.ones(ORBIT_MAX, dtype=bool)
+        for column, x in zip(columns, (p_H, p_L, r_H, r_L)):
+            hit &= column[j - ORBIT_MAX : j][::-1] == x
+        if hit.any():
+            k = int(np.argmax(hit)) + 1
+            if k == 1 or etas[j - k] == etas[-1]:
+                return Trajectory._repeating(
+                    params, schedule.describe(), [c[:j] for c in columns], n, k
+                )
 
     return Trajectory(params, schedule.describe(), *columns)

@@ -360,9 +360,10 @@ def equilibrium_path(
     t solves ``p_t = equilibrium_policy(r_t, start=p_{t-1})`` and sets
     ``r_{t+1} = reference_update(r_t, p_t)``; a solver failure is re-raised
     with the period attached. Once, for some t >= 1, ``p_t == p_{t-1}`` and
-    ``r_{t+1} == r_t`` bit for bit, the rest is filled with record t. That
-    is exact: period t+1 would call the deterministic policy with period
-    t's reference and start, so it and every later period repeat record t.
+    ``r_{t+1} == r_t`` bit for bit, the loop stops and record t repeats to
+    the end, a period-1 tail (see ``Trajectory``). That is exact: period
+    t+1 would call the deterministic policy with period t's reference and
+    start, so it and every later period repeat record t.
     """
     _check_horizon(horizon)
     r = PricePair(float(r0[0]), float(r0[1]))
@@ -388,8 +389,9 @@ def equilibrium_path(
         r_next = reference_update(params, r, p)
         # every value lies in [p_lo, p_hi] with p_lo > 0, so == is bit equality
         if p == guess and r_next == r:
-            columns[:, t + 1 :] = columns[:, t : t + 1]
-            break
+            return Trajectory._repeating(
+                params, "equilibrium-policy", columns[:, : t + 1], horizon + 1, 1
+            )
         r, guess = r_next, p
 
     return Trajectory(params, "equilibrium-policy", *columns)

@@ -184,6 +184,63 @@ class TestRateFit:
         assert not report.converged
 
 
+COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
+
+
+def orbit_cases():
+    """(params, sne, trajectory) of seeded random markets under constant
+    steps, most ending in an orbit of period 2 or more, plus two fixed
+    points: the settled figure1 (a) run and a pinned one far from the SNE."""
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        params = rg.random_market(rng)
+        sne = rg.solve_sne(params).prices
+        lo, hi = params.p_lo, params.p_hi
+        low, high = lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)
+        init = rg.MarketState(rg.PricePair(low, high), rg.PricePair(high, low))
+        for eta in (0.3, 1.0, 3.0):
+            yield params, sne, rg.simulate(params, init, rg.StepSchedule.constant(eta), 20_000)
+    cfg = rg.figure1_config("a")
+    sne = rg.solve_sne(cfg.params).prices
+    yield cfg.params, sne, rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000)
+    pinned = rg.MarketParams(cfg.params.firm_H, cfg.params.firm_L, 0.995, 0.1, 0.5)
+    init = rg.MarketState(rg.PricePair(0.5, 0.5), rg.PricePair(0.1, 0.5))
+    yield pinned, sne, rg.simulate(pinned, init, rg.StepSchedule.inverse_sqrt(1.0), 20_000)
+
+
+class TestOrbitReads:
+    def test_orbit_form_agrees_with_its_expanded_columns(self):
+        # rate_fit and cycle_detector read an orbit's stored records; a
+        # trajectory built from the expanded columns has no orbit and is
+        # read as plain arrays
+        periods, verdicts = [], set()
+        for params, sne, traj in orbit_cases():
+            plain = rg.Trajectory(params, traj.schedule, *(getattr(traj, c) for c in COLUMNS))
+            assert (plain.period, plain.onset, len(plain)) == (0, len(traj), len(traj))
+            last = len(traj) - 1
+            onset = min(traj.onset, last)
+            windows = [
+                {"window_fraction": 0.5},
+                {"window_fraction": 1.0},
+                {"window": (last, last)},
+                {"window": (max(onset - 5, 0), min(onset + 3 * traj.period + 7, last))},
+                {"window": (onset + traj.period, last)},
+                {"window": (0, onset)},
+                {"window": (0, min(onset + traj.period, last))},
+            ]
+            for kwargs in windows:
+                assert rg.rate_fit(traj, sne, **kwargs) == rg.rate_fit(plain, sne, **kwargs)
+            for tail in (1e-4, 0.2, 0.99):
+                verdict = rg.cycle_detector(traj, sne, tail_fraction=tail)
+                assert verdict == rg.cycle_detector(plain, sne, tail_fraction=tail)
+                verdicts.add(verdict)
+            assert traj.final_state() == plain.final_state()
+            periods.append(traj.period)
+        # the premise: orbits of several periods, and all three verdicts
+        assert len(set(periods) - {0, 1}) >= 3 and periods.count(1) >= 2
+        assert verdicts == {rg.CONVERGED, rg.CYCLING, rg.UNDECIDED}
+
+
 class TestCycleDetector:
     def test_stationary_is_converged(self, fig1, fig1_sne):
         assert spectral_radius(step_jacobian(fig1, fig1_sne.prices, STATIONARY_ETA)) < 1.0

@@ -708,6 +708,22 @@ class TestFigure1Command:
         summary = summary_dict(capsys.readouterr().out)
         assert summary["verdict"] == "CYCLING"
 
+    @pytest.mark.parametrize(
+        "variant, horizon, orbit",
+        [
+            ("a", 5000, ("1", "760")),  # a fixed point
+            ("b", 5000, ("4", "469")),
+            ("b", 3000, ("0", "3001")),  # seen at no chunk end before the last
+            ("c", 5000, ("1", "760")),  # the learning path of compare
+        ],
+    )
+    def test_orbit_period_and_onset(self, tmp_path, capsys, variant, horizon, orbit):
+        out = tmp_path / "o.csv"
+        argv = ["figure1", "--variant", variant, "--horizon", str(horizon), "--out", str(out)]
+        assert cli.main(argv) == 0
+        summary = summary_dict(capsys.readouterr().out)
+        assert (summary["orbit_period"], summary["orbit_onset"]) == orbit
+
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "r1.csv"
         out2 = tmp_path / "r2.csv"

@@ -422,32 +422,44 @@ def settling_cases():
     }
 
 
+def iterated_records(params, state, schedule, horizon):
+    """(states, derivatives) of every period from iterated ``ascent_step``,
+    with the kernel's derivatives computed once per distinct state."""
+    etas = schedule.sequence(horizon).tolist()
+    states, derivatives, cache = [], [], {}
+    for t in range(horizon + 1):
+        key = (*state.prices, *state.references)
+        if key not in cache:
+            cache[key] = kernel_derivatives(params, state)
+        states.append(key)
+        derivatives.append(cache[key])
+        if t < horizon:
+            state = rg.ascent_step(params, state, etas[t])
+    return np.array(states), np.array(derivatives)
+
+
+def assert_records_equal(traj, states, derivatives):
+    """Every column of ``traj`` equals the iterated records bit for bit."""
+    for k, name in enumerate(("p_H", "p_L", "r_H", "r_L")):
+        assert getattr(traj, name).tobytes() == states[:, k].tobytes(), name
+    assert traj.D_H.tobytes() == derivatives[:, 0].tobytes()
+    assert traj.D_L.tobytes() == derivatives[:, 1].tobytes()
+
+
 class TestFixedPointStop:
     @pytest.mark.parametrize("case", list(settling_cases()))
     def test_equals_iterated_steps_past_the_fixed_point(self, case):
         params, state, schedule = settling_cases()[case]
         traj = rg.simulate(params, state, schedule, SETTLING_HORIZON)
-        etas = schedule.sequence(SETTLING_HORIZON).tolist()
-        states, derivatives, cache = [], [], {}
-        for t in range(SETTLING_HORIZON + 1):
-            key = (*state.prices, *state.references)
-            if key not in cache:
-                cache[key] = kernel_derivatives(params, state)
-            states.append(key)
-            derivatives.append(cache[key])
-            if t < SETTLING_HORIZON:
-                state = rg.ascent_step(params, state, etas[t])
-        states = np.array(states)
-        derivatives = np.array(derivatives)
-        for k, name in enumerate(("p_H", "p_L", "r_H", "r_L")):
-            assert np.array_equal(getattr(traj, name), states[:, k]), name
-        assert np.array_equal(traj.D_H, derivatives[:, 0])
-        assert np.array_equal(traj.D_L, derivatives[:, 1])
+        states, derivatives = iterated_records(params, state, schedule, SETTLING_HORIZON)
+        assert_records_equal(traj, states, derivatives)
+        assert traj.period == 1
 
         # the premise: a fixed point reached inside a chunk, with at
         # least two whole chunks left to fill
         moved = np.flatnonzero(np.any(states[1:] != states[:-1], axis=1))
         settled_at = int(moved[-1]) + 1
+        assert traj.onset == settled_at
         assert settled_at % dynamics.ETA_CHUNK != 0
         assert settled_at + 2 * dynamics.ETA_CHUNK < SETTLING_HORIZON
         if case.startswith("pinned"):
@@ -465,3 +477,125 @@ class TestFixedPointStop:
         assert array_digest(traj, cfg.schedule) == (
             "73144bcd0f261101a6e62474a183d6d02c228945f865b982acdb995f48bbd058"
         )
+
+
+def box_state(params: rg.MarketParams) -> rg.MarketState:
+    """Prices at 30% and 70% of the box, references the other way round."""
+    lo, hi = params.p_lo, params.p_hi
+    low, high = lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)
+    return rg.MarketState(rg.PricePair(low, high), rg.PricePair(high, low))
+
+
+# random_market(default_rng(0)), the 28th draw: at eta = 1 from box_state
+# it enters a period-4 orbit at period 9977, which simulate first sees
+# at the end of its third ETA_CHUNK
+LATE_ORBIT = rg.MarketParams(
+    firm_H=rg.FirmParams(a=6.940030979115273, b=1.625464520991838, c=0.3579133567141888),
+    firm_L=rg.FirmParams(a=2.329557274689523, b=1.6179607094452677, c=2.947633810067448),
+    alpha=0.5656816444512167,
+    p_lo=0.19712657270669248,
+    p_hi=3.5542222613624017,
+)
+
+
+def stored(traj: rg.Trajectory) -> int:
+    """Number of records the trajectory holds in memory."""
+    sizes = {records.size for records in traj._records.values()}
+    assert len(sizes) == 1
+    return sizes.pop()
+
+
+class TestOrbitStop:
+    """simulate stops at an exact orbit of period k >= 2 once every
+    remaining step equals the steps of one period, and keeps only the
+    records up to the end of the orbit's first period."""
+
+    def test_figure1_b_equals_iterated_steps(self):
+        cfg = rg.figure1_config("b")
+        horizon = 2 * dynamics.ETA_CHUNK + 100
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, horizon)
+        states, derivatives = iterated_records(
+            cfg.params, cfg.initial_state(), cfg.schedule, horizon
+        )
+        assert_records_equal(traj, states, derivatives)
+        # state 473 is state 469 bit for bit, and no earlier state recurs
+        # four periods on
+        assert (traj.period, traj.onset, stored(traj)) == (4, 469, 473)
+        assert np.array_equal(states[473], states[469])
+        assert not np.array_equal(states[472], states[468])
+
+    def test_orbit_found_at_a_later_chunk_end(self):
+        horizon = 3 * dynamics.ETA_CHUNK + 100
+        schedule = rg.StepSchedule.constant(1.0)
+        init = box_state(LATE_ORBIT)
+        traj = rg.simulate(LATE_ORBIT, init, schedule, horizon)
+        states, derivatives = iterated_records(LATE_ORBIT, init, schedule, horizon)
+        assert_records_equal(traj, states, derivatives)
+        assert (traj.period, traj.onset) == (4, 9977)
+        assert 2 * dynamics.ETA_CHUNK < traj.onset < 3 * dynamics.ETA_CHUNK - dynamics.ORBIT_MAX
+
+    def test_explicit_schedule_with_a_flat_tail(self, fig1):
+        horizon = 2 * dynamics.ETA_CHUNK + 100
+        schedule = rg.StepSchedule.explicit([1.5] * 1000 + [1.0] * (horizon - 1000))
+        traj = rg.simulate(fig1, demo_state(), schedule, horizon)
+        states, derivatives = iterated_records(fig1, demo_state(), schedule, horizon)
+        assert_records_equal(traj, states, derivatives)
+        assert traj.period == 4 and traj.onset >= 1000
+        assert stored(traj) == traj.onset + traj.period
+
+    def test_a_smaller_last_step_keeps_every_period(self, fig1):
+        # the eta = 1 orbit shows at the first chunk end, but the last step
+        # is smaller, so the map is not the same to the end
+        horizon = dynamics.ETA_CHUNK + 100
+        schedule = rg.StepSchedule.explicit([1.0] * (horizon - 1) + [0.5])
+        traj = rg.simulate(fig1, demo_state(), schedule, horizon)
+        states, derivatives = iterated_records(fig1, demo_state(), schedule, horizon)
+        assert_records_equal(traj, states, derivatives)
+        j = dynamics.ETA_CHUNK
+        assert np.array_equal(states[j], states[j - 4])
+        assert traj.period == 0 and stored(traj) == horizon + 1
+
+    @pytest.mark.parametrize(
+        "schedule, period",
+        [
+            (rg.StepSchedule.constant(1e6), 2),
+            (rg.StepSchedule.inverse_sqrt(1e6), 0),
+            (rg.StepSchedule.inverse_t(1e6), 0),
+        ],
+        ids=["constant", "inverse_sqrt", "inverse_t"],
+    )
+    def test_a_diminishing_schedule_stops_at_a_fixed_point_only(self, fig1, schedule, period):
+        # steps this large throw both prices from one box edge to the
+        # other every period, so from period 331 on every record repeats
+        # two periods later under each schedule
+        horizon = 2 * dynamics.ETA_CHUNK + 100
+        traj = rg.simulate(fig1, demo_state(), schedule, horizon)
+        states, derivatives = iterated_records(fig1, demo_state(), schedule, horizon)
+        assert_records_equal(traj, states, derivatives)
+        assert np.array_equal(states[333:], states[331:-2])
+        assert not np.array_equal(states[332], states[330])
+        assert traj.period == period
+        assert traj.onset == (331 if period else horizon + 1)
+
+    def test_columns_are_built_once_and_read_only(self):
+        cfg = rg.figure1_config("b")
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, cfg.horizon)
+        for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L"):
+            column = getattr(traj, name)
+            assert column is getattr(traj, name)
+            assert column.size == len(traj) == cfg.horizon + 1
+            with pytest.raises(ValueError):
+                column[-1] = 1.0
+            with pytest.raises(ValueError):
+                traj._records[name][0] = 1.0
+
+    def test_cycle_b_keeps_one_period_past_the_onset(self):
+        # the bench's cycle-b run: a million periods, no column built
+        cfg = rg.figure1_config("b")
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 1_000_000)
+        assert len(traj) == 1_000_001
+        assert stored(traj) <= traj.onset + traj.period + dynamics.ETA_CHUNK
+        assert traj._columns == {}
+        # 1e6 and 2e4 periods lie in the same phase of the 4-cycle
+        short = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000)
+        assert traj.final_state() == short.final_state() == state_at(short, 20_000)

@@ -565,6 +565,11 @@ class TestEquilibriumPath:
         assert len(equilibrium.equilibrium_path(params, r0, horizon)) == horizon + 1
         assert len(calls) == solves
 
+    def test_settled_path_stores_its_fixed_record_once(self, fig1):
+        traj = rg.equilibrium_path(fig1, FIG1_R0, 1000)
+        assert (len(traj), traj.period, traj.onset) == (1001, 1, FIG1_FIXED_FROM)
+        assert {records.size for records in traj._records.values()} == {FIG1_FIXED_FROM + 1}
+
     def test_stop_waits_for_the_price_to_repeat(self, fig1, monkeypatch):
         # The solver returns a start that already meets its tolerance
         # unchanged, so with it r_{t+1} == r_t alone implies p_{t+1} == p_t.
