@@ -16,7 +16,8 @@ as CSV with the fixed header
     t,p_H,p_L,r_H,r_L,D_H,D_L,dist2_sne,eps_l1
 
 one row per period, LF line endings, each float cell exactly
-``format(x, ".17g")`` (17 significant digits).
+``format(x, ".17g")`` (17 significant digits). Rows repeat by the one rule
+of ``Trajectory``: past ``onset``, row t is record ``onset + (t - onset) % period``.
 ``dist2_sne`` is the Euclidean distance of the price pair to the
 stationary equilibrium solved once per run; ``eps_l1`` the
 sensitivity-weighted l1 distance. ``sne_residual`` in a summary is the
@@ -32,6 +33,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,31 +69,26 @@ CSV_HEADER = "t,p_H,p_L,r_H,r_L,D_H,D_L,dist2_sne,eps_l1"
 CSV_CHUNK_ROWS = 1024
 
 
-def _write_rows(f, t: np.ndarray, *columns: np.ndarray) -> None:
-    """Write rows ``t,x_1,..,x_k``: t an int, each x as ``"%.17g" % x``, which
-    is ``format(x, ".17g")``. Formatting plain floats CSV_CHUNK_ROWS rows at a
-    time saves per-value call overhead and bounds the text held in memory.
-
-    A row is *fresh* when some float column differs from the row before in
-    its bits (bits, not values: ``0.0 == -0.0`` but they print differently).
-    The tail ``,x_1,..,x_k`` is formatted once per fresh row and reused for
-    the bit-identical rows after it, so a settled run is printed at the
-    cost of its t column. The first row of every chunk counts as fresh, so
-    a chunk never needs a tail from the chunk before."""
-    fresh = np.zeros(len(t), dtype=bool)
-    for col in columns:
-        bits = col.view(np.uint64)
-        fresh[1:] |= bits[1:] != bits[:-1]
-    fresh[::CSV_CHUNK_ROWS] = True
-    tail = ",%.17g" * len(columns) + "\n"
-    for start in range(0, len(t), CSV_CHUNK_ROWS):
-        stop = start + CSV_CHUNK_ROWS
-        is_fresh = fresh[start:stop]
-        fresh_values = zip(*(col[start:stop][is_fresh].tolist() for col in columns))
-        tails = [tail % values for values in fresh_values]
-        # row i takes the tail of the last fresh row at or before it
-        row_tails = map(tails.__getitem__, (np.cumsum(is_fresh) - 1).tolist())
-        f.write("".join(map("%d%s".__mod__, zip(t[start:stop].tolist(), row_tails))))
+def _write_rows(f, n: int, onset: int, period: int, *records: np.ndarray) -> None:
+    """Write rows t = 0 .. n - 1 as ``t,x_1,..,x_k``, each x as ``"%.17g" % x``,
+    which is ``format(x, ".17g")``, by the repeat rule of ``Trajectory``:
+    row t < onset is record t of ``records``, a later row is record
+    ``onset + (t - onset) % period`` (period 0 comes with onset n). Each
+    record is formatted once, CSV_CHUNK_ROWS rows of plain floats at a time,
+    which saves per-value call overhead and bounds the text held in memory."""
+    tail = ",%.17g" * len(records) + "\n"
+    stored = min(n, onset + period)
+    orbit = []
+    for start in range(0, stored, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, stored)
+        tails = [tail % values for values in zip(*(r[start:stop].tolist() for r in records))]
+        orbit += tails[max(onset - start, 0) :]
+        f.write("".join(map("%d%s".__mod__, zip(range(start, stop), tails))))
+    # row `stored` is the orbit's first record
+    repeat = itertools.cycle(orbit)
+    for start in range(stored, n, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, n)
+        f.write("".join(map("%d%s".__mod__, zip(range(start, stop), repeat))))
 
 
 def _say(key: str, value) -> None:
@@ -106,23 +104,27 @@ def _say(key: str, value) -> None:
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory, sne: PricePair) -> None:
-    """Write a trajectory in the standard nine-column schema."""
-    dist = np.hypot(traj.p_H - sne.p_H, traj.p_L - sne.p_L)
-    eps = analysis.weighted_l1_distance(traj.params, (traj.p_H, traj.p_L), sne)
+    """Write a trajectory in the standard nine-column schema from its stored records."""
+    records = traj._take(slice(None), "p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
+    dist = np.hypot(records[0] - sne.p_H, records[1] - sne.p_L)
+    eps = analysis.weighted_l1_distance(traj.params, records[:2], sne)
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        _write_rows(
-            f, np.arange(len(traj)), traj.p_H, traj.p_L, traj.r_H, traj.r_L,
-            traj.D_H, traj.D_L, dist, eps,
-        )
+        _write_rows(f, len(traj), traj.onset, traj.period, *records, dist, eps)
 
 
 def _write_joined_refs_csv(path: str | Path, learn: Trajectory, policy: Trajectory) -> None:
-    """Joined reference-price paths of one horizon, one row per period."""
-    gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
+    """Joined reference-price paths of one horizon, one row per period. The
+    rows repeat from the later onset with the lcm of the two periods; a path
+    of period 0 has its length as onset and makes the lcm 0, so no row repeats."""
+    onset = max(learn.onset, policy.onset)
+    period = math.lcm(learn.period, policy.period)
+    t = np.arange(onset + period)
+    refs = [*learn._take(t, "r_H", "r_L"), *policy._take(t, "r_H", "r_L")]
+    gap = np.hypot(refs[0] - refs[2], refs[1] - refs[3])
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write("t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap\n")
-        _write_rows(f, np.arange(len(learn)), learn.r_H, learn.r_L, policy.r_H, policy.r_L, gap)
+        _write_rows(f, len(learn), onset, period, *refs, gap)
 
 
 @contextlib.contextmanager

@@ -175,9 +175,9 @@ class Trajectory:
     record ``onset + (t - onset) % k``. A trajectory built from columns
     stores them all, with period 0 and onset len. Each column attribute
     reads as the full-length array, built from the stored records on
-    first read; ``len``, :meth:`final_state`, ``rate_fit`` and
-    ``cycle_detector`` read the stored records and build none. Stored
-    records and built columns are read-only.
+    first read; ``len``, :meth:`final_state`, ``rate_fit``,
+    ``cycle_detector`` and the CSV writers read the stored records and
+    build none. Stored records and built columns are read-only.
     """
 
     params: MarketParams
@@ -332,12 +332,13 @@ def simulate(
     records is refused with ``ValueError`` before any period is
     computed.
 
-    At the end of every ``ETA_CHUNK`` periods but the last, with records
-    0 .. j - 1 computed, the loop looks for the smallest k <= ORBIT_MAX
-    such that the state of period j, computed but not yet recorded,
-    equals the state of record j - k bit for bit. It stops there when
-    k == 1, or when the step of period j - k equals the last step of the
-    run. The trajectory then stores the records up to the end of the
+    At the end of every ``ETA_CHUNK`` periods, the last one included,
+    with records 0 .. j - 1 computed, the loop looks for the smallest
+    k <= min(ORBIT_MAX, j - 1) such that record j - 1 equals record
+    j - 1 - k in its state, bit for bit. It stops there when k == 1, or
+    when the step of period j - 1 - k equals ``etas[-1]``, the run's last
+    step, which ``etas`` repeats for the discarded update of the last
+    pass. The trajectory then stores the records up to the end of the
     orbit's first period, traced back through records 0 .. j - 1, and
     repeats that period to the end (see :class:`Trajectory`). That is
     bit-identical to running every period, because:
@@ -350,11 +351,13 @@ def simulate(
       operations). Rounding is monotone, so ``fl(p + fl(eta * D)) == p``
       implies the same for every later ``eta' <= eta``, and a price
       clamped onto a box edge stays clamped there;
-    * k >= 2: the steps are non-increasing, so the step of period j - k
-      equals the last one only if every step from period j - k on is
+    * k >= 2: the steps are non-increasing, so the step of period
+      j - 1 - k equals the last one only if every step from there on is
       that same value. The period map is then one fixed, autonomous map
       of the state, and a state that recurs after k periods makes every
-      later record repeat with period k.
+      later record repeat with period k. At the last chunk end those
+      steps are exactly the k between the compared records, so a tail
+      that repeats while its steps still fall keeps period 0.
 
     A diminishing schedule, whose steps differ from period to period,
     stops at a fixed point only.
@@ -363,9 +366,8 @@ def simulate(
     p_H, p_L, r_H, r_L = _state_floats(params, init)
 
     n = horizon + 1
-    # eta_0 .. eta_{horizon-1}, one per update; the last pass, which
-    # records t = horizon, repeats the final value for an update that is
-    # discarded.
+    # eta_0 .. eta_{horizon-1}, one per update, then the last again for
+    # the last pass, which records t = horizon and discards its update
     etas = schedule.sequence(horizon)
     etas = np.append(etas, etas[-1])
 
@@ -383,7 +385,6 @@ def simulate(
     buffers = ([], [], [], [], [], [])
     put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (b.append for b in buffers)
 
-    # The last pass records t = horizon; the update it computes is discarded.
     for i in range(0, n, ETA_CHUNK):
         j = min(i + ETA_CHUNK, n)
         for eta in etas[i:j].tolist():
@@ -420,17 +421,14 @@ def simulate(
         for column, buffer in zip(columns, buffers):
             column[i:j] = buffer
             buffer.clear()
-        if j == n:
-            break
-        # hit[q]: the state of period j equals recorded state j - 1 - q,
-        # so it recurs after k = q + 1 periods. Every state value lies in
-        # [p_lo, p_hi] with p_lo > 0, so == is bit equality.
-        hit = np.ones(ORBIT_MAX, dtype=bool)
-        for column, x in zip(columns, (p_H, p_L, r_H, r_L)):
-            hit &= column[j - ORBIT_MAX : j][::-1] == x
+        # hit[k - 1]: record j - 1 repeats the state of record j - 1 - k. Every
+        # state value lies in [p_lo, p_hi] with p_lo > 0, so == is bit equality.
+        hit = np.ones(min(ORBIT_MAX, j - 1), dtype=bool)
+        for column in columns[:4]:
+            hit &= column[j - 2 :: -1][:ORBIT_MAX] == column[j - 1]
         if hit.any():
             k = int(np.argmax(hit)) + 1
-            if k == 1 or etas[j - k] == etas[-1]:
+            if k == 1 or etas[j - 1 - k] == etas[-1]:
                 return Trajectory._repeating(
                     params, schedule.describe(), [c[:j] for c in columns], n, k
                 )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import refgame as rg
 import refgame.cli as cli
 import refgame.config
+from refgame.dynamics import ETA_CHUNK
 
 
 def demo_config_dict(**overrides):
@@ -417,6 +418,33 @@ def runs_trajectory(params, n: int, runs, seed: int = 0) -> rg.Trajectory:
     return rg.Trajectory(params=params, schedule="constant(1)", **cols)
 
 
+def repeating_trajectory(params, n: int, onset: int, period: int, seed: int = 0):
+    """n records whose first onset + period are distinct random floats and
+    whose last ``period`` of those repeat to the end, as a trajectory
+    with that tail."""
+    rng = np.random.default_rng(seed)
+    head = rng.uniform(0.1, 7.5, (len(TRAJECTORY_COLUMNS), onset + period))
+    t = np.arange(n)
+    records = head[:, np.where(t < onset, t, onset + (t - onset) % period)]
+    traj = rg.Trajectory._repeating(params, "constant(1)", list(records), n, period)
+    assert (traj.onset, traj.period) == (onset, period)
+    return traj
+
+
+def figure1_b_trajectory(horizon: int) -> rg.Trajectory:
+    cfg = rg.figure1_config("b")
+    return rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, horizon)
+
+
+def joined_reference_lines(learn: rg.Trajectory, policy: rg.Trajectory) -> list:
+    """The data lines _write_joined_refs_csv must produce, cell by cell."""
+    gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
+    return [
+        reference_cells(i, learn.r_H[i], learn.r_L[i], policy.r_H[i], policy.r_L[i], gap[i])
+        for i in range(len(learn))
+    ] + [""]
+
+
 FIG1_SNE_PRICES = rg.PricePair(1.920413366139232, 0.8006783990990236)
 CHUNK = cli.CSV_CHUNK_ROWS
 
@@ -471,15 +499,9 @@ class TestCsvRows:
         )
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
-        gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
         lines = out.read_text(encoding="ascii").split("\n")
         assert lines[0] == "t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap"
-        assert lines[1:] == [
-            reference_cells(
-                i, learn.r_H[i], learn.r_L[i], policy.r_H[i], policy.r_L[i], gap[i]
-            )
-            for i in range(n)
-        ] + [""]
+        assert lines[1:] == joined_reference_lines(learn, policy)
 
     def test_joined_refs_with_a_repeated_tail(self, tmp_path, fig1):
         n = CHUNK + 300
@@ -487,14 +509,59 @@ class TestCsvRows:
         policy = runs_trajectory(fig1, n, [(1000, n)], seed=2)
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
-        gap = np.hypot(learn.r_H - policy.r_H, learn.r_L - policy.r_L)
+        assert out.read_text(encoding="ascii").split("\n")[1:] == joined_reference_lines(
+            learn, policy
+        )
+
+    def test_cycling_trajectory_rows_match_per_cell_format(self, tmp_path, fig1):
+        traj = figure1_b_trajectory(2 * ETA_CHUNK + 100)
+        assert (traj.period, traj.onset) == (4, 469)
+        out = tmp_path / "b.csv"
+        cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
+        assert out.read_bytes().decode("ascii") == reference_trajectory_text(
+            fig1, traj, FIG1_SNE_PRICES
+        )
+
+    def test_joined_refs_of_two_orbits(self, tmp_path):
+        # a period-4 learning path and a period-1 policy path: the rows
+        # repeat with period 4 from the later onset
+        horizon = 2 * ETA_CHUNK + 100
+        learn = figure1_b_trajectory(horizon)
+        cfg = rg.figure1_config("b")
+        policy = rg.equilibrium_path(cfg.params, cfg.init_references, horizon)
+        assert (learn.period, learn.onset, policy.period) == (4, 469, 1)
+        out = tmp_path / "joined.csv"
+        cli._write_joined_refs_csv(out, learn, policy)
+        assert learn._columns == policy._columns == {}
+        assert out.read_text(encoding="ascii").split("\n")[1:] == joined_reference_lines(
+            learn, policy
+        )
+
+    def test_joined_refs_with_one_path_of_period_0(self, tmp_path, fig1):
+        learn = figure1_b_trajectory(2 * ETA_CHUNK + 100)
+        policy = runs_trajectory(fig1, len(learn), [(1000, len(learn))], seed=3)
+        out = tmp_path / "joined.csv"
+        cli._write_joined_refs_csv(out, learn, policy)
+        assert out.read_text(encoding="ascii").split("\n")[1:] == joined_reference_lines(
+            learn, policy
+        )
+
+    def test_joined_refs_repeat_past_the_last_row(self, tmp_path, fig1):
+        # onsets 469 and 470, periods 4 and 3: the joined rows would repeat
+        # from row 470 + 12, past the 481 rows of the run
+        learn = figure1_b_trajectory(480)
+        policy = repeating_trajectory(fig1, len(learn), 470, 3)
+        assert (learn.period, learn.onset) == (4, 469)
+        out = tmp_path / "joined.csv"
+        cli._write_joined_refs_csv(out, learn, policy)
         lines = out.read_text(encoding="ascii").split("\n")
-        assert lines[1:] == [
-            reference_cells(
-                i, learn.r_H[i], learn.r_L[i], policy.r_H[i], policy.r_L[i], gap[i]
-            )
-            for i in range(n)
-        ] + [""]
+        assert len(lines) == 1 + 481 + 1
+        assert lines[1:] == joined_reference_lines(learn, policy)
+
+    def test_writer_builds_no_column(self, tmp_path):
+        traj = figure1_b_trajectory(100_000)
+        cli.write_trajectory_csv(tmp_path / "b.csv", traj, FIG1_SNE_PRICES)
+        assert traj._columns == {}
 
     @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
@@ -713,8 +780,9 @@ class TestFigure1Command:
         [
             ("a", 5000, ("1", "760")),  # a fixed point
             ("b", 5000, ("4", "469")),
-            ("b", 3000, ("0", "3001")),  # seen at no chunk end before the last
+            ("b", 3000, ("4", "469")),  # seen at the last chunk end
             ("c", 5000, ("1", "760")),  # the learning path of compare
+            ("a", 3000, ("1", "760")),
         ],
     )
     def test_orbit_period_and_onset(self, tmp_path, capsys, variant, horizon, orbit):
@@ -741,6 +809,26 @@ class TestFigure1Command:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "5ad4aa76ac2cf0ea71bbf314e385f3639581a8b845c2406e1014a75e42befd7e"
+        )
+
+    def test_variant_b_full_csv_bits(self, tmp_path, capsys):
+        # the whole 1e4-period file, frozen from the writer that found
+        # repeated rows by comparing bits; the path cycles with period 4
+        # from period 469
+        out = tmp_path / "b.csv"
+        assert cli.main(["figure1", "--variant", "b", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fce54ca88a89ee1372b17eb10deed939511713029ca289f405b1947447f5695d"
+        )
+
+    def test_variant_c_policy_csv_bits(self, tmp_path, capsys):
+        # the whole 1e5-period joined file, frozen from the same writer
+        out = tmp_path / "c.csv"
+        assert cli.main(["figure1", "--variant", "c", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "c_policy.csv").read_bytes()).hexdigest() == (
+            "98711b56ff3529f5086109e728b01926c24093d24ee573aa3ea7902dc289a830"
         )
 
     def test_unknown_variant_rejected(self, capsys):

@@ -524,6 +524,14 @@ class TestOrbitStop:
         assert np.array_equal(states[473], states[469])
         assert not np.array_equal(states[472], states[468])
 
+    def test_orbit_in_a_run_shorter_than_one_chunk(self):
+        # the only chunk end is the last, where the orbit is still found
+        cfg = rg.figure1_config("b")
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 1000)
+        states, derivatives = iterated_records(cfg.params, cfg.initial_state(), cfg.schedule, 1000)
+        assert_records_equal(traj, states, derivatives)
+        assert (traj.period, traj.onset, stored(traj)) == (4, 469, 473)
+
     def test_orbit_found_at_a_later_chunk_end(self):
         horizon = 3 * dynamics.ETA_CHUNK + 100
         schedule = rg.StepSchedule.constant(1.0)
