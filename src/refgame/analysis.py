@@ -282,7 +282,8 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     the same result: both halves then see every distance of the period,
     so their amplitudes are equal, and distances that are not all equal
     reverse direction at least twice in every period, so at least four
-    times in the tail.
+    times in the tail. Any other tail is read from the stored records,
+    without building a column.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
@@ -300,7 +301,8 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
         if float(np.min(dist)) > _APART and float(np.max(dist) - np.min(dist)) > 0.0:
             return CYCLING
         return UNDECIDED
-    dist = np.hypot(traj.p_H[-k:] - sne.p_H, traj.p_L[-k:] - sne.p_L)
+    p_H, p_L = traj._take(np.arange(n - k, n), "p_H", "p_L")
+    dist = np.hypot(p_H - sne.p_H, p_L - sne.p_L)
     if np.all(dist < _SETTLED):
         return CONVERGED
     half = k // 2

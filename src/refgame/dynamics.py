@@ -266,7 +266,12 @@ def reference_update(params: MarketParams, r: PricePair, p: PricePair) -> PriceP
     """
     lo, hi, alpha = params.p_lo, params.p_hi, params.alpha
     omega = 1.0 - alpha
-    return PricePair(*(min(max(alpha * r_i + omega * p_i, lo), hi) for r_i, p_i in zip(r, p)))
+    x_H = alpha * r[0] + omega * p[0]
+    x_L = alpha * r[1] + omega * p[1]
+    return PricePair(
+        lo if x_H < lo else hi if x_H > hi else x_H,
+        lo if x_L < lo else hi if x_L > hi else x_L,
+    )
 
 
 def _check_horizon(horizon, error: type[ValueError] = ValueError) -> None:

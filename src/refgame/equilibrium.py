@@ -19,7 +19,12 @@ decreasing in the own price (safeguarded Newton in a sign bracket).
 The policy and the stationary point share one projected Newton
 iteration on G with the analytic 2x2 Jacobian and a backtracking line
 search on max|G_i| (Kelley 1995, ch. 8). Both Jacobians are strictly
-column-diagonally dominant, so the step always exists.
+column-diagonally dominant, so the step always exists. An arithmetic
+exception inside the iteration (an overflow, say) is re-raised as
+``SolverError``. ``equilibrium_path`` runs the iteration once per period
+on constants it takes once per market, and reads each period's D_i from
+the complements of the iteration's last evaluation; it matches
+``equilibrium_policy`` period by period, bit for bit.
 """
 
 from __future__ import annotations
@@ -220,65 +225,89 @@ def best_response(
 
 
 def _newton(
-    params: MarketParams, r: PricePair | None, start: PricePair
-) -> tuple[float, float, float, int]:
+    consts, k: tuple[float, float], lo: float, hi: float, r: PricePair | None, start
+) -> tuple[float, float, float, int, float, float]:
     """Projected Newton on the scaled first-order conditions G = 0.
 
-    With ``r`` None the references follow the prices (the stationary
-    system G(p, p) = 0); otherwise they stay at ``r``. A component is
-    held fixed while it sits on a box edge with G_i pointing out of the
-    box; the free components take a Newton step on the analytic
-    Jacobian, clipped to the box and halved until max|G_i| over the
-    free components falls by the Armijo factor 1 - 1e-4 * t. Returns
-    (p_H, p_L, residual, iterations) once that residual is at most
-    TOLERANCE.
+    ``consts`` is the market's ``model._consts`` and [lo, hi] its price
+    box. With ``r`` None the references follow the prices (the
+    stationary system G(p, p) = 0); otherwise they stay at ``r``. ``k``
+    is (k_H, k_L) of the Jacobian below: b_i + c_i with fixed references,
+    b_i when they follow the prices. A component is held fixed while it
+    sits on a box edge with G_i pointing out of the box; the free
+    components take a Newton step on the analytic Jacobian, clipped to
+    the box and halved until max|G_i| over the free components falls by
+    the Armijo factor 1 - 1e-4 * t. Once that residual is at most
+    TOLERANCE, returns (p_H, p_L, residual, iterations, q_H, q_L), where
+    q_i = 1 - d_i comes from the last evaluation: bit for bit
+    ``_shares(consts, p_H, p_L, *r)[2:]``, with r = p when ``r`` is None.
+    An ``ArithmeticError`` (an overflow, say) is re-raised as
+    ``SolverError``.
     """
-    consts = _consts(params)
     s_H, s_L = consts[1], consts[4]
-    lo, hi = params.p_lo, params.p_hi
-    # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
-    # where k_i = b_i + c_i; with r = p the reference term cancels c_i.
-    k_H, k_L = (params.firm_H.b, params.firm_L.b) if r is None else (s_H, s_L)
+    # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i);
+    # with r = p the reference term cancels c_i, so k_i = b_i there.
+    k_H, k_L = k
+    r_H, r_L = (None, None) if r is None else r
 
+    # Clamps and the residual's max are written as the conditionals that
+    # builtins.min and max evaluate, operand order included, so they give
+    # the same floats and pass a NaN through alike.
     def evaluate(x: float, y: float):
-        d_H, d_L, q_H, q_L = _shares(consts, x, y, *((x, y) if r is None else r))
+        d_H, d_L, q_H, q_L = (
+            _shares(consts, x, y, x, y) if r is None else _shares(consts, x, y, r_H, r_L)
+        )
         g_H = 1.0 / (s_H * x) - q_H
         g_L = 1.0 / (s_L * y) - q_L
         free_H = not ((x <= lo and g_H <= 0.0) or (x >= hi and g_H >= 0.0))
         free_L = not ((y <= lo and g_L <= 0.0) or (y >= hi and g_L >= 0.0))
-        res = max(abs(g_H) if free_H else 0.0, abs(g_L) if free_L else 0.0)
-        return res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L
+        e_H = abs(g_H) if free_H else 0.0
+        e_L = abs(g_L) if free_L else 0.0
+        return e_L if e_L > e_H else e_H, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L
 
-    x, y = min(max(start[0], lo), hi), min(max(start[1], lo), hi)
-    trial = evaluate(x, y)
-    for it in range(MAX_ITERATIONS + 1):
-        res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
-        if res <= TOLERANCE:
-            return x, y, res, it
-        if it == MAX_ITERATIONS:
-            break
-        j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
-        j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
-        if free_H and free_L:
-            j_HL, j_LH = k_L * d_H * d_L, k_H * d_H * d_L
-            det = j_HH * j_LL - j_HL * j_LH
-            dx = (g_L * j_HL - g_H * j_LL) / det
-            dy = (g_H * j_LH - g_L * j_HH) / det
-        else:
-            dx, dy = (-g_H / j_HH, 0.0) if free_H else (0.0, -g_L / j_LL)
-        t = 1.0
-        while True:
-            nx, ny = min(max(x + t * dx, lo), hi), min(max(y + t * dy, lo), hi)
-            stalled = nx == x and ny == y
+    x, y = start
+    x = lo if x < lo else hi if x > hi else x
+    y = lo if y < lo else hi if y > hi else y
+    it = 0
+    try:
+        trial = evaluate(x, y)
+        for it in range(MAX_ITERATIONS + 1):
+            res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
+            if res <= TOLERANCE:
+                return x, y, res, it, q_H, q_L
+            if it == MAX_ITERATIONS:
+                break
+            j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
+            j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
+            if free_H and free_L:
+                j_HL, j_LH = k_L * d_H * d_L, k_H * d_H * d_L
+                det = j_HH * j_LL - j_HL * j_LH
+                dx = (g_L * j_HL - g_H * j_LL) / det
+                dy = (g_H * j_LH - g_L * j_HH) / det
+            else:
+                dx, dy = (-g_H / j_HH, 0.0) if free_H else (0.0, -g_L / j_LL)
+            t = 1.0
+            while True:
+                nx = x + t * dx
+                nx = lo if nx < lo else hi if nx > hi else nx
+                ny = y + t * dy
+                ny = lo if ny < lo else hi if ny > hi else ny
+                stalled = nx == x and ny == y
+                if stalled:
+                    break
+                trial = evaluate(nx, ny)
+                if trial[0] <= (1.0 - 1e-4 * t) * res:
+                    break
+                t *= 0.5
             if stalled:
                 break
-            trial = evaluate(nx, ny)
-            if trial[0] <= (1.0 - 1e-4 * t) * res:
-                break
-            t *= 0.5
-        if stalled:
-            break
-        x, y = nx, ny
+            x, y = nx, ny
+    except ArithmeticError as err:
+        raise SolverError(
+            f"Newton solver failed: {type(err).__name__}: {err}",
+            iterations=it,
+            last=(x, y),
+        ) from err
     raise SolverError(
         "Newton solver stopped above tolerance",
         iterations=it,
@@ -305,9 +334,12 @@ def equilibrium_policy(
         raise ValueError("references must lie in the price box")
     if start is not None and any(math.isnan(v) for v in start):
         raise ValueError(f"start must not hold NaN, got {tuple(start)}")
-    mid = 0.5 * (params.p_lo + params.p_hi)
+    lo, hi = params.p_lo, params.p_hi
+    mid = 0.5 * (lo + hi)
+    consts = _consts(params)
     r = PricePair(float(r[0]), float(r[1]))
-    p_H, p_L, _, _ = _newton(params, r, (mid, mid) if start is None else start)
+    start = (mid, mid) if start is None else start
+    p_H, p_L, _, _, _, _ = _newton(consts, (consts[1], consts[4]), lo, hi, r, start)
     return PricePair(p_H, p_L)
 
 
@@ -322,8 +354,10 @@ def solve_sne(params: MarketParams) -> SneSolution:
     beside the local Hessian certificate.
     """
     bounds = validate_price_box(params)
-    mid = 0.5 * (params.p_lo + params.p_hi)
-    p_H, p_L, residual, iterations = _newton(params, None, (mid, mid))
+    lo, hi = params.p_lo, params.p_hi
+    mid = 0.5 * (lo + hi)
+    b = (params.firm_H.b, params.firm_L.b)
+    p_H, p_L, residual, iterations, _, _ = _newton(_consts(params), b, lo, hi, None, (mid, mid))
     prices = PricePair(p_H, p_L)
     for value, (lower, upper) in zip(prices, bounds):
         if not (lower < value < upper):
@@ -357,13 +391,23 @@ def equilibrium_path(
 
     Returns ``horizon + 1`` records in the simulator's layout, ``D_H``/``D_L``
     being the log-revenue derivatives at each period's policy prices. Period
-    t solves ``p_t = equilibrium_policy(r_t, start=p_{t-1})`` and sets
-    ``r_{t+1} = reference_update(r_t, p_t)``; a solver failure is re-raised
-    with the period attached. Once, for some t >= 1, ``p_t == p_{t-1}`` and
-    ``r_{t+1} == r_t`` bit for bit, the loop stops and record t repeats to
-    the end, a period-1 tail (see ``Trajectory``). That is exact: period
-    t+1 would call the deterministic policy with period t's reference and
-    start, so it and every later period repeat record t.
+    t plays ``p_t = equilibrium_policy(r_t, start=p_{t-1})`` (the box
+    midpoint for t = 0) and sets ``r_{t+1} = reference_update(r_t, p_t)``;
+    a solver failure is re-raised with the period attached. Once, for some
+    t >= 1, ``p_t == p_{t-1}`` and ``r_{t+1} == r_t`` bit for bit, the loop
+    stops and record t repeats to the end, a period-1 tail (see
+    ``Trajectory``). That is exact: period t+1 would call the deterministic
+    policy with period t's reference and start, so it and every later
+    period repeat record t.
+
+    The loop is bit-identical to calling ``equilibrium_policy`` each
+    period, but solves with ``_newton`` on constants taken once per call,
+    and reads D_i from the complements of Newton's last evaluation,
+    which equal those of ``_shares`` at the solution. The policy's
+    per-period checks hold by construction: ``r0`` is checked here,
+    ``reference_update`` clamps every later reference into the box, and
+    each start is the previous period's solution, which met the
+    tolerance and so is no NaN.
     """
     _check_horizon(horizon)
     r = PricePair(float(r0[0]), float(r0[1]))
@@ -372,26 +416,34 @@ def equilibrium_path(
 
     consts = _consts(params)
     s_H, s_L = consts[1], consts[4]
-    columns = np.empty((6, horizon + 1))  # p_H, p_L, r_H, r_L, D_H, D_L
+    k = (s_H, s_L)  # b_i + c_i: the references stay fixed within a period
+    lo, hi = params.p_lo, params.p_hi
+    records = ([], [], [], [], [], [])  # p_H, p_L, r_H, r_L, D_H, D_L
+    put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (c.append for c in records)
 
-    guess: PricePair | None = None
+    mid = 0.5 * (lo + hi)
+    p = (mid, mid)
     for t in range(horizon + 1):
         try:
-            p = equilibrium_policy(params, r, start=guess)
+            p_H, p_L, _, _, q_H, q_L = _newton(consts, k, lo, hi, r, p)
         except SolverError as err:
             raise SolverError(
                 f"equilibrium_path failed at period {t}: {err}",
                 period=t,
                 **err.context,
             ) from err
-        _, _, q_H, q_L = _shares(consts, *p, *r)
-        columns[:, t] = (*p, *r, 1.0 / p.p_H - s_H * q_H, 1.0 / p.p_L - s_L * q_L)
-        r_next = reference_update(params, r, p)
+        put_pH(p_H)
+        put_pL(p_L)
+        put_rH(r[0])
+        put_rL(r[1])
+        put_DH(1.0 / p_H - s_H * q_H)
+        put_DL(1.0 / p_L - s_L * q_L)
+        r_next = reference_update(params, r, (p_H, p_L))
         # every value lies in [p_lo, p_hi] with p_lo > 0, so == is bit equality
-        if p == guess and r_next == r:
+        if t and p_H == p[0] and p_L == p[1] and r_next == r:
             return Trajectory._repeating(
-                params, "equilibrium-policy", columns[:, : t + 1], horizon + 1, 1
+                params, "equilibrium-policy", np.array(records), horizon + 1, 1
             )
-        r, guess = r_next, p
+        r, p = r_next, (p_H, p_L)
 
-    return Trajectory(params, "equilibrium-policy", *columns)
+    return Trajectory(params, "equilibrium-policy", *np.array(records))

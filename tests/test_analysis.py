@@ -240,6 +240,17 @@ class TestOrbitReads:
         assert len(set(periods) - {0, 1}) >= 3 and periods.count(1) >= 2
         assert verdicts == {rg.CONVERGED, rg.CYCLING, rg.UNDECIDED}
 
+    def test_tail_from_before_the_onset_builds_no_column(self, fig1_sne):
+        # figure1 a over 900 periods is bit-fixed from period 760, and its
+        # 20% tail starts at period 721, before the onset
+        cfg = rg.figure1_config("a")
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 900)
+        assert (traj.period, traj.onset) == (1, 760)
+        verdict = rg.cycle_detector(traj, fig1_sne.prices)
+        assert traj._columns == {}
+        plain = rg.Trajectory(traj.params, traj.schedule, *(getattr(traj, c) for c in COLUMNS))
+        assert verdict == rg.cycle_detector(plain, fig1_sne.prices) == rg.CONVERGED
+
 
 class TestCycleDetector:
     def test_stationary_is_converged(self, fig1, fig1_sne):

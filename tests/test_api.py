@@ -50,6 +50,8 @@ ORACLES = {
     "ascent_step",
     # the single-firm solver that equilibrium_policy's joint Newton is checked against
     "best_response",
+    # the one-period policy that equilibrium_path's lean loop must match bit for bit
+    "equilibrium_policy",
 }
 
 

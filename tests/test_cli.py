@@ -319,6 +319,26 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path]) == 2
         assert "forced failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sne", "compare", "figure1"])
+    def test_overflow_in_a_solver_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(rg.equilibrium, "_shares", overflow)
+        path = write_config(tmp_path, demo_config_dict(horizon=5))
+        out = str(tmp_path / "x.csv")
+        argv = {
+            "sne": ["sne", "--config", path],
+            "compare": ["compare", "--config", path, "--out", out],
+            "figure1": ["figure1", "--variant", "c", "--horizon", "5", "--out", out],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("solver failure: ")
+        assert "OverflowError: math range error" in err and "'iterations': 0" in err
+
     @pytest.mark.parametrize("variant", ["a", "c"])
     def test_failed_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch, variant):
         def boom(params):

@@ -87,6 +87,22 @@ def policy_path_oracle(params, r0, horizon, policy=None):
     return np.array(prices).T, np.array(refs).T
 
 
+def path_market(fig1, market: str):
+    """(params, r0) of a named equilibrium-path case: fig1, early, stiff,
+    saturated (r_H = 30 saturates d_H), or random-<seed>, a random_market
+    draw with references drawn from its box by the same generator."""
+    if market.startswith("random-"):
+        rng = np.random.default_rng(int(market.removeprefix("random-")))
+        params = rg.random_market(rng)
+        return params, rg.PricePair(*(float(v) for v in rng.uniform(params.p_lo, params.p_hi, 2)))
+    return {
+        "fig1": (fig1, FIG1_R0),
+        "early": (EARLY_FIXED, EARLY_FIXED_R0),
+        "stiff": (STIFF, STIFF_R0),
+        "saturated": (SATURATED, rg.PricePair(30.0, 1.0)),
+    }[market]
+
+
 def bisect_w(target: float, lo: float, hi: float, iters: int = 80) -> float:
     """Independent oracle: bisection on w * e^w = target."""
     for _ in range(iters):
@@ -458,6 +474,34 @@ class TestSolverError:
             rg.solve_sne(fig1)
         assert "iterations" in err.value.context
 
+    def test_arithmetic_error_in_newton_carries_context(self, fig1, monkeypatch):
+        calls = []
+
+        def overflow_from_call(n):
+            def shares(*args):
+                calls.append(1)
+                if len(calls) >= n:
+                    raise OverflowError("math range error")
+                return _shares(*args)
+
+            calls.clear()
+            monkeypatch.setattr(equilibrium, "_shares", shares)
+
+        mid = 0.5 * (fig1.p_lo + fig1.p_hi)
+        overflow_from_call(1)
+        with pytest.raises(rg.SolverError, match="OverflowError: math range error") as err:
+            rg.solve_sne(fig1)
+        assert isinstance(err.value.__cause__, OverflowError)
+        assert err.value.context == {"iterations": 0, "last": (mid, mid)}
+        # later in a path: the period is attached, and the last iterate is
+        # the last one accepted
+        overflow_from_call(30)
+        with pytest.raises(rg.SolverError, match="equilibrium_path failed at period") as err:
+            rg.equilibrium_path(fig1, FIG1_R0, 20)
+        context = err.value.context
+        assert set(context) == {"period", "iterations", "last"} and context["period"] > 0
+        assert fig1.in_box(*context["last"])
+
 
 class TestEquilibriumPath:
     def test_stationary_start_is_constant(self, fig1, fig1_sne):
@@ -531,10 +575,15 @@ class TestEquilibriumPath:
             ("fig1", FIG1_FIXED_FROM + 1),  # one record filled
             ("fig1", 1000),
             ("early", 20),
+            # Newton's iterates clamped onto the box edges, and with
+            # SATURATED 1 - d_H below 2^-53 at some of them
+            ("stiff", 40),
+            ("saturated", 40),
+            *((f"random-{seed}", 40) for seed in range(20)),
         ],
     )
     def test_stop_matches_period_by_period(self, fig1, market, horizon):
-        params, r0 = (fig1, FIG1_R0) if market == "fig1" else (EARLY_FIXED, EARLY_FIXED_R0)
+        params, r0 = path_market(fig1, market)
         traj = rg.equilibrium_path(params, r0, horizon)
         p, r = policy_path_oracle(params, r0, horizon)
         assert p.tobytes() == np.stack([traj.p_H, traj.p_L]).tobytes()
@@ -554,14 +603,16 @@ class TestEquilibriumPath:
     def test_stop_solves_up_to_the_fixed_point_only(
         self, fig1, monkeypatch, market, horizon, solves
     ):
-        params, r0 = (fig1, FIG1_R0) if market == "fig1" else (EARLY_FIXED, EARLY_FIXED_R0)
+        params, r0 = path_market(fig1, market)
         calls = []
+        newton = equilibrium._newton
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return rg.equilibrium_policy(*args, **kwargs)
+            return newton(*args)
 
-        monkeypatch.setattr(equilibrium, "equilibrium_policy", counted)
+        # one Newton solve per period played
+        monkeypatch.setattr(equilibrium, "_newton", counted)
         assert len(equilibrium.equilibrium_path(params, r0, horizon)) == horizon + 1
         assert len(calls) == solves
 
@@ -587,7 +638,16 @@ class TestEquilibriumPath:
         r0 = rg.PricePair(2.0, 1.0)
         p, r = policy_path_oracle(params, r0, 60, policy=creeping)
         assert np.all(r[:, 1:] == r[:, :1]) and p[0, 40] == cap > p[0, 39]
-        monkeypatch.setattr(equilibrium, "equilibrium_policy", creeping)
+        starts = []
+
+        def creeping_newton(consts, k, lo, hi, r, start):
+            # the per-period seam: the first period has no start of its own
+            p = creeping(params, r, start=rg.PricePair(*start) if starts else None)
+            starts.append(start)
+            _, _, q_H, q_L = _shares(consts, *p, *r)
+            return (*p, 0.0, 0, q_H, q_L)
+
+        monkeypatch.setattr(equilibrium, "_newton", creeping_newton)
         traj = equilibrium.equilibrium_path(params, r0, 60)
         assert p.tobytes() == np.stack([traj.p_H, traj.p_L]).tobytes()
         assert r.tobytes() == np.stack([traj.r_H, traj.r_L]).tobytes()
