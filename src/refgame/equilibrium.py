@@ -225,29 +225,29 @@ def best_response(
 
 
 def _newton(
-    consts, k: tuple[float, float], lo: float, hi: float, r: PricePair | None, start
+    consts, lo: float, hi: float, r: PricePair | None, start, b: tuple | None = None
 ) -> tuple[float, float, float, int, float, float]:
     """Projected Newton on the scaled first-order conditions G = 0.
 
     ``consts`` is the market's ``model._consts`` and [lo, hi] its price
     box. With ``r`` None the references follow the prices (the
-    stationary system G(p, p) = 0); otherwise they stay at ``r``. ``k``
-    is (k_H, k_L) of the Jacobian below: b_i + c_i with fixed references,
-    b_i when they follow the prices. A component is held fixed while it
-    sits on a box edge with G_i pointing out of the box; the free
-    components take a Newton step on the analytic Jacobian, clipped to
-    the box and halved until max|G_i| over the free components falls by
-    the Armijo factor 1 - 1e-4 * t. Once that residual is at most
-    TOLERANCE, returns (p_H, p_L, residual, iterations, q_H, q_L), where
-    q_i = 1 - d_i comes from the last evaluation: bit for bit
+    stationary system G(p, p) = 0) and ``b`` gives (b_H, b_L), which
+    the Jacobian needs there; otherwise they stay at ``r`` and ``b`` is
+    not read. A component is held fixed while it sits on a box edge
+    with G_i pointing out of the box; the free components take a Newton
+    step on the analytic Jacobian, clipped to the box and halved until
+    max|G_i| over the free components falls by the Armijo factor
+    1 - 1e-4 * t. Once that residual is at most TOLERANCE, returns
+    (p_H, p_L, residual, iterations, q_H, q_L), where q_i = 1 - d_i
+    comes from the last evaluation: bit for bit
     ``_shares(consts, p_H, p_L, *r)[2:]``, with r = p when ``r`` is None.
     An ``ArithmeticError`` (an overflow, say) is re-raised as
     ``SolverError``.
     """
     s_H, s_L = consts[1], consts[4]
-    # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i);
-    # with r = p the reference term cancels c_i, so k_i = b_i there.
-    k_H, k_L = k
+    # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
+    # where k_i = b_i + c_i; with r = p the reference term cancels c_i.
+    k_H, k_L = b if r is None else (s_H, s_L)
     r_H, r_L = (None, None) if r is None else r
 
     # Clamps and the residual's max are written as the conditionals that
@@ -339,7 +339,7 @@ def equilibrium_policy(
     consts = _consts(params)
     r = PricePair(float(r[0]), float(r[1]))
     start = (mid, mid) if start is None else start
-    p_H, p_L, _, _, _, _ = _newton(consts, (consts[1], consts[4]), lo, hi, r, start)
+    p_H, p_L, _, _, _, _ = _newton(consts, lo, hi, r, start)
     return PricePair(p_H, p_L)
 
 
@@ -357,7 +357,7 @@ def solve_sne(params: MarketParams) -> SneSolution:
     lo, hi = params.p_lo, params.p_hi
     mid = 0.5 * (lo + hi)
     b = (params.firm_H.b, params.firm_L.b)
-    p_H, p_L, residual, iterations, _, _ = _newton(_consts(params), b, lo, hi, None, (mid, mid))
+    p_H, p_L, residual, iterations, _, _ = _newton(_consts(params), lo, hi, None, (mid, mid), b)
     prices = PricePair(p_H, p_L)
     for value, (lower, upper) in zip(prices, bounds):
         if not (lower < value < upper):
@@ -416,7 +416,6 @@ def equilibrium_path(
 
     consts = _consts(params)
     s_H, s_L = consts[1], consts[4]
-    k = (s_H, s_L)  # b_i + c_i: the references stay fixed within a period
     lo, hi = params.p_lo, params.p_hi
     records = ([], [], [], [], [], [])  # p_H, p_L, r_H, r_L, D_H, D_L
     put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (c.append for c in records)
@@ -425,7 +424,7 @@ def equilibrium_path(
     p = (mid, mid)
     for t in range(horizon + 1):
         try:
-            p_H, p_L, _, _, q_H, q_L = _newton(consts, k, lo, hi, r, p)
+            p_H, p_L, _, _, q_H, q_L = _newton(consts, lo, hi, r, p)
         except SolverError as err:
             raise SolverError(
                 f"equilibrium_path failed at period {t}: {err}",

@@ -640,7 +640,7 @@ class TestEquilibriumPath:
         assert np.all(r[:, 1:] == r[:, :1]) and p[0, 40] == cap > p[0, 39]
         starts = []
 
-        def creeping_newton(consts, k, lo, hi, r, start):
+        def creeping_newton(consts, lo, hi, r, start):
             # the per-period seam: the first period has no start of its own
             p = creeping(params, r, start=rg.PricePair(*start) if starts else None)
             starts.append(start)
