@@ -90,13 +90,14 @@ class RateReport:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HessianCertificate:
     """Closed-form Hessian of the local potential at the stationary point.
 
     ``gamma_estimate`` is half the smallest eigenvalue, the curvature
     constant of the 1/t rate: the schedule eta_t = d / (t+1) with
     d = 2 / gamma_estimate is the theorem's choice of coefficient.
+    Certificates compare and hash by identity.
     """
 
     matrix: np.ndarray
@@ -292,28 +293,22 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     n = len(traj)
     k = max(4, int(math.ceil(tail_fraction * n)))
     k = min(k, n)
-    if traj.period and n - k >= traj.onset and k >= 4 * traj.period:
-        t = np.arange(traj.onset, traj.onset + traj.period)
-        p_H, p_L = traj._take(t, "p_H", "p_L")
-        dist = np.hypot(p_H - sne.p_H, p_L - sne.p_L)
-        if np.all(dist < _SETTLED):
-            return CONVERGED
-        if float(np.min(dist)) > _APART and float(np.max(dist) - np.min(dist)) > 0.0:
-            return CYCLING
-        return UNDECIDED
-    p_H, p_L = traj._take(np.arange(n - k, n), "p_H", "p_L")
+    orbit = traj.period and n - k >= traj.onset and k >= 4 * traj.period
+    t = np.arange(traj.onset, traj.onset + traj.period) if orbit else np.arange(n - k, n)
+    p_H, p_L = traj._take(t, "p_H", "p_L")
     dist = np.hypot(p_H - sne.p_H, p_L - sne.p_L)
     if np.all(dist < _SETTLED):
         return CONVERGED
+    apart = float(np.min(dist)) > _APART
+    if orbit:
+        return CYCLING if apart and float(np.max(dist) - np.min(dist)) > 0.0 else UNDECIDED
     half = k // 2
     first, second = dist[:half], dist[half:]
     amp_1 = float(np.max(first) - np.min(first)) if first.size else 0.0
     amp_2 = float(np.max(second) - np.min(second)) if second.size else 0.0
     reversals = int(np.sum(np.diff(np.sign(np.diff(dist))) != 0))
-    if float(np.min(dist)) > _APART and amp_1 > 0.0 and amp_2 > 0.0 and reversals >= 4:
-        ratio = amp_2 / amp_1
-        if 0.5 <= ratio <= 2.0:
-            return CYCLING
+    if apart and amp_1 > 0.0 and amp_2 > 0.0 and reversals >= 4 and 0.5 <= amp_2 / amp_1 <= 2.0:
+        return CYCLING
     return UNDECIDED
 
 

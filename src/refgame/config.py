@@ -118,14 +118,9 @@ def _firm_from_dict(spec, where: str) -> FirmParams:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object with keys a, b, c")
     _reject_unknown(spec, ("a", "b", "c"), where)
+    fields = {key: _as_real(_require(spec, key, where), f"{where}.{key}") for key in "abc"}
     try:
-        return FirmParams(
-            a=_as_real(_require(spec, "a", where), f"{where}.a"),
-            b=_as_real(_require(spec, "b", where), f"{where}.b"),
-            c=_as_real(_require(spec, "c", where), f"{where}.c"),
-        )
-    except ConfigError:
-        raise
+        return FirmParams(**fields)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -158,6 +153,7 @@ def _pair_from_list(spec, where: str) -> PricePair:
     return PricePair(_as_real(spec[0], f"{where}[0]"), _as_real(spec[1], f"{where}[1]"))
 
 
+_PARAMS_FIELDS = ("firm_H", "firm_L", "alpha", "p_lo", "p_hi")
 # "seed" is accepted and ignored (see the module docstring)
 _TOP_FIELDS = (
     "params", "init_prices", "init_references", "schedule", "horizon", "output_path", "seed",
@@ -172,17 +168,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     params_doc = _require(doc, "params", "configuration")
     if not isinstance(params_doc, dict):
         raise ConfigError("'params' must be an object")
-    _reject_unknown(params_doc, ("firm_H", "firm_L", "alpha", "p_lo", "p_hi"), "params")
+    _reject_unknown(params_doc, _PARAMS_FIELDS, "params")
+    fields = {}
+    for key in _PARAMS_FIELDS:
+        convert = _firm_from_dict if key.startswith("firm_") else _as_real
+        fields[key] = convert(_require(params_doc, key, "params"), f"params.{key}")
     try:
-        params = MarketParams(
-            firm_H=_firm_from_dict(_require(params_doc, "firm_H", "params"), "params.firm_H"),
-            firm_L=_firm_from_dict(_require(params_doc, "firm_L", "params"), "params.firm_L"),
-            alpha=_as_real(_require(params_doc, "alpha", "params"), "params.alpha"),
-            p_lo=_as_real(_require(params_doc, "p_lo", "params"), "params.p_lo"),
-            p_hi=_as_real(_require(params_doc, "p_hi", "params"), "params.p_hi"),
-        )
-    except ConfigError:
-        raise
+        params = MarketParams(**fields)
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
     try:

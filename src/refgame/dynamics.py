@@ -38,7 +38,6 @@ from .model import (
     MarketState,
     PricePair,
     _consts,
-    _shares,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "StepSchedule",
     "Trajectory",
     "reference_update",
-    "ascent_step",
     "simulate",
 ]
 
@@ -161,7 +159,7 @@ class _Column:
         traj.__dict__.setdefault("_records", {})[self.name] = records
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Trajectory:
     """A finished simulation: per-period state as six parallel columns.
 
@@ -178,6 +176,8 @@ class Trajectory:
     first read; ``len``, :meth:`final_state`, ``rate_fit``,
     ``cycle_detector`` and the CSV writers read the stored records and
     build none. Stored records and built columns are read-only.
+    Trajectories compare and hash by identity, and ``repr`` builds no
+    column.
     """
 
     params: MarketParams
@@ -260,9 +260,10 @@ def reference_update(params: MarketParams, r: PricePair, p: PricePair) -> PriceP
 
     A convex combination of two in-box values cannot leave the box
     mathematically, but its final rounding can overshoot an edge by one
-    ulp; the clamp keeps the result in the box. This is the reference
-    rule of every period in :func:`ascent_step`, :func:`simulate` and
-    ``equilibrium_path``.
+    ulp; the clamp keeps the result in the box. Every period of
+    :func:`simulate` and ``equilibrium_path`` updates its references by
+    this rule from the pre-step pair (r_t, p_t); in :func:`simulate` the
+    same period moves the prices to Proj[p_lo, p_hi](p_t + eta_t * D(p_t, r_t)).
     """
     lo, hi, alpha = params.p_lo, params.p_hi, params.alpha
     omega = 1.0 - alpha
@@ -295,33 +296,6 @@ def _state_floats(params: MarketParams, state: MarketState):
             f"state {state!r} outside the price box [{params.p_lo}, {params.p_hi}]"
         )
     return p_H, p_L, r_H, r_L
-
-
-def ascent_step(params: MarketParams, state: MarketState, eta: float) -> MarketState:
-    """One period of the projected log-revenue ascent.
-
-    Prices move by eta times the derivative evaluated at the *old*
-    state and are projected onto the box; references follow
-    :func:`reference_update` from the *old* (r, p) pair. Requires
-    eta > 0 and a feasible state. Bit-identical to one period of
-    :func:`simulate`.
-    """
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"step size must be finite and > 0, got {eta!r}")
-    p_H, p_L, r_H, r_L = _state_floats(params, state)
-    consts = _consts(params)
-    lo, hi = params.p_lo, params.p_hi
-
-    _, _, q_H, q_L = _shares(consts, p_H, p_L, r_H, r_L)
-    D_H = 1.0 / p_H - consts[1] * q_H
-    D_L = 1.0 / p_L - consts[4] * q_L
-
-    new_prices = PricePair(
-        min(max(p_H + eta * D_H, lo), hi),
-        min(max(p_L + eta * D_L, lo), hi),
-    )
-    new_refs = reference_update(params, PricePair(r_H, r_L), PricePair(p_H, p_L))
-    return MarketState(prices=new_prices, references=new_refs)
 
 
 def simulate(
@@ -393,8 +367,8 @@ def simulate(
     for i in range(0, n, ETA_CHUNK):
         j = min(i + ETA_CHUNK, n)
         for eta in etas[i:j].tolist():
-            # model._shares and the D_i of ascent_step, inlined: calling
-            # the kernel once per period costs about 30% more
+            # model._shares and D_i = 1/p_i - (b_i+c_i)(1 - d_i), inlined:
+            # calling the kernel once per period costs about 30% more
             u_H = a_H - s_H * p_H + c_H * r_H
             u_L = a_L - s_L * p_L + c_L * r_L
             m = u_H if u_H > u_L else u_L

@@ -70,7 +70,7 @@ TOLERANCE = 1e-12
 MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SneSolution:
     """A solved stationary equilibrium with its certificates.
 
@@ -81,7 +81,7 @@ class SneSolution:
     closed-form Hessian of the local potential at the solution; its
     positive det and trace certify the local quadratic growth the rate
     theory relies on, and its ``gamma_estimate`` sets the rate's step
-    coefficient 2 / gamma.
+    coefficient 2 / gamma. Solutions compare and hash by identity.
     """
 
     prices: PricePair
@@ -225,7 +225,7 @@ def best_response(
 
 
 def _newton(
-    consts, lo: float, hi: float, r: PricePair | None, start, b: tuple | None = None
+    consts, lo: float, hi: float, r: PricePair | None, start=None, b: tuple | None = None
 ) -> tuple[float, float, float, int, float, float]:
     """Projected Newton on the scaled first-order conditions G = 0.
 
@@ -233,16 +233,17 @@ def _newton(
     box. With ``r`` None the references follow the prices (the
     stationary system G(p, p) = 0) and ``b`` gives (b_H, b_L), which
     the Jacobian needs there; otherwise they stay at ``r`` and ``b`` is
-    not read. A component is held fixed while it sits on a box edge
-    with G_i pointing out of the box; the free components take a Newton
-    step on the analytic Jacobian, clipped to the box and halved until
-    max|G_i| over the free components falls by the Armijo factor
-    1 - 1e-4 * t. Once that residual is at most TOLERANCE, returns
-    (p_H, p_L, residual, iterations, q_H, q_L), where q_i = 1 - d_i
-    comes from the last evaluation: bit for bit
-    ``_shares(consts, p_H, p_L, *r)[2:]``, with r = p when ``r`` is None.
-    An ``ArithmeticError`` (an overflow, say) is re-raised as
-    ``SolverError``.
+    not read. The iteration starts at ``start`` clipped to the box, or
+    at the box midpoint when ``start`` is None. A component is held
+    fixed while it sits on a box edge with G_i pointing out of the box;
+    the free components take a Newton step on the analytic Jacobian,
+    clipped to the box and halved until max|G_i| over the free
+    components falls by the Armijo factor 1 - 1e-4 * t. Once that
+    residual is at most TOLERANCE, returns (p_H, p_L, residual,
+    iterations, q_H, q_L), where q_i = 1 - d_i comes from the last
+    evaluation: bit for bit ``_shares(consts, p_H, p_L, *r)[2:]``, with
+    r = p when ``r`` is None. An ``ArithmeticError`` (an overflow, say)
+    is re-raised as ``SolverError``.
     """
     s_H, s_L = consts[1], consts[4]
     # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
@@ -265,9 +266,12 @@ def _newton(
         e_L = abs(g_L) if free_L else 0.0
         return e_L if e_L > e_H else e_H, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L
 
-    x, y = start
-    x = lo if x < lo else hi if x > hi else x
-    y = lo if y < lo else hi if y > hi else y
+    if start is None:
+        x = y = 0.5 * (lo + hi)
+    else:
+        x, y = start
+        x = lo if x < lo else hi if x > hi else x
+        y = lo if y < lo else hi if y > hi else y
     it = 0
     try:
         trial = evaluate(x, y)
@@ -334,12 +338,8 @@ def equilibrium_policy(
         raise ValueError("references must lie in the price box")
     if start is not None and any(math.isnan(v) for v in start):
         raise ValueError(f"start must not hold NaN, got {tuple(start)}")
-    lo, hi = params.p_lo, params.p_hi
-    mid = 0.5 * (lo + hi)
-    consts = _consts(params)
     r = PricePair(float(r[0]), float(r[1]))
-    start = (mid, mid) if start is None else start
-    p_H, p_L, _, _, _, _ = _newton(consts, lo, hi, r, start)
+    p_H, p_L, _, _, _, _ = _newton(_consts(params), params.p_lo, params.p_hi, r, start)
     return PricePair(p_H, p_L)
 
 
@@ -355,9 +355,8 @@ def solve_sne(params: MarketParams) -> SneSolution:
     """
     bounds = validate_price_box(params)
     lo, hi = params.p_lo, params.p_hi
-    mid = 0.5 * (lo + hi)
     b = (params.firm_H.b, params.firm_L.b)
-    p_H, p_L, residual, iterations, _, _ = _newton(_consts(params), lo, hi, None, (mid, mid), b)
+    p_H, p_L, residual, iterations, _, _ = _newton(_consts(params), lo, hi, None, b=b)
     prices = PricePair(p_H, p_L)
     for value, (lower, upper) in zip(prices, bounds):
         if not (lower < value < upper):
@@ -420,8 +419,7 @@ def equilibrium_path(
     records = ([], [], [], [], [], [])  # p_H, p_L, r_H, r_L, D_H, D_L
     put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (c.append for c in records)
 
-    mid = 0.5 * (lo + hi)
-    p = (mid, mid)
+    p = None  # the box midpoint
     for t in range(horizon + 1):
         try:
             p_H, p_L, _, _, q_H, q_L = _newton(consts, lo, hi, r, p)

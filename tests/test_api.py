@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "FIGURE1_VARIANTS", "FirmParams", "HessianCertificate", "MarketParams",
     "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT",
     "RateReport", "SneSolution", "SolverError", "StepSchedule", "Trajectory",
-    "UNDECIDED", "ascent_step", "best_response",
+    "UNDECIDED", "best_response",
     "bound_constants", "check_properties", "cycle_detector", "demand", "equilibrium_path",
     "equilibrium_policy", "figure1_config", "figure1_params", "hessian_certificate",
     "load_config", "local_potential", "log_rev_derivative",
@@ -46,8 +46,6 @@ PROGRAM_FILES = [
 
 # public names the program never reads, kept as independent test oracles
 ORACLES = {
-    # the one-period ascent that simulate's inlined kernel must match bit for bit
-    "ascent_step",
     # the single-firm solver that equilibrium_policy's joint Newton is checked against
     "best_response",
     # the one-period policy that equilibrium_path's lean loop must match bit for bit

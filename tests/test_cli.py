@@ -242,6 +242,44 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             refgame.config._schedule_from_dict({})
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                lambda doc: doc["params"].update(firm_L=[1, 2, 3]),
+                "params.firm_L must be an object with keys a, b, c",
+            ),
+            (
+                lambda doc: doc["params"]["firm_H"].update(b=0),
+                "params.firm_H: FirmParams.b must be > 0, got 0.0",
+            ),
+            (
+                lambda doc: doc["params"].update(p_lo=7.5),
+                "params: price box must satisfy 0 < p_lo < p_hi, got [7.5, 7.5]",
+            ),
+            (
+                lambda doc: doc.update(init_references=[0.10]),
+                "init_references must be a two-element list [H, L]",
+            ),
+            (lambda doc: doc.update(params=[1]), "'params' must be an object"),
+            (lambda doc: [doc], "configuration root must be a JSON object"),
+        ],
+        ids=["firm_list", "firm_b_zero", "box_empty", "pair_short", "params_list", "root_list"],
+    )
+    def test_malformed_document_exits_1_with_one_line(self, tmp_path, capsys, change, message):
+        doc = demo_config_dict()
+        doc = change(doc) or doc  # a change returns the document when it replaces the root
+        out = tmp_path / "never.csv"
+        code = cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_unknown_figure1_variant_refused(self):
+        with pytest.raises(rg.ConfigError) as err:
+            rg.figure1_config("d")
+        assert str(err.value) == "variant must be one of ('a', 'b', 'c'), got 'd'"
+
     def test_unknown_field_exits_1_with_one_line(self, tmp_path, capsys):
         doc = demo_config_dict()
         doc["params"]["beta"] = 0.5
@@ -305,6 +343,14 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", path, "--out", str(out)])
         assert code == 1
         assert "p_hi" in capsys.readouterr().err
+
+    def test_explicit_schedule_shorter_than_the_horizon_exits_1(self, tmp_path, capsys):
+        doc = demo_config_dict(schedule={"kind": "explicit", "values": [1.0, 0.5, 0.5]}, horizon=10)
+        out = tmp_path / "never.csv"
+        code = cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: explicit schedule has 3 values, 10 requested\n")
+        assert not out.exists()
 
     def test_missing_config_file_exits_1(self, capsys):
         assert cli.main(["simulate", "--config", "/no/such/file.json"]) == 1
@@ -638,6 +684,34 @@ class TestSneCommand:
             summary = summary_dict(out)
             assert summary["bound_upper_H"] == "496.378319694"
             assert float(summary["bound_lower_H"]) < float(summary["sne_p_H"]) < 496.378319694
+
+    def test_sne_outside_its_bounds_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # a forced Newton result on the box's lower edge, below both lower bounds
+        def newton(consts, lo, hi, *args, **kwargs):
+            return lo, lo, 0.0, 1, 0.5, 0.5
+
+        monkeypatch.setattr(rg.equilibrium, "_newton", newton)
+        assert cli.main(["sne", "--config", write_config(tmp_path, demo_config_dict())]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(
+            "solver failure: solved stationary prices violate their analytic bounds "
+            "[{'prices': (0.1, 0.1), 'bounds': "
+        )
+
+    def test_hessian_not_positive_definite_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        negative = rg.HessianCertificate(
+            matrix=-np.eye(2), det=1.0, trace=-2.0, min_eig=-1.0, gamma_estimate=-0.5
+        )
+        monkeypatch.setattr(rg.analysis, "hessian_certificate", lambda params, sne: negative)
+        assert cli.main(["sne", "--config", write_config(tmp_path, demo_config_dict())]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "solver failure: Hessian certificate is not positive definite at the solution "
+            "[{'det': 1.0, 'trace': -2.0}]\n",
+        )
 
 
 class TestCompareCommand:

@@ -1,4 +1,4 @@
-"""Step schedules, single ascent steps, and full simulations."""
+"""Step schedules, the one-period ascent oracle, and full simulations."""
 
 import dataclasses
 import hashlib
@@ -23,6 +23,31 @@ def demo_state() -> rg.MarketState:
     return rg.MarketState(
         prices=rg.PricePair(4.85, 4.86), references=rg.PricePair(0.10, 2.95)
     )
+
+
+def ascent_step(params: rg.MarketParams, state: rg.MarketState, eta: float) -> rg.MarketState:
+    """One period of the projected log-revenue ascent, written out apart
+    from ``simulate``'s inlined loop as the oracle it must match bit for bit.
+
+    Prices move by eta times the derivative evaluated at the *old* state
+    and are projected onto the box; references follow
+    ``reference_update`` from the *old* (r, p) pair.
+    """
+    p_H, p_L = float(state.prices[0]), float(state.prices[1])
+    r_H, r_L = float(state.references[0]), float(state.references[1])
+    consts = _consts(params)
+    lo, hi = params.p_lo, params.p_hi
+
+    _, _, q_H, q_L = _shares(consts, p_H, p_L, r_H, r_L)
+    D_H = 1.0 / p_H - consts[1] * q_H
+    D_L = 1.0 / p_L - consts[4] * q_L
+
+    new_prices = rg.PricePair(
+        min(max(p_H + eta * D_H, lo), hi),
+        min(max(p_L + eta * D_L, lo), hi),
+    )
+    new_refs = rg.reference_update(params, rg.PricePair(r_H, r_L), rg.PricePair(p_H, p_L))
+    return rg.MarketState(prices=new_prices, references=new_refs)
 
 
 def state_at(traj: rg.Trajectory, t: int) -> rg.MarketState:
@@ -85,6 +110,10 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             s.sequence(4)
 
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rg.StepSchedule.constant(1.0).sequence(-1)
+
     def test_bad_coefficients(self):
         for kind in ("constant", "inverse_sqrt", "inverse_t"):
             with pytest.raises(ValueError):
@@ -143,19 +172,13 @@ class TestReferenceUpdate:
 
 
 class TestAscentStep:
-    def test_rejects_bad_eta(self, fig1):
-        with pytest.raises(ValueError):
-            rg.ascent_step(fig1, demo_state(), 0.0)
-        with pytest.raises(ValueError):
-            rg.ascent_step(fig1, demo_state(), -0.5)
-
     def test_rejects_out_of_box_state(self, fig1):
         bad = rg.MarketState(rg.PricePair(9.0, 1.0), rg.PricePair(1.0, 1.0))
-        with pytest.raises(ValueError):
-            rg.ascent_step(fig1, bad, 0.1)
+        with pytest.raises(ValueError, match="outside the price box"):
+            rg.simulate(fig1, bad, rg.StepSchedule.constant(0.1), 1)
 
     def test_single_step_frozen_values(self, fig1):
-        out = rg.ascent_step(fig1, demo_state(), 1.0)
+        out = ascent_step(fig1, demo_state(), 1.0)
         assert math.isclose(out.prices.p_H, 4.85 + D_H0, rel_tol=1e-12)
         assert math.isclose(out.prices.p_L, 4.86 + D_L0, rel_tol=1e-12)
         # references smoothed from the old pair
@@ -164,14 +187,14 @@ class TestAscentStep:
 
     def test_projection_engages(self, fig1):
         # a huge step must clamp onto the box edge
-        out = rg.ascent_step(fig1, demo_state(), 1e6)
+        out = ascent_step(fig1, demo_state(), 1e6)
         assert out.prices.p_H == fig1.p_lo  # derivative is negative here
         assert out.prices.p_L == fig1.p_lo
 
     def test_stationary_point_is_fixed(self, fig1, fig1_sne):
         sne = fig1_sne.prices
         state = rg.MarketState(prices=sne, references=sne)
-        out = rg.ascent_step(fig1, state, 1.0)
+        out = ascent_step(fig1, state, 1.0)
         # solver residual ~1e-12 bounds the derivative magnitude here
         assert abs(out.prices.p_H - sne.p_H) < 1e-9
         assert abs(out.prices.p_L - sne.p_L) < 1e-9
@@ -184,7 +207,7 @@ class TestAscentStep:
 
         def step(x):
             state = rg.MarketState(rg.PricePair(x[0], x[1]), rg.PricePair(x[2], x[3]))
-            out = rg.ascent_step(fig1, state, 1.0)
+            out = ascent_step(fig1, state, 1.0)
             return np.array([*out.prices, *out.references])
 
         h = 1e-6
@@ -193,7 +216,7 @@ class TestAscentStep:
 
     def test_tiny_step_limit(self, fig1):
         # eta -> 0: prices barely move, references still smoothed
-        out = rg.ascent_step(fig1, demo_state(), 1e-300)
+        out = ascent_step(fig1, demo_state(), 1e-300)
         assert math.isclose(out.prices.p_H, 4.85, rel_tol=1e-15)
         assert out.references.p_H != 0.10
 
@@ -201,7 +224,7 @@ class TestAscentStep:
 class TestSimulate:
     def test_horizon_one_equals_single_step(self, fig1):
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.constant(1.0), 1)
-        step = rg.ascent_step(fig1, demo_state(), 1.0)
+        step = ascent_step(fig1, demo_state(), 1.0)
         assert len(traj) == 2
         assert state_at(traj, 1) == step
 
@@ -275,6 +298,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             traj.p_H[0] = 99.0
 
+    def test_columns_of_different_lengths_refused(self, fig1):
+        columns = [np.zeros(3)] * 5 + [np.zeros(2)]
+        with pytest.raises(ValueError, match="trajectory arrays must share one length"):
+            rg.Trajectory(fig1, "explicit(n=2)", *columns)
+
+    def test_repr_and_equality_build_no_column(self):
+        # the generated dataclass methods would read, and so build, every column
+        cfg = rg.figure1_config("b")
+        traj, other = (
+            rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000) for _ in range(2)
+        )
+        assert "Trajectory" in repr(traj)
+        assert traj == traj and traj != other
+        assert len({traj, other}) == 2
+        assert traj._columns == {} and other._columns == {}
+
     def test_retention_limit_refuses(self, fig1, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "RETENTION_LIMIT", 100)
         with pytest.raises(ValueError, match="retention limit"):
@@ -289,12 +328,18 @@ class TestSimulate:
         assert "retention limit" in err
         assert "Traceback" not in err
 
+    def test_explicit_schedule_shorter_than_the_horizon_refused(self, fig1):
+        schedule = rg.StepSchedule.explicit([1.0, 0.5, 0.5])
+        with pytest.raises(ValueError) as err:
+            rg.simulate(fig1, demo_state(), schedule, 10)
+        assert str(err.value) == "explicit schedule has 3 values, 10 requested"
+
     def test_explicit_schedule_consumed(self, fig1):
         values = [1.0, 0.5, 0.25]
         traj = rg.simulate(fig1, demo_state(), rg.StepSchedule.explicit(values), 3)
         state = demo_state()
         for t, eta in enumerate(values, start=1):
-            state = rg.ascent_step(fig1, state, eta)
+            state = ascent_step(fig1, state, eta)
             assert state_at(traj, t) == state
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -312,7 +357,7 @@ class TestSimulate:
         for t in range(horizon + 1):
             assert state_at(traj, t) == state, t
             if t < horizon:
-                state = rg.ascent_step(fig1, state, float(etas[t]))
+                state = ascent_step(fig1, state, float(etas[t]))
 
     @pytest.mark.parametrize(
         "schedule", [rg.StepSchedule.constant(1.0), rg.StepSchedule.inverse_sqrt(1.0)]
@@ -327,7 +372,7 @@ class TestSimulate:
             assert state_at(traj, t) == state, t
             saturated += _shares(_consts(SATURATED), *state.prices, *state.references)[0] == 1.0
             if t < 300:
-                state = rg.ascent_step(SATURATED, state, etas[t])
+                state = ascent_step(SATURATED, state, etas[t])
         assert saturated > 250
 
     def test_final_state_accessor(self, fig1):
@@ -434,7 +479,7 @@ def iterated_records(params, state, schedule, horizon):
         states.append(key)
         derivatives.append(cache[key])
         if t < horizon:
-            state = rg.ascent_step(params, state, etas[t])
+            state = ascent_step(params, state, etas[t])
     return np.array(states), np.array(derivatives)
 
 

@@ -454,6 +454,15 @@ class TestSolveSne:
         g = rg.scaled_derivative(params, sol.prices, sol.prices)
         assert max(abs(g[0]), abs(g[1])) <= 1e-12
 
+    def test_solutions_compare_and_hash_by_identity(self, fig1):
+        # the generated dataclass methods would compare, or fail to hash, arrays
+        a, b = rg.solve_sne(fig1), rg.solve_sne(fig1)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        cert_a, cert_b = a.hessian_certificate, b.hessian_certificate
+        assert cert_a == cert_a and cert_a != cert_b
+        assert len({cert_a, cert_b}) == 2
+
     def test_agrees_with_long_learning_run(self, fig1, fig1_sne):
         # two independent routes to the same point: the fixed-point
         # solver against a long diminishing-step learning run

@@ -54,6 +54,9 @@ class TestParamsValidation:
             rg.MarketParams(firm, firm, alpha=0.5, p_lo=0.0, p_hi=2.0)
         with pytest.raises(ValueError):
             rg.MarketParams(firm, firm, alpha=0.5, p_lo=2.0, p_hi=1.0)
+        for p_lo, p_hi in ((0.5, math.inf), (math.nan, 2.0)):
+            with pytest.raises(ValueError, match="price box bounds must be finite"):
+                rg.MarketParams(firm, firm, alpha=0.5, p_lo=p_lo, p_hi=p_hi)
 
 
 class TestUtility:
@@ -192,6 +195,13 @@ class TestScaledDerivative:
         G_H, G_L = rg.scaled_derivative(fig1, P0, R0)
         assert math.isclose(G_H, D_H0 / 2.82, rel_tol=1e-12)
         assert math.isclose(G_L, D_L0 / 1.52, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("prices", [(0.0, 1.0), (1.0, np.array([2.0, 0.0]))])
+    def test_zero_price_rejected(self, fig1, prices):
+        with pytest.raises(ValueError, match="scaled_derivative is undefined at p_i = 0"):
+            rg.scaled_derivative(fig1, prices, (1.0, 1.0))
+        with pytest.raises(ValueError, match="scaled_derivative_partials is undefined at p_i = 0"):
+            rg.scaled_derivative_partials(fig1, prices, (1.0, 1.0))
 
 
 class TestPartials:
