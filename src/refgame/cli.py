@@ -75,7 +75,18 @@ def _write_rows(f, n: int, onset: int, period: int, *records: np.ndarray) -> Non
     row t < onset is record t of ``records``, a later row is record
     ``onset + (t - onset) % period`` (period 0 comes with onset n). Each
     record is formatted once, CSV_CHUNK_ROWS rows of plain floats at a time,
-    which saves per-value call overhead and bounds the text held in memory."""
+    which saves per-value call overhead and bounds the text held in memory.
+
+    Past the stored records, the rows from the first whole hundred at or
+    above ``max(stored, 100)`` up to the last whole hundred are written a
+    hundred at a time. For q >= 1, ``"%d" % (100q + r)`` is ``str(q)`` followed
+    by ``"%02d" % r``, so rows 100q .. 100q + 99 are
+    ``str(q).join(["", "00" + tail_0, .., "99" + tail_99])``, the same bytes
+    as one ``"%d%s"`` per row. A row's tail depends only on
+    ``(t - onset) % period``, so a block's texts depend only on its phase
+    ``(100q - onset) % period``; the ``period // gcd(period, 100)`` phases
+    that blocks take in turn are each built once. The rows around the
+    blocks keep the one-row form."""
     tail = ",%.17g" * len(records) + "\n"
     stored = min(n, onset + period)
     orbit = []
@@ -84,11 +95,26 @@ def _write_rows(f, n: int, onset: int, period: int, *records: np.ndarray) -> Non
         tails = [tail % values for values in zip(*(r[start:stop].tolist() for r in records))]
         orbit += tails[max(onset - start, 0) :]
         f.write("".join(map("%d%s".__mod__, zip(range(start, stop), tails))))
-    # row `stored` is the orbit's first record
-    repeat = itertools.cycle(orbit)
-    for start in range(stored, n, CSV_CHUNK_ROWS):
-        stop = min(start + CSV_CHUNK_ROWS, n)
-        f.write("".join(map("%d%s".__mod__, zip(range(start, stop), repeat))))
+    if stored == n:
+        return
+
+    def write_each(start: int, stop: int) -> None:
+        tails = itertools.islice(itertools.cycle(orbit), (start - onset) % period, None)
+        f.write("".join(map("%d%s".__mod__, zip(range(start, stop), tails))))
+
+    # blocks q = first .. last - 1 hold rows 100 * first .. 100 * last - 1
+    first = max(-(-stored // 100), 1)
+    last = max(first, n // 100)
+    write_each(stored, min(100 * first, n))
+    blocks = itertools.cycle(
+        [""] + ["%02d%s" % (r, orbit[(100 * q + r - onset) % period]) for r in range(100)]
+        for q in range(first, first + period // math.gcd(period, 100))
+    )
+    per_write = CSV_CHUNK_ROWS // 100
+    for start in range(first, last, per_write):
+        qs = range(start, min(start + per_write, last))
+        f.write("".join(str(q).join(texts) for q, texts in zip(qs, blocks)))
+    write_each(100 * last, n)
 
 
 def _say(key: str, value) -> None:

@@ -177,8 +177,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         params = MarketParams(**fields)
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
+    schedule_doc = _require(doc, "schedule", "configuration")
     try:
-        schedule = _schedule_from_dict(_require(doc, "schedule", "configuration"))
+        schedule = _schedule_from_dict(schedule_doc)
     except ValueError as err:
         raise ConfigError(f"schedule: {err}") from err
     horizon = _require(doc, "horizon", "configuration")

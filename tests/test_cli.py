@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -263,8 +264,12 @@ class TestConfigParsing:
             ),
             (lambda doc: doc.update(params=[1]), "'params' must be an object"),
             (lambda doc: [doc], "configuration root must be a JSON object"),
+            (lambda doc: doc.__delitem__("schedule"), "missing field 'schedule' in configuration"),
         ],
-        ids=["firm_list", "firm_b_zero", "box_empty", "pair_short", "params_list", "root_list"],
+        ids=[
+            "firm_list", "firm_b_zero", "box_empty", "pair_short", "params_list", "root_list",
+            "no_schedule",
+        ],
     )
     def test_malformed_document_exits_1_with_one_line(self, tmp_path, capsys, change, message):
         doc = demo_config_dict()
@@ -497,6 +502,18 @@ def repeating_trajectory(params, n: int, onset: int, period: int, seed: int = 0)
     return traj
 
 
+def oracle_rows(n: int, onset: int, period: int, *records) -> str:
+    """The rows _write_rows must produce, one at a time: row t is "%d" % t,
+    then each record's ",%.17g" at record t, or past the onset at record
+    onset + (t - onset) % period."""
+    cells = ["".join(",%.17g" % x for x in values) for values in zip(*records)]
+    rows = []
+    for t in range(n):
+        i = t if t < onset else onset + (t - onset) % period
+        rows.append("%d%s\n" % (t, cells[i]))
+    return "".join(rows)
+
+
 def figure1_b_trajectory(horizon: int) -> rg.Trajectory:
     cfg = rg.figure1_config("b")
     return rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, horizon)
@@ -524,7 +541,29 @@ RUN_LAYOUTS = {
 }
 
 
+# row counts, onsets and periods around the writer's blocks of a hundred rows
+ORACLE_ROWS = [1, 2, 99, 100, 101, 199, 200, 201, 1000, 12_345]
+ORACLE_ONSETS = [0, 1, 50, 99, 100, 101, 760]
+ORACLE_PERIODS = [0, 1, 2, 3, 4, 7, 20, 25, 50, 64]
+
+
 class TestCsvRows:
+    @pytest.mark.parametrize("n", ORACLE_ROWS)
+    def test_rows_match_the_row_by_row_oracle(self, n):
+        rng = np.random.default_rng(n)
+        cases = {
+            (min(onset, n), period)
+            for onset in ORACLE_ONSETS
+            for period in ORACLE_PERIODS
+            if min(onset, n) + period <= n and (period or min(onset, n) == n)
+        }
+        for onset, period in sorted(cases):
+            shape = (2, onset + period)
+            records = rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-5, 6, shape)
+            out = io.StringIO()
+            cli._write_rows(out, n, onset, period, *records)
+            assert out.getvalue() == oracle_rows(n, onset, period, *records), (onset, period)
+
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS + 1])
     def test_trajectory_rows_match_per_cell_format(self, tmp_path, fig1, n):
         traj = edge_trajectory(fig1, n)
@@ -599,6 +638,17 @@ class TestCsvRows:
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
         assert learn._columns == policy._columns == {}
+        assert out.read_text(encoding="ascii").split("\n")[1:] == joined_reference_lines(
+            learn, policy
+        )
+
+    def test_joined_refs_of_periods_4_and_1_over_many_blocks(self, tmp_path, fig1):
+        # the joined rows repeat with period 4 from row 777, through blocks
+        # of a hundred rows up to 12 300 and a last partial hundred
+        learn = repeating_trajectory(fig1, 12_345, 150, 4, seed=4)
+        policy = repeating_trajectory(fig1, len(learn), 777, 1, seed=5)
+        out = tmp_path / "joined.csv"
+        cli._write_joined_refs_csv(out, learn, policy)
         assert out.read_text(encoding="ascii").split("\n")[1:] == joined_reference_lines(
             learn, policy
         )
