@@ -182,6 +182,10 @@ def hessian_certificate(params: MarketParams, sne: PricePair) -> HessianCertific
     The matrix is symmetric positive definite, so det > 0, trace > 0,
     and the smallest eigenvalue is positive; ``gamma_estimate`` is half
     that eigenvalue (the potential dominates gamma * dist^2 nearby).
+    Both eigenvalues come in closed form: the larger is mean +
+    hypot((H_HH - H_LL)/2, H_HL), with mean the half trace, and the
+    smaller is det / larger when the larger is positive, which avoids
+    the cancellation of mean - hypot(...), and that difference otherwise.
     """
     d_H, d_L, q_H, q_L = _shares(_consts(params), *sne, *sne)
     b_H, c_H = params.firm_H.b, params.firm_H.c
@@ -190,13 +194,13 @@ def hessian_certificate(params: MarketParams, sne: PricePair) -> HessianCertific
     h_HH = 2.0 * s_H * q_H * (s_H - c_H * d_H)
     h_LL = 2.0 * s_L * q_L * (s_L - c_L * d_L)
     h_HL = -(b_H * s_L + b_L * s_H) * d_H * d_L
-    matrix = np.array([[h_HH, h_HL], [h_HL, h_LL]])
-    eigs = np.linalg.eigvalsh(matrix)
     det = float(h_HH * h_LL - h_HL * h_HL)
     trace = float(h_HH + h_LL)
-    min_eig = float(eigs[0])
+    mean, radius = 0.5 * trace, math.hypot(0.5 * (h_HH - h_LL), h_HL)
+    larger = mean + radius
+    min_eig = det / larger if larger > 0.0 else mean - radius
     return HessianCertificate(
-        matrix=matrix,
+        matrix=np.array([[h_HH, h_HL], [h_HL, h_LL]]),
         det=det,
         trace=trace,
         min_eig=min_eig,

@@ -237,13 +237,20 @@ def _newton(
     at the box midpoint when ``start`` is None. A component is held
     fixed while it sits on a box edge with G_i pointing out of the box;
     the free components take a Newton step on the analytic Jacobian,
-    clipped to the box and halved until max|G_i| over the free
-    components falls by the Armijo factor 1 - 1e-4 * t. Once that
-    residual is at most TOLERANCE, returns (p_H, p_L, residual,
-    iterations, q_H, q_L), where q_i = 1 - d_i comes from the last
-    evaluation: bit for bit ``_shares(consts, p_H, p_L, *r)[2:]``, with
-    r = p when ``r`` is None. An ``ArithmeticError`` (an overflow, say)
-    is re-raised as ``SolverError``.
+    clipped to the box.
+
+    One loop evaluates G at one point per pass, the trial point. The
+    first evaluation, at the start, is always accepted. A later trial
+    at step length t is accepted when max|G_i| over its free components
+    is at most (1 - 1e-4 * t) times the accepted residual (Armijo);
+    a rejected trial halves t. ``iterations`` counts accepted steps,
+    not evaluations. Once the accepted residual is at most TOLERANCE,
+    returns (p_H, p_L, residual, iterations, q_H, q_L), where q_i =
+    1 - d_i comes from the last evaluation: bit for bit
+    ``_shares(consts, p_H, p_L, *r)[2:]``, with r = p when ``r`` is
+    None. It raises ``SolverError`` when a trial clips back onto the
+    accepted point (a stall) or after MAX_ITERATIONS steps, and
+    re-raises an ``ArithmeticError`` (an overflow, say) as one.
     """
     s_H, s_L = consts[1], consts[4]
     # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
@@ -251,61 +258,55 @@ def _newton(
     k_H, k_L = b if r is None else (s_H, s_L)
     r_H, r_L = (None, None) if r is None else r
 
-    # Clamps and the residual's max are written as the conditionals that
-    # builtins.min and max evaluate, operand order included, so they give
-    # the same floats and pass a NaN through alike.
-    def evaluate(x: float, y: float):
-        d_H, d_L, q_H, q_L = (
-            _shares(consts, x, y, x, y) if r is None else _shares(consts, x, y, r_H, r_L)
-        )
-        g_H = 1.0 / (s_H * x) - q_H
-        g_L = 1.0 / (s_L * y) - q_L
-        free_H = not ((x <= lo and g_H <= 0.0) or (x >= hi and g_H >= 0.0))
-        free_L = not ((y <= lo and g_L <= 0.0) or (y >= hi and g_L >= 0.0))
-        e_H = abs(g_H) if free_H else 0.0
-        e_L = abs(g_L) if free_L else 0.0
-        return e_L if e_L > e_H else e_H, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L
-
     if start is None:
         x = y = 0.5 * (lo + hi)
     else:
         x, y = start
         x = lo if x < lo else hi if x > hi else x
         y = lo if y < lo else hi if y > hi else y
-    it = 0
+    # (nx, ny) is the trial point, res the accepted residual (None until the
+    # first evaluation). Clamps and the residual's max are written as the
+    # conditionals that builtins.min and max evaluate, operand order
+    # included, so they give the same floats and pass a NaN through alike.
+    nx, ny, res, it = x, y, None, 0
     try:
-        trial = evaluate(x, y)
-        for it in range(MAX_ITERATIONS + 1):
-            res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
-            if res <= TOLERANCE:
-                return x, y, res, it, q_H, q_L
-            if it == MAX_ITERATIONS:
-                break
-            j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
-            j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
-            if free_H and free_L:
-                j_HL, j_LH = k_L * d_H * d_L, k_H * d_H * d_L
-                det = j_HH * j_LL - j_HL * j_LH
-                dx = (g_L * j_HL - g_H * j_LL) / det
-                dy = (g_H * j_LH - g_L * j_HH) / det
+        while True:
+            d_H, d_L, q_H, q_L = (
+                _shares(consts, nx, ny, nx, ny) if r is None else _shares(consts, nx, ny, r_H, r_L)
+            )
+            g_H = 1.0 / (s_H * nx) - q_H
+            g_L = 1.0 / (s_L * ny) - q_L
+            free_H = not ((nx <= lo and g_H <= 0.0) or (nx >= hi and g_H >= 0.0))
+            free_L = not ((ny <= lo and g_L <= 0.0) or (ny >= hi and g_L >= 0.0))
+            e_H = abs(g_H) if free_H else 0.0
+            e_L = abs(g_L) if free_L else 0.0
+            e = e_L if e_L > e_H else e_H
+            if res is None or e <= (1.0 - 1e-4 * t) * res:
+                if res is not None:
+                    it += 1
+                x, y, res = nx, ny, e
+                if res <= TOLERANCE:
+                    return x, y, res, it, q_H, q_L
+                if it == MAX_ITERATIONS:
+                    break
+                j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
+                j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
+                if free_H and free_L:
+                    j_HL, j_LH = k_L * d_H * d_L, k_H * d_H * d_L
+                    det = j_HH * j_LL - j_HL * j_LH
+                    dx = (g_L * j_HL - g_H * j_LL) / det
+                    dy = (g_H * j_LH - g_L * j_HH) / det
+                else:
+                    dx, dy = (-g_H / j_HH, 0.0) if free_H else (0.0, -g_L / j_LL)
+                t = 1.0
             else:
-                dx, dy = (-g_H / j_HH, 0.0) if free_H else (0.0, -g_L / j_LL)
-            t = 1.0
-            while True:
-                nx = x + t * dx
-                nx = lo if nx < lo else hi if nx > hi else nx
-                ny = y + t * dy
-                ny = lo if ny < lo else hi if ny > hi else ny
-                stalled = nx == x and ny == y
-                if stalled:
-                    break
-                trial = evaluate(nx, ny)
-                if trial[0] <= (1.0 - 1e-4 * t) * res:
-                    break
                 t *= 0.5
-            if stalled:
+            nx = x + t * dx
+            nx = lo if nx < lo else hi if nx > hi else nx
+            ny = y + t * dy
+            ny = lo if ny < lo else hi if ny > hi else ny
+            if nx == x and ny == y:
                 break
-            x, y = nx, ny
     except ArithmeticError as err:
         raise SolverError(
             f"Newton solver failed: {type(err).__name__}: {err}",
@@ -331,8 +332,11 @@ def equilibrium_policy(
     to max|G_i| <= TOLERANCE, where a component on a box edge with
     G_i pointing out of the box is exempt: there the maximizer sits on
     the boundary. ``start`` (clipped to the box) warm-starts the
-    iteration, the box midpoint otherwise; the solution does not depend
-    on it. A start with a NaN component is refused with ``ValueError``.
+    iteration, the box midpoint otherwise. The solution meets the
+    tolerance from every start, but its last bits depend on the start:
+    from the 81 starts of a 9 x 9 grid on the figure1 box, the policy at
+    r = (1.5, 1.0) takes 45 distinct values, up to 1.1e-12 apart. A
+    start with a NaN component is refused with ``ValueError``.
     """
     if not params.in_box(r[0], r[1]):
         raise ValueError("references must lie in the price box")

@@ -22,6 +22,7 @@ numpy arrays of a common shape; results broadcast elementwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,8 +126,8 @@ class MarketParams:
 
 
 # The representable shares nearest 0 and 1 that still lie strictly inside (0, 1).
-_SHARE_MIN = float(np.finfo(float).tiny)
-_SHARE_MAX = float(np.nextafter(1.0, 0.0))
+_SHARE_MIN = sys.float_info.min
+_SHARE_MAX = math.nextafter(1.0, 0.0)
 
 
 def _check_finite(**named) -> None:

@@ -14,6 +14,15 @@ SATURATED = rg.MarketParams(
     p_lo=0.21716153657251372,
     p_hi=266.9523140634842,
 )
+# Market 100 of the same sweep: the best-response alternation that preceded
+# Newton ran out 100000 rounds here.
+STIFF = rg.MarketParams(
+    firm_H=rg.FirmParams(a=0.1153932072594559, b=2.284172105252009, c=2.429337476968917),
+    firm_L=rg.FirmParams(a=5.5994731056425, b=0.4871002131838462, c=0.6692522316912924),
+    alpha=0.37016484196656,
+    p_lo=0.19094052622588184,
+    p_hi=8.092705084036004,
+)
 
 
 @pytest.fixture(scope="session")

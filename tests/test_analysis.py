@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import refgame as rg
-from conftest import spectral_radius, step_jacobian
+from conftest import SATURATED, STIFF, spectral_radius, step_jacobian
 
 
 class TestWeightedL1Distance:
@@ -107,9 +107,17 @@ class TestHessianCertificate:
         err = np.max(np.abs(fd - cert.matrix) / np.maximum(1.0, np.abs(cert.matrix)))
         assert err < 1e-5
 
-    def test_eigen_consistency(self, fig1, fig1_sne):
-        cert = rg.hessian_certificate(fig1, fig1_sne.prices)
+    @pytest.mark.parametrize(
+        "market", ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
+    )
+    def test_eigen_consistency(self, fig1, market):
+        # the closed-form smallest eigenvalue against LAPACK's
+        params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(market)
+        if params is None:
+            params = rg.random_market(np.random.default_rng(int(market.removeprefix("random-"))))
+        cert = rg.solve_sne(params).hessian_certificate
         eigs = np.linalg.eigvalsh(cert.matrix)
+        assert math.isclose(cert.min_eig, float(eigs[0]), rel_tol=1e-15)
         assert math.isclose(cert.det, float(np.prod(eigs)), rel_tol=1e-10)
         assert math.isclose(cert.trace, float(np.sum(eigs)), rel_tol=1e-12)
 

@@ -18,7 +18,7 @@ import refgame as rg
 import refgame.equilibrium as equilibrium
 from refgame.model import _consts, _shares
 
-from conftest import SATURATED
+from conftest import SATURATED, STIFF
 
 # frozen: stationary prices and demands of the demo instance
 SNE_H = 1.920413366139232687344
@@ -31,9 +31,9 @@ OMEGA = 0.567143290409783873
 # frozen: 1/2 + W(0.5 * exp(9.5)), the worked box-threshold value
 WORKED_UPPER = 7.378458279838826520726
 
-# Markets 149 and 100 of the benchmark's sweep (bench/workloads.py,
-# make_markets), frozen as literals so that tier-1 does not import bench/;
-# market 279 is conftest.SATURATED. COLLAPSING: near firm L's best response
+# Market 149 of the benchmark's sweep (bench/workloads.py, make_markets),
+# frozen as a literal so that tier-1 does not import bench/; markets 100 and
+# 279 are conftest.STIFF and conftest.SATURATED. COLLAPSING: near firm L's best response
 # at its start reference, |D_L| is at least 8.3e-16 at every float, so at
 # tolerance 1e-16 the bracket narrows to adjacent floats.
 COLLAPSING = rg.MarketParams(
@@ -45,14 +45,6 @@ COLLAPSING = rg.MarketParams(
 )
 COLLAPSING_R0 = rg.PricePair(14.629609984761172, 24.480156317776107)
 COLLAPSING_OPPONENT = 0.6257158044738064
-# the best-response alternation that preceded Newton ran out 100000 rounds here
-STIFF = rg.MarketParams(
-    firm_H=rg.FirmParams(a=0.1153932072594559, b=2.284172105252009, c=2.429337476968917),
-    firm_L=rg.FirmParams(a=5.5994731056425, b=0.4871002131838462, c=0.6692522316912924),
-    alpha=0.37016484196656,
-    p_lo=0.19094052622588184,
-    p_hi=8.092705084036004,
-)
 STIFF_R0 = rg.PricePair(1.1663842933423356, 1.438100073151389)
 # market 152 of the same sweep: its policy path is bit-fixed from period 18,
 # inside the sweep's 20-period paths
@@ -101,6 +93,90 @@ def path_market(fig1, market: str):
         "stiff": (STIFF, STIFF_R0),
         "saturated": (SATURATED, rg.PricePair(30.0, 1.0)),
     }[market]
+
+
+def newton_oracle(consts, lo, hi, r, start=None, b=None):
+    """The projected Newton as it was written before its one-site loop:
+    an ``evaluate`` closure returns a 9-tuple per point, and the line
+    search calls it for each trial. Kept as the bit-for-bit oracle of
+    ``equilibrium._newton``; it reads ``_shares``, ``equilibrium.TOLERANCE``,
+    ``equilibrium.MAX_ITERATIONS`` and ``SolverError`` from that module at call time,
+    so a monkeypatch there reaches both."""
+    s_H, s_L = consts[1], consts[4]
+    # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
+    # where k_i = b_i + c_i; with r = p the reference term cancels c_i.
+    k_H, k_L = b if r is None else (s_H, s_L)
+    r_H, r_L = (None, None) if r is None else r
+
+    # Clamps and the residual's max are written as the conditionals that
+    # builtins.min and max evaluate, operand order included, so they give
+    # the same floats and pass a NaN through alike.
+    def evaluate(x: float, y: float):
+        d_H, d_L, q_H, q_L = (
+            equilibrium._shares(consts, x, y, x, y)
+            if r is None
+            else equilibrium._shares(consts, x, y, r_H, r_L)
+        )
+        g_H = 1.0 / (s_H * x) - q_H
+        g_L = 1.0 / (s_L * y) - q_L
+        free_H = not ((x <= lo and g_H <= 0.0) or (x >= hi and g_H >= 0.0))
+        free_L = not ((y <= lo and g_L <= 0.0) or (y >= hi and g_L >= 0.0))
+        e_H = abs(g_H) if free_H else 0.0
+        e_L = abs(g_L) if free_L else 0.0
+        return e_L if e_L > e_H else e_H, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L
+
+    if start is None:
+        x = y = 0.5 * (lo + hi)
+    else:
+        x, y = start
+        x = lo if x < lo else hi if x > hi else x
+        y = lo if y < lo else hi if y > hi else y
+    it = 0
+    try:
+        trial = evaluate(x, y)
+        for it in range(equilibrium.MAX_ITERATIONS + 1):
+            res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
+            if res <= equilibrium.TOLERANCE:
+                return x, y, res, it, q_H, q_L
+            if it == equilibrium.MAX_ITERATIONS:
+                break
+            j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
+            j_LL = -1.0 / (s_L * y * y) - k_L * d_L * q_L
+            if free_H and free_L:
+                j_HL, j_LH = k_L * d_H * d_L, k_H * d_H * d_L
+                det = j_HH * j_LL - j_HL * j_LH
+                dx = (g_L * j_HL - g_H * j_LL) / det
+                dy = (g_H * j_LH - g_L * j_HH) / det
+            else:
+                dx, dy = (-g_H / j_HH, 0.0) if free_H else (0.0, -g_L / j_LL)
+            t = 1.0
+            while True:
+                nx = x + t * dx
+                nx = lo if nx < lo else hi if nx > hi else nx
+                ny = y + t * dy
+                ny = lo if ny < lo else hi if ny > hi else ny
+                stalled = nx == x and ny == y
+                if stalled:
+                    break
+                trial = evaluate(nx, ny)
+                if trial[0] <= (1.0 - 1e-4 * t) * res:
+                    break
+                t *= 0.5
+            if stalled:
+                break
+            x, y = nx, ny
+    except ArithmeticError as err:
+        raise equilibrium.SolverError(
+            f"Newton solver failed: {type(err).__name__}: {err}",
+            iterations=it,
+            last=(x, y),
+        ) from err
+    raise equilibrium.SolverError(
+        "Newton solver stopped above tolerance",
+        iterations=it,
+        residual=res,
+        last=(x, y),
+    )
 
 
 def bisect_w(target: float, lo: float, hi: float, iters: int = 80) -> float:
@@ -330,6 +406,81 @@ class TestBestResponse:
         lo, hi = err.value.context["bracket"]
         assert err.value.context["iterations"] < 200
         assert not lo < 0.5 * (lo + hi) < hi
+
+
+def newton_outcome(newton, consts, lo, hi, r, start, b):
+    """One solve in comparable form: the 6-tuple with its floats as hex, or
+    the SolverError's message, context and cause."""
+    try:
+        out = newton(consts, lo, hi, r, start, b)
+    except rg.SolverError as err:
+        return "error", str(err), repr(err.context), type(err.__cause__).__name__
+    return tuple(v.hex() if isinstance(v, float) else v for v in out)
+
+
+class TestNewton:
+    @pytest.mark.parametrize(
+        "market",
+        ["fig1", "early", "stiff", "saturated", *(f"random-{seed}" for seed in range(50))],
+    )
+    def test_matches_the_closure_oracle(self, fig1, monkeypatch, market):
+        params, r0 = path_market(fig1, market)
+        consts, lo, hi = _consts(params), params.p_lo, params.p_hi
+        b = (params.firm_H.b, params.firm_L.b)
+        # the midpoint, each box corner, and a start clipped onto the box
+        starts = [None, (lo, lo), (lo, hi), (hi, lo), (hi, hi), (0.5 * lo, 2.0 * hi)]
+        # On random-20, 45 and 46 one of these seeded starts has a trial whose
+        # residual falls between 1 - 1e-4 t and 1 - 1e-3 t of the accepted
+        # one, which pins the Armijo factor.
+        rng = np.random.default_rng(0)
+        seeded = [tuple(float(v) for v in rng.uniform(lo, hi, 2)) for _ in range(30)]
+
+        def outcomes(starts):
+            out = []
+            for r in (None, r0):
+                for start in starts:
+                    ours = newton_outcome(equilibrium._newton, consts, lo, hi, r, start, b)
+                    oracle = newton_outcome(newton_oracle, consts, lo, hi, r, start, b)
+                    assert ours == oracle, (r, start)
+                    out.append(ours)
+            return out
+
+        assert all(o[0] != "error" for o in outcomes(starts + seeded))
+        with monkeypatch.context() as patch:
+            # the stall exit: only a zero residual, both components held on
+            # box edges, meets the tolerance
+            patch.setattr(equilibrium, "TOLERANCE", 1e-300)
+            stalls = [
+                o[0] == "error" and "stopped above tolerance" in o[1]
+                for o in outcomes(starts)
+                if o[2] != (0.0).hex()
+            ]
+            assert stalls and all(stalls)
+        with monkeypatch.context() as patch:
+            # the cap exit, after two steps
+            patch.setattr(equilibrium, "MAX_ITERATIONS", 2)
+            assert any(o[0] == "error" and "'iterations': 2" in o[2] for o in outcomes(starts))
+        calls = []
+
+        def shares(*args):
+            calls.append(1)
+            if len(calls) == k:
+                raise OverflowError("math range error")
+            return _shares(*args)
+
+        monkeypatch.setattr(equilibrium, "_shares", shares)
+        # the count restarts with each solve, so the overflow hits both
+        # solvers at the same evaluation
+        for k in range(1, 7):
+            for r in (None, r0):
+                for start in starts:
+                    calls.clear()
+                    ours = newton_outcome(equilibrium._newton, consts, lo, hi, r, start, b)
+                    calls.clear()
+                    oracle = newton_outcome(newton_oracle, consts, lo, hi, r, start, b)
+                    assert ours == oracle, (k, r, start)
+                    if k == 1:
+                        assert ours[-1] == "OverflowError"
 
 
 class TestEquilibriumPolicy:

@@ -114,6 +114,12 @@ class TestDemand:
         for d in (d_H, d_L, d_0):
             assert np.all(d > 0.0) and np.all(d < 1.0)
 
+    def test_share_clamp_bounds_are_the_numpy_floats(self):
+        # the clamp's ends are written without numpy; they are its floats
+        assert type(_SHARE_MIN) is float and type(_SHARE_MAX) is float
+        assert _SHARE_MIN.hex() == float(np.finfo(float).tiny).hex()
+        assert _SHARE_MAX.hex() == float(np.nextafter(1.0, 0.0)).hex()
+
     def test_extreme_utilities_stay_finite(self, fig1):
         d_H, d_L, d_0 = rg.demand(fig1, (-400.0, 500.0), (-400.0, 500.0))
         assert np.isfinite(d_H) and np.isfinite(d_L) and np.isfinite(d_0)
