@@ -34,9 +34,9 @@ from .model import (
     _shares,
     bound_constants,
     log_rev_derivative,
-    revenue,
     scaled_derivative,
     scaled_derivative_partials,
+    utility,
 )
 
 if TYPE_CHECKING:  # equilibrium imports this module
@@ -316,40 +316,38 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     return UNDECIDED
 
 
-def _floored_rel(err: float, ref: float) -> float:
-    return abs(err) / max(1.0, abs(ref))
-
-
-def _central_diff(f, coords: list, k: int, h: float = 1e-6) -> float:
-    """Central difference of f(p_H, p_L, r_H, r_L) in coordinate k."""
-    up, down = list(coords), list(coords)
-    up[k] += h
-    down[k] -= h
-    return (f(*up) - f(*down)) / (2.0 * h)
+def _log_revenue(params: MarketParams, prices, references):
+    """(log R_H, log R_L) as log p_i + u_i - log(1 + e^u_H + e^u_L): no
+    share is formed, so none underflows or is clamped."""
+    u_H = utility(params.firm_H, prices[0], references[0])
+    u_L = utility(params.firm_L, prices[1], references[1])
+    log_total = np.logaddexp(0.0, np.logaddexp(u_H, u_L))
+    return np.log(prices[0]) + u_H - log_total, np.log(prices[1]) + u_L - log_total
 
 
 def _gradient_error(params: MarketParams, n_states: int, rng) -> float:
-    """Max floored relative error of D_i and of the 2 x 4 partials of G
-    against central differences, over n_states random box states."""
-    worst = 0.0
-    for _ in range(n_states):
-        coords = list(rng.uniform(params.p_lo, params.p_hi, 4))
-        analytic = log_rev_derivative(params, coords[:2], coords[2:])
-        table = scaled_derivative_partials(params, coords[:2], coords[2:])
-        for i in (0, 1):
-            def log_rev_i(*c):
-                return math.log(revenue(params, c[:2], c[2:])[i])
-
-            def g_i(*c):
-                return scaled_derivative(params, c[:2], c[2:])[i]
-
-            fd = _central_diff(log_rev_i, coords, i)
-            worst = max(worst, _floored_rel(fd - analytic[i], analytic[i]))
-            # partials columns: own price, other price, own ref, other ref
-            for col, k in enumerate((i, 1 - i, 2 + i, 3 - i)):
-                fd = _central_diff(g_i, coords, k)
-                worst = max(worst, _floored_rel(fd - table[i, col], table[i, col]))
-    return float(worst)
+    """Max floored relative error |err| / max(1, |ref|) of D_i and of the
+    2 x 4 partials of G against central differences, over n_states random
+    box states drawn as one (n_states, 4) block (the doubles of n_states
+    draws of four). A stencil moves each coordinate of every state by
+    +-1e-6, so each function is evaluated once, on arrays. D_i is checked
+    on :func:`_log_revenue`, not on log(``revenue``): there the clamp of
+    ``demand`` holds a share below the smallest normal double fixed, so
+    the difference of log R_i gives 1/p_i and misses -(b_i+c_i)(1 - d_i)."""
+    h = 1e-6
+    states = rng.uniform(params.p_lo, params.p_hi, (n_states, 4)).T
+    # [state value, coordinate moved, +h or -h, state]; unmoved ones gain 0.0
+    stencil = states[:, None, None, :] + np.multiply.outer(np.eye(4), (h, -h))[..., None]
+    p, r = stencil[:2], stencil[2:]
+    values = np.stack(_log_revenue(params, p, r) + scaled_derivative(params, p, r))
+    fd = (values[:, :, 0] - values[:, :, 1]) / (2.0 * h)  # [log R_H, log R_L, G_H, G_L]
+    d = np.stack(log_rev_derivative(params, states[:2], states[2:]))
+    table = scaled_derivative_partials(params, states[:2], states[2:])
+    err_d = np.abs(fd[[0, 1], [0, 1]] - d) / np.maximum(1.0, np.abs(d))
+    # partials columns: own price, other price, own ref, other ref
+    fd_table = np.stack((fd[2], fd[3, [1, 0, 3, 2]]))
+    err_table = np.abs(fd_table - table) / np.maximum(1.0, np.abs(table))
+    return float(max(np.max(err_d), np.max(err_table)))
 
 
 def _bound_violations(params: MarketParams, n_samples: int, rng) -> int:
@@ -367,17 +365,16 @@ def _bound_violations(params: MarketParams, n_samples: int, rng) -> int:
 
 
 def _shell_minimum(params: MarketParams, sne: PricePair, eps: float, n: int = 400) -> float:
-    """Min of the drift over the weighted-l1 sphere of radius eps."""
+    """Min of the drift over the weighted-l1 sphere of radius eps, at n
+    points per quadrant arc inside the box; inf when none is."""
     lo, hi = params.p_lo, params.p_hi
     t = (np.arange(n) + 0.5) / n
-    best = math.inf
-    for sig_H, sig_L in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        p_H = sne.p_H + sig_H * t * eps * params.firm_H.sensitivity
-        p_L = sne.p_L + sig_L * (1.0 - t) * eps * params.firm_L.sensitivity
-        ok = (p_H >= lo) & (p_H <= hi) & (p_L >= lo) & (p_L <= hi)
-        if np.any(ok):
-            best = min(best, float(np.min(sne_drift(params, (p_H[ok], p_L[ok]), sne))))
-    return best
+    # one row per quadrant, signs (+, +), (+, -), (-, +), (-, -)
+    sig_H, sig_L = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[..., None]
+    p_H = sne.p_H + sig_H * t * eps * params.firm_H.sensitivity
+    p_L = sne.p_L + sig_L * (1.0 - t) * eps * params.firm_L.sensitivity
+    ok = (p_H >= lo) & (p_H <= hi) & (p_L >= lo) & (p_L <= hi)
+    return float(np.min(sne_drift(params, (p_H[ok], p_L[ok]), sne), initial=math.inf))
 
 
 def _drift_minima(params: MarketParams, sne: PricePair):

@@ -1,12 +1,14 @@
 """Distance functions, drift/potential landscape, certificates, rates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import refgame as rg
 from conftest import SATURATED, STIFF, spectral_radius, step_jacobian
+from refgame import analysis
 
 
 class TestWeightedL1Distance:
@@ -137,6 +139,17 @@ class TestCheckProperties:
         assert report.drift_grid_min > 0.0 and report.drift_shells_increasing
         assert report.hessian_fd_max_rel_err < 1e-5
 
+    def test_saturated_market_passes_every_check(self):
+        # the premise: at 25 of the 100 gradient states d_L lies below
+        # the smallest normal double, where demand clamps it and log
+        # revenue turns flat in p_L
+        states = np.random.default_rng(0).uniform(SATURATED.p_lo, SATURATED.p_hi, (100, 4)).T
+        d_L = rg.demand(SATURATED, states[:2], states[2:])[1]
+        assert np.sum(d_L == sys.float_info.min) >= 10
+        report = rg.check_properties(SATURATED, rg.solve_sne(SATURATED), np.random.default_rng(0))
+        assert report.failures == ()
+        assert report.gradient_max_rel_err < 1e-6
+
     def test_rng_draws_gradient_states_then_bound_samples_only(self, fig1, fig1_sne):
         # the verify sweep draws its markets from the same generator next
         rng = np.random.default_rng(11)
@@ -146,6 +159,49 @@ class TestCheckProperties:
             twin.uniform(fig1.p_lo, fig1.p_hi, 4)
         twin.uniform(fig1.p_lo, fig1.p_hi, size=(4, 10_000))
         assert rng.uniform() == twin.uniform()
+
+
+def shell_minimum_loop(params, sne, eps, n=400):
+    """analysis._shell_minimum one quadrant at a time, kept as its
+    bit-for-bit oracle."""
+    lo, hi = params.p_lo, params.p_hi
+    t = (np.arange(n) + 0.5) / n
+    best = math.inf
+    for sig_H, sig_L in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        p_H = sne.p_H + sig_H * t * eps * params.firm_H.sensitivity
+        p_L = sne.p_L + sig_L * (1.0 - t) * eps * params.firm_L.sensitivity
+        ok = (p_H >= lo) & (p_H <= hi) & (p_L >= lo) & (p_L <= hi)
+        if np.any(ok):
+            best = min(best, float(np.min(rg.sne_drift(params, (p_H[ok], p_L[ok]), sne))))
+    return best
+
+
+class TestShellMinimum:
+    @pytest.mark.parametrize(
+        "market", ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
+    )
+    def test_matches_the_quadrant_loop(self, fig1, market):
+        params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(market)
+        if params is None:
+            params = rg.random_market(np.random.default_rng(int(market.removeprefix("random-"))))
+        sne = rg.solve_sne(params).prices
+        s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
+        eps_max = min(
+            (params.p_hi - sne.p_H) / s_H,
+            (sne.p_H - params.p_lo) / s_H,
+            (params.p_hi - sne.p_L) / s_L,
+            (sne.p_L - params.p_lo) / s_L,
+        )
+        # the verify shells, and one that leaves the box on some arcs
+        for eps in (0.225 * eps_max, 0.45 * eps_max, 0.9 * eps_max, 3.0 * eps_max):
+            got = analysis._shell_minimum(params, sne, eps)
+            assert got.hex() == shell_minimum_loop(params, sne, eps).hex()
+
+    def test_radius_past_every_box_edge_is_inf(self, fig1, fig1_sne):
+        # every point moves both prices by more than the box width
+        eps = 1e3 * (fig1.p_hi - fig1.p_lo) / min(f.sensitivity for f in fig1.firms)
+        assert analysis._shell_minimum(fig1, fig1_sne.prices, eps) == math.inf
+        assert shell_minimum_loop(fig1, fig1_sne.prices, eps) == math.inf
 
 
 def _constant_trajectory(params, point, n=100):

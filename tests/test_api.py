@@ -50,6 +50,12 @@ ORACLES = {
     "best_response",
     # the one-period policy that equilibrium_path's lean loop must match bit for bit
     "equilibrium_policy",
+    # the revenue test_perturbation_never_improves_revenue checks a best
+    # response against, independent of the derivative it solves for
+    "revenue",
+    # the clamped shares revenue is built from, and that the scalar kernel
+    # _shares is checked against in test_model.py
+    "demand",
 }
 
 

@@ -52,12 +52,13 @@ def summary_dict(captured: str) -> dict:
 
 
 # frozen from the command once the Hessian certificate read 1 - d_i as the
-# exact complement (e_0 + e_-i)/total
+# exact complement (e_0 + e_-i)/total; the gradient line since the
+# gradient check differences log revenue in log space
 VERIFY_RANDOM_20_SEED_3 = """\
 command = verify
 seed = 3
 gradient_states = 100
-gradient_max_rel_err = 1.04619926086e-09
+gradient_max_rel_err = 9.95641960771e-10
 bounds_samples = 10000
 bounds_violations = 0
 drift_grid_points = 10000
@@ -803,12 +804,23 @@ class TestCompareCommand:
         capsys.readouterr()
 
 
+def partials_with_L_price_columns_swapped(*args):
+    table = rg.scaled_derivative_partials(*args)
+    table[1, [0, 1]] = table[1, [1, 0]]
+    return table
+
+
 # per case, the property check that fails and an input of
 # analysis.check_properties replaced so that it does
 BROKEN_INPUTS = {
     # D_i one off everywhere
     "gradient": (
         "gradient", "log_rev_derivative", lambda *a: np.add(rg.log_rev_derivative(*a), 1.0)
+    ),
+    # firm L's own-price partial in the other-price column and back; the
+    # reference columns, all the bounds check reads, are intact
+    "gradient_partials": (
+        "gradient", "scaled_derivative_partials", partials_with_L_price_columns_swapped
     ),
     # bounds of zero that every sample exceeds
     "bounds": ("bounds", "bound_constants", lambda params: (0.0, 0.0)),
