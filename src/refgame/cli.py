@@ -46,6 +46,7 @@ from .config import (
     FIGURE1_VARIANTS,
     ConfigError,
     ExperimentConfig,
+    _load_params,
     figure1_config,
     load_config,
     random_market,
@@ -58,7 +59,7 @@ from .equilibrium import (
     solve_sne,
     validate_price_box,
 )
-from .model import PricePair
+from .model import MarketParams, PricePair
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -230,8 +231,8 @@ def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_sne(config: ExperimentConfig) -> int:
-    sol = solve_sne(config.params)
+def cmd_sne(params: MarketParams) -> int:
+    sol = solve_sne(params)
     _say("command", "sne")
     _print_sne(sol)
     # solve_sne refuses an SNE outside its bounds with SolverError
@@ -269,13 +270,14 @@ def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
 
 
 def cmd_verify(
-    config: ExperimentConfig | None,
+    params: MarketParams | None,
     random_n: int = 0,
     seed: int = 0,
 ) -> int:
     if random_n < 0:
         raise ConfigError(f"--random must be >= 0, got {random_n}")
-    params = config.params if config is not None else figure1_config("a").params
+    if params is None:
+        params = figure1_config("a").params
     rng = np.random.default_rng(seed)
     report = analysis.check_properties(params, solve_sne(params), rng)
     _say("command", "verify")
@@ -339,10 +341,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sne":
-            return cmd_sne(load_config(args.config))
+            return cmd_sne(_load_params(args.config))
         if args.command == "verify":
-            config = load_config(args.config) if args.config else None
-            return cmd_verify(config, random_n=args.random, seed=args.seed)
+            params = _load_params(args.config) if args.config else None
+            return cmd_verify(params, random_n=args.random, seed=args.seed)
         if args.command == "figure1":
             config = figure1_config(args.variant)
         else:

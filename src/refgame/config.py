@@ -27,6 +27,8 @@ at any level, is refused with ``ConfigError`` naming the field and where
 it sits, so a misspelt field never falls back to a default. One exception:
 a top-level ``"seed"`` is accepted and ignored, so older documents that
 carry it still load (the randomised ``verify`` sweep takes ``--seed``).
+``refgame sne`` and ``refgame verify`` read the market alone, so they also
+take a document that holds only ``params``.
 
 The bundled ``figure1`` preset is the two-firm instance used throughout
 the docs and test suite, with three variants: (a) a diminishing
@@ -160,11 +162,8 @@ _TOP_FIELDS = (
 )
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(doc, _TOP_FIELDS, "configuration")
+def _params_from_dict(doc: dict) -> MarketParams:
+    """The market of a configuration document's ``params`` field."""
     params_doc = _require(doc, "params", "configuration")
     if not isinstance(params_doc, dict):
         raise ConfigError("'params' must be an object")
@@ -174,9 +173,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         convert = _firm_from_dict if key.startswith("firm_") else _as_real
         fields[key] = convert(_require(params_doc, key, "params"), f"params.{key}")
     try:
-        params = MarketParams(**fields)
+        return MarketParams(**fields)
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Validate a parsed JSON document into an ExperimentConfig."""
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration root must be a JSON object")
+    _reject_unknown(doc, _TOP_FIELDS, "configuration")
+    params = _params_from_dict(doc)
     schedule_doc = _require(doc, "schedule", "configuration")
     try:
         schedule = _schedule_from_dict(schedule_doc)
@@ -195,20 +202,35 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON configuration file."""
+def _read_document(path: str | Path):
+    """The parsed JSON of a configuration file."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read configuration file {p}: {err}") from err
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"invalid JSON in {p} at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
-    return config_from_dict(doc)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Read and validate a JSON configuration file."""
+    return config_from_dict(_read_document(path))
+
+
+def _load_params(path: str | Path) -> MarketParams:
+    """The market of a JSON configuration file, for commands that read
+    nothing else: a document holding ``params`` alone (and the ignored
+    ``seed``) is read as just that; any other document is validated as a
+    whole experiment by :func:`config_from_dict`."""
+    doc = _read_document(path)
+    if isinstance(doc, dict) and doc.keys() <= {"params", "seed"}:
+        return _params_from_dict(doc)
+    return config_from_dict(doc).params
 
 
 def figure1_params() -> MarketParams:

@@ -16,13 +16,16 @@ trajectories.
 A run often ends in an exact orbit in floats: a fixed point (period 1)
 under any schedule, or, once the remaining steps are all equal, a
 cycle of a few periods, which is where a constant step usually ends.
-``simulate`` stops at such an orbit and keeps the repeating tail
-implicit: the trajectory stores the records up to the end of one period
-of the orbit, and every later record is one of those; see
-:func:`simulate` for why that is exact. A trajectory otherwise holds
-every period in memory, so a run of more than ``RETENTION_LIMIT``
-records is refused with ``ValueError``. Trajectories are immutable once
-built and safe to share across threads.
+``simulate`` looks for such an orbit at chunk ends that double from
+``ORBIT_MAX`` to ``ETA_CHUNK`` and then come every ``ETA_CHUNK`` periods,
+so an orbit that first closes at record m is found by period
+max(64, 2m). It stops there and keeps the repeating tail implicit: the
+trajectory stores the records up to the end of one period of the orbit,
+and every later record is one of those; see :func:`simulate` for why
+that is exact. A trajectory otherwise holds every period in memory, so
+a run of more than ``RETENTION_LIMIT`` records is refused with
+``ValueError``. Trajectories are immutable once built and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ __all__ = [
 
 # Records one simulation may hold in memory; longer runs are refused.
 RETENTION_LIMIT = 10_000_000
-ETA_CHUNK = 4096  # periods `simulate` runs between flushes of its record buffers
-ORBIT_MAX = 64  # longest orbit period `simulate` looks for at each ETA_CHUNK end
+# `simulate` flushes its record buffers and looks for an orbit at chunk
+# ends 64, 128, ..., 4096 (doubling from ORBIT_MAX), then every ETA_CHUNK
+ETA_CHUNK = 4096  # longest chunk of periods between two chunk ends
+ORBIT_MAX = 64  # first chunk end, and the longest orbit period looked for
 
 
 class StepSchedule:
@@ -311,8 +316,10 @@ def simulate(
     records is refused with ``ValueError`` before any period is
     computed.
 
-    At the end of every ``ETA_CHUNK`` periods, the last one included,
-    with records 0 .. j - 1 computed, the loop looks for the smallest
+    The periods run in chunks whose ends double from ``ORBIT_MAX`` to
+    ``ETA_CHUNK`` and then come every ``ETA_CHUNK``: 64, 128, ..., 4096,
+    8192, 12288, ..., and the last record. At each chunk end j, with
+    records 0 .. j - 1 computed, the loop looks for the smallest
     k <= min(ORBIT_MAX, j - 1) such that record j - 1 equals record
     j - 1 - k in its state, bit for bit. It stops there when k == 1, or
     when the step of period j - 1 - k equals ``etas[-1]``, the run's last
@@ -338,8 +345,12 @@ def simulate(
       steps are exactly the k between the compared records, so a tail
       that repeats while its steps still fall keeps period 0.
 
-    A diminishing schedule, whose steps differ from period to period,
-    stops at a fixed point only.
+    None of this depends on where the chunk ends lie. An orbit of period
+    k <= ORBIT_MAX first closes at record m = onset + k, which repeats
+    record onset, and is seen at the first chunk end j > m: by period
+    max(64, 2m) when m < 2048, and at the first multiple of
+    ``ETA_CHUNK`` past m after that. A diminishing schedule, whose steps
+    differ from period to period, stops at a fixed point only.
     """
     _check_horizon(horizon)
     p_H, p_L, r_H, r_L = _state_floats(params, init)
@@ -357,15 +368,17 @@ def simulate(
     exp = math.exp
 
     # Columns p_H, p_L, r_H, r_L, D_H, D_L. The loop appends plain floats
-    # to one list per column and flushes them into the arrays every
-    # ETA_CHUNK periods: a numpy store per value costs more than a list
-    # append, and the short lists keep the memory overhead small.
+    # to one list per column and flushes them into the arrays at each
+    # chunk end: a numpy store per value costs more than a list append,
+    # and the short lists keep the memory overhead small.
     columns = [np.empty(n) for _ in range(6)]
     buffers = ([], [], [], [], [], [])
     put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (b.append for b in buffers)
 
-    for i in range(0, n, ETA_CHUNK):
-        j = min(i + ETA_CHUNK, n)
+    i = 0
+    while i < n:
+        # chunk ends 64, 128, ..., 4096, then every ETA_CHUNK, and n
+        j = min(max(2 * i, ORBIT_MAX), i + ETA_CHUNK, n)
         for eta in etas[i:j].tolist():
             # model._shares and D_i = 1/p_i - (b_i+c_i)(1 - d_i), inlined:
             # calling the kernel once per period costs about 30% more
@@ -411,5 +424,6 @@ def simulate(
                 return Trajectory._repeating(
                     params, schedule.describe(), [c[:j] for c in columns], n, k
                 )
+        i = j
 
     return Trajectory(params, schedule.describe(), *columns)

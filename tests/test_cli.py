@@ -281,6 +281,20 @@ class TestConfigParsing:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    def test_params_only_document_serves_sne_and_verify(self, tmp_path, capsys):
+        # both read the market alone; simulate still needs a whole experiment
+        path = write_config(tmp_path, {"params": demo_config_dict()["params"]})
+        assert cli.main(["sne", "--config", path]) == 0
+        assert capsys.readouterr() == (SNE_FIGURE1, "")
+        assert cli.main(["verify"]) == 0
+        figure1_report = capsys.readouterr()
+        assert cli.main(["verify", "--config", path]) == 0
+        assert capsys.readouterr() == figure1_report
+        out = tmp_path / "never.csv"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: missing field 'schedule' in configuration\n")
+        assert not out.exists()
+
     def test_unknown_figure1_variant_refused(self):
         with pytest.raises(rg.ConfigError) as err:
             rg.figure1_config("d")

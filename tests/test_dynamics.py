@@ -18,6 +18,10 @@ from conftest import SATURATED, spectral_radius, step_jacobian
 D_H0 = -2.5950508119722233822
 D_L0 = -1.1557483831049262107
 
+# simulate's chunk ends up to 2 * ETA_CHUNK: doubling from ORBIT_MAX to
+# ETA_CHUNK, then every ETA_CHUNK
+CHUNK_ENDS = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
+
 
 def demo_state() -> rg.MarketState:
     return rg.MarketState(
@@ -345,19 +349,44 @@ class TestSimulate:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt", "inverse_t", "explicit"])
     def test_equals_iterated_steps_across_eta_chunks(self, fig1, kind, offset):
-        horizon = dynamics.ETA_CHUNK + offset
-        if kind == "explicit":
-            # exactly `horizon` values, one per update
-            schedule = rg.StepSchedule.explicit(0.9 / np.sqrt(np.arange(horizon) + 1.0))
-        else:
-            schedule = rg.StepSchedule(kind, 0.9)
-        etas = schedule.sequence(horizon)
-        traj = rg.simulate(fig1, demo_state(), schedule, horizon)
-        state = demo_state()
-        for t in range(horizon + 1):
-            assert state_at(traj, t) == state, t
-            if t < horizon:
-                state = ascent_step(fig1, state, float(etas[t]))
+        # a horizon of each chunk end + offset, checked against one iterated
+        # path: every schedule here gives each horizon a prefix of its steps
+        def schedule_for(horizon):
+            if kind == "explicit":
+                # exactly `horizon` values, one per update
+                return rg.StepSchedule.explicit(0.9 / np.sqrt(np.arange(horizon) + 1.0))
+            return rg.StepSchedule(kind, 0.9)
+
+        longest = CHUNK_ENDS[-1] + offset
+        states = [demo_state()]
+        for eta in schedule_for(longest).sequence(longest).tolist():
+            states.append(ascent_step(fig1, states[-1], eta))
+        for end in CHUNK_ENDS:
+            horizon = end + offset
+            traj = rg.simulate(fig1, demo_state(), schedule_for(horizon), horizon)
+            for t in range(horizon + 1):
+                assert state_at(traj, t) == states[t], (horizon, t)
+
+    @pytest.mark.parametrize(
+        "variant, horizon, most", [("a", 100_000, 1024), ("b", 1_000_000, 512)]
+    )
+    def test_stops_by_the_chunk_end_past_the_orbit(self, monkeypatch, variant, horizon, most):
+        # figure1 a first closes its orbit at record 761 (fixed from 760)
+        # and b at record 473 (period 4 from 469): each stops at the next
+        # chunk end. The period loop makes three exp calls a period.
+        exp, calls = math.exp, 0
+
+        def counting_exp(x):
+            nonlocal calls
+            calls += 1
+            return exp(x)
+
+        cfg = rg.figure1_config(variant)
+        monkeypatch.setattr(math, "exp", counting_exp)
+        traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, horizon)
+        assert calls % 3 == 0
+        assert traj.onset + traj.period <= calls // 3 <= most
+        assert len(traj) == horizon + 1
 
     @pytest.mark.parametrize(
         "schedule", [rg.StepSchedule.constant(1.0), rg.StepSchedule.inverse_sqrt(1.0)]
@@ -445,10 +474,10 @@ SETTLING_HORIZON = 4 * dynamics.ETA_CHUNK + 100
 
 def settling_cases():
     """(params, init, schedule) runs that reach an exact fixed point in
-    floats away from any ETA_CHUNK boundary, one per schedule kind, plus
-    two with both prices pinned at p_hi throughout while one slow
-    reference still moves across the first ETA_CHUNK boundary and the
-    other reference has long settled."""
+    floats away from any of simulate's chunk ends, one per schedule kind,
+    plus two with both prices pinned at p_hi throughout while one slow
+    reference still moves across the chunk end at ETA_CHUNK and the other
+    reference has long settled."""
     fig1 = rg.figure1_params()
     pinned = dataclasses.replace(fig1, alpha=0.995, p_hi=0.5)
     prices = rg.PricePair(0.5, 0.5)
@@ -501,11 +530,11 @@ class TestFixedPointStop:
         assert traj.period == 1
 
         # the premise: a fixed point reached inside a chunk, with at
-        # least two whole chunks left to fill
+        # least two whole ETA_CHUNKs left to fill
         moved = np.flatnonzero(np.any(states[1:] != states[:-1], axis=1))
         settled_at = int(moved[-1]) + 1
         assert traj.onset == settled_at
-        assert settled_at % dynamics.ETA_CHUNK != 0
+        assert settled_at % dynamics.ETA_CHUNK != 0 and settled_at not in CHUNK_ENDS
         assert settled_at + 2 * dynamics.ETA_CHUNK < SETTLING_HORIZON
         if case.startswith("pinned"):
             assert np.all(states[:, :2] == params.p_hi)
@@ -533,7 +562,7 @@ def box_state(params: rg.MarketParams) -> rg.MarketState:
 
 # random_market(default_rng(0)), the 28th draw: at eta = 1 from box_state
 # it enters a period-4 orbit at period 9977, which simulate first sees
-# at the end of its third ETA_CHUNK
+# at its chunk end 12288, past the doubling ends: three ETA_CHUNKs in
 LATE_ORBIT = rg.MarketParams(
     firm_H=rg.FirmParams(a=6.940030979115273, b=1.625464520991838, c=0.3579133567141888),
     firm_L=rg.FirmParams(a=2.329557274689523, b=1.6179607094452677, c=2.947633810067448),
@@ -597,13 +626,16 @@ class TestOrbitStop:
         assert stored(traj) == traj.onset + traj.period
 
     def test_a_smaller_last_step_keeps_every_period(self, fig1):
-        # the eta = 1 orbit shows at the first chunk end, but the last step
-        # is smaller, so the map is not the same to the end
+        # the eta = 1 orbit (period 4 from 469) shows at every chunk end
+        # from 512 on, but the last step is smaller, so the map is not the
+        # same to the end
         horizon = dynamics.ETA_CHUNK + 100
         schedule = rg.StepSchedule.explicit([1.0] * (horizon - 1) + [0.5])
         traj = rg.simulate(fig1, demo_state(), schedule, horizon)
         states, derivatives = iterated_records(fig1, demo_state(), schedule, horizon)
         assert_records_equal(traj, states, derivatives)
+        assert not np.array_equal(states[255], states[251])
+        assert np.array_equal(states[511], states[507])
         j = dynamics.ETA_CHUNK
         assert np.array_equal(states[j], states[j - 4])
         assert traj.period == 0 and stored(traj) == horizon + 1
