@@ -256,7 +256,7 @@ def rate_fit(
             np.arange(t_start, stored),
             np.arange(max(t_start, stored, t_end + 1 - traj.period), t_end + 1),
         ))
-    p_H, p_L, r_H, r_L = traj._take(rows, "p_H", "p_L", "r_H", "r_L")
+    p_H, p_L, r_H, r_L, _, _ = traj._take(rows)
     t = t.astype(float)
     dist2 = (p_H - sne.p_H) ** 2 + (p_L - sne.p_L) ** 2
     gap2 = (r_H - p_H) ** 2 + (r_L - p_L) ** 2
@@ -299,7 +299,7 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     k = min(k, n)
     orbit = traj.period and n - k >= traj.onset and k >= 4 * traj.period
     t = np.arange(traj.onset, traj.onset + traj.period) if orbit else np.arange(n - k, n)
-    p_H, p_L = traj._take(t, "p_H", "p_L")
+    p_H, p_L, *_ = traj._take(t)
     dist = np.hypot(p_H - sne.p_H, p_L - sne.p_L)
     if np.all(dist < _SETTLED):
         return CONVERGED

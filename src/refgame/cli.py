@@ -57,7 +57,6 @@ from .equilibrium import (
     SneSolution,
     equilibrium_path,
     solve_sne,
-    validate_price_box,
 )
 from .model import MarketParams, PricePair
 
@@ -132,7 +131,7 @@ def _say(key: str, value) -> None:
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory, sne: PricePair) -> None:
     """Write a trajectory in the standard nine-column schema from its stored records."""
-    records = traj._take(slice(None), "p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
+    records = traj._take(slice(None))
     dist = np.hypot(records[0] - sne.p_H, records[1] - sne.p_L)
     eps = analysis.weighted_l1_distance(traj.params, records[:2], sne)
     with open(path, "w", encoding="ascii", newline="") as f:
@@ -147,20 +146,23 @@ def _write_joined_refs_csv(path: str | Path, learn: Trajectory, policy: Trajecto
     onset = max(learn.onset, policy.onset)
     period = math.lcm(learn.period, policy.period)
     t = np.arange(onset + period)
-    refs = [*learn._take(t, "r_H", "r_L"), *policy._take(t, "r_H", "r_L")]
-    gap = np.hypot(refs[0] - refs[2], refs[1] - refs[3])
+    _, _, grad_H, grad_L, _, _ = learn._take(t)
+    _, _, policy_H, policy_L, _, _ = policy._take(t)
+    gap = np.hypot(grad_H - policy_H, grad_L - policy_L)
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write("t,r_H_grad,r_L_grad,r_H_policy,r_L_policy,ref_gap\n")
-        _write_rows(f, len(learn), onset, period, *refs, gap)
+        _write_rows(f, len(learn), onset, period, grad_H, grad_L, policy_H, policy_L, gap)
 
 
 @contextlib.contextmanager
 def _output_files(*paths: str | Path):
     """Create or truncate each output file, so that a path that cannot be
-    written fails with ``OSError`` before any computing; if the body then
-    raises, remove the files that did not exist before, so a failed run
-    leaves no new file. A path that already existed (a file, a link, a
-    device such as ``/dev/null``) is never removed."""
+    written fails with ``OSError`` before the run's price paths are
+    computed; if the body then raises, remove the files that did not exist
+    before, so a failed run leaves no new file. A path that already existed (a file, a
+    link, a device such as ``/dev/null``) is never removed. The commands
+    solve the SNE before opening their files, so an inadmissible box or a
+    failed solve opens none."""
     created = []
     try:
         for path in paths:
@@ -204,10 +206,9 @@ def _print_sne(sol: SneSolution) -> None:
 
 
 def cmd_simulate(config: ExperimentConfig, out: str | None = None) -> int:
-    validate_price_box(config.params)
+    sol = solve_sne(config.params)
     out_path = out or config.output_path
     with _output_files(out_path):
-        sol = solve_sne(config.params)
         traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
         write_trajectory_csv(out_path, traj, sol.prices)
 
@@ -241,12 +242,11 @@ def cmd_sne(params: MarketParams) -> int:
 
 
 def cmd_compare(config: ExperimentConfig, out: str | None = None) -> int:
-    validate_price_box(config.params)
+    sol = solve_sne(config.params)
+    sne = sol.prices
     out_path = Path(out or config.output_path)
     joined_path = _policy_csv_path(out_path)
     with _output_files(out_path, joined_path):
-        sol = solve_sne(config.params)
-        sne = sol.prices
         traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
         policy = equilibrium_path(config.params, config.init_references, config.horizon)
 

@@ -72,3 +72,19 @@ def step_jacobian(params: rg.MarketParams, point: rg.PricePair, eta: float) -> n
 
 def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
+TRAJECTORY_COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
+
+
+def built_columns(traj: rg.Trajectory) -> set:
+    """The columns ``traj`` has built: a column attribute keeps the array
+    it builds on first read in the trajectory's ``vars`` under its name."""
+    return set(TRAJECTORY_COLUMNS) & vars(traj).keys()
+
+
+def stored(traj: rg.Trajectory) -> int:
+    """Number of records the trajectory holds in memory."""
+    sizes = {records.size for records in traj._records}
+    assert len(traj._records) == 6 and len(sizes) == 1
+    return sizes.pop()

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import refgame as rg
-from conftest import SATURATED, STIFF, spectral_radius, step_jacobian
+from conftest import (
+    SATURATED,
+    STIFF,
+    TRAJECTORY_COLUMNS,
+    built_columns,
+    spectral_radius,
+    step_jacobian,
+)
 from refgame import analysis
 
 
@@ -248,9 +255,6 @@ class TestRateFit:
         assert not report.converged
 
 
-COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
-
-
 def orbit_cases():
     """(params, sne, trajectory) of seeded random markets under constant
     steps, most ending in an orbit of period 2 or more, plus two fixed
@@ -279,7 +283,9 @@ class TestOrbitReads:
         # read as plain arrays
         periods, verdicts = [], set()
         for params, sne, traj in orbit_cases():
-            plain = rg.Trajectory(params, traj.schedule, *(getattr(traj, c) for c in COLUMNS))
+            plain = rg.Trajectory(
+                params, traj.schedule, *(getattr(traj, c) for c in TRAJECTORY_COLUMNS)
+            )
             assert (plain.period, plain.onset, len(plain)) == (0, len(traj), len(traj))
             last = len(traj) - 1
             onset = min(traj.onset, last)
@@ -311,8 +317,10 @@ class TestOrbitReads:
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 900)
         assert (traj.period, traj.onset) == (1, 760)
         verdict = rg.cycle_detector(traj, fig1_sne.prices)
-        assert traj._columns == {}
-        plain = rg.Trajectory(traj.params, traj.schedule, *(getattr(traj, c) for c in COLUMNS))
+        assert not built_columns(traj)
+        plain = rg.Trajectory(
+            traj.params, traj.schedule, *(getattr(traj, c) for c in TRAJECTORY_COLUMNS)
+        )
         assert verdict == rg.cycle_detector(plain, fig1_sne.prices) == rg.CONVERGED
 
 

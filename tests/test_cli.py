@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, CSV contract, exit codes."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +13,7 @@ import refgame as rg
 import refgame.cli as cli
 import refgame.config
 from refgame.dynamics import ETA_CHUNK
+from conftest import TRAJECTORY_COLUMNS, built_columns
 
 
 def demo_config_dict(**overrides):
@@ -89,6 +89,84 @@ hessian_min_eig = 1.77605999123
 gamma_estimate = 0.888029995616
 bounds_contained = true
 """
+
+# figure1 summaries at the default horizons, every line but the output paths
+FIGURE1_SUMMARIES = {
+    "a": """\
+command = simulate
+schedule = inverse_sqrt(1)
+horizon = 100000
+sne_p_H = 1.92041336614
+sne_p_L = 0.800678399099
+sne_residual = 3.24407167795e-13
+sne_iterations = 6
+bound_lower_H = 0.354609929078
+bound_upper_H = 3.29274417303
+bound_lower_L = 0.657894736842
+bound_upper_L = 2.65711172333
+hessian_det = 7.31515392559
+hessian_trace = 5.8948138406
+hessian_min_eig = 1.77605999123
+gamma_estimate = 0.888029995616
+terminal_price_gap_inf = 2.86992651866e-13
+terminal_ref_gap_inf = 2.86326518051e-13
+orbit_period = 1
+orbit_onset = 760
+verdict = CONVERGED
+rate_window = 50000..100000
+rate_sup_t_dist2 = 8.77665565772e-21
+rate_sup_t2_gap2 = 1.67632942359e-20
+rate_converged = true
+""",
+    "b": """\
+command = simulate
+schedule = constant(1)
+horizon = 10000
+sne_p_H = 1.92041336614
+sne_p_L = 0.800678399099
+sne_residual = 3.24407167795e-13
+sne_iterations = 6
+bound_lower_H = 0.354609929078
+bound_upper_H = 3.29274417303
+bound_lower_L = 0.657894736842
+bound_upper_L = 2.65711172333
+hessian_det = 7.31515392559
+hessian_trace = 5.8948138406
+hessian_min_eig = 1.77605999123
+gamma_estimate = 0.888029995616
+terminal_price_gap_inf = 0.200154711334
+terminal_ref_gap_inf = 0.151529887038
+orbit_period = 4
+orbit_onset = 469
+verdict = CYCLING
+rate_window = 5000..10000
+rate_sup_t_dist2 = 3458.94563889
+rate_sup_t2_gap2 = 19660207.9724
+rate_converged = false
+""",
+    "c": """\
+command = compare
+schedule = inverse_sqrt(1)
+horizon = 100000
+sne_p_H = 1.92041336614
+sne_p_L = 0.800678399099
+sne_residual = 3.24407167795e-13
+sne_iterations = 6
+bound_lower_H = 0.354609929078
+bound_upper_H = 3.29274417303
+bound_lower_L = 0.657894736842
+bound_upper_L = 2.65711172333
+hessian_det = 7.31515392559
+hessian_trace = 5.8948138406
+hessian_min_eig = 1.77605999123
+gamma_estimate = 0.888029995616
+terminal_ref_gap_grad = 2.86326518051e-13
+terminal_ref_gap_policy = 1.61959334832e-12
+terminal_mutual_gap = 1.69197988953e-12
+orbit_period = 1
+orbit_onset = 760
+""",
+}
 
 VERIFY_KEYS = [line.partition(" = ")[0] for line in VERIFY_RANDOM_20_SEED_3.splitlines()]
 
@@ -353,16 +431,24 @@ class TestSimulateCommand:
         capsys.readouterr()
 
     def test_inadmissible_box_exits_1(self, tmp_path, capsys):
+        # refused before any output is opened: a new path is not created,
+        # and an earlier output is not truncated
         doc = demo_config_dict()
         doc["params"]["p_hi"] = 5.0
         # a_H = 13 raises the upper threshold to 5.193 > p_hi (a_H = 12 gives 4.742)
         doc["params"]["firm_H"]["a"] = 13.0
         doc["init_prices"] = [4.85, 4.86]
         path = write_config(tmp_path, doc)
-        out = tmp_path / "traj.csv"
-        code = cli.main(["simulate", "--config", path, "--out", str(out)])
-        assert code == 1
-        assert "p_hi" in capsys.readouterr().err
+        new, earlier = tmp_path / "traj.csv", tmp_path / "earlier.csv"
+        earlier.write_text("earlier run\n", encoding="ascii")
+        for command in ("simulate", "compare"):
+            for out in (new, earlier):
+                code = cli.main([command, "--config", path, "--out", str(out)])
+                assert code == 1
+                assert "p_hi" in capsys.readouterr().err
+                assert not cli._policy_csv_path(out).exists()
+        assert not new.exists()
+        assert earlier.read_text(encoding="ascii") == "earlier run\n"
 
     def test_explicit_schedule_shorter_than_the_horizon_exits_1(self, tmp_path, capsys):
         doc = demo_config_dict(schedule={"kind": "explicit", "values": [1.0, 0.5, 0.5]}, horizon=10)
@@ -407,58 +493,97 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("variant", ["a", "c"])
     def test_failed_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch, variant):
-        def boom(params):
+        # a failed solve opens no file; a stage that fails after the files
+        # are opened leaves the ones the run created removed
+        def boom(*args):
             raise rg.SolverError("forced failure", period=3)
 
-        monkeypatch.setattr(cli, "solve_sne", boom)
-        out = tmp_path / "x.csv"
-        code = cli.main(["figure1", "--variant", variant, "--horizon", "5", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "forced failure" in err
-        assert list(tmp_path.iterdir()) == []  # neither x.csv nor x_policy.csv
+        for stage in ("solve_sne", "simulate"):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, stage, boom)
+                out = tmp_path / "x.csv"
+                argv = ["figure1", "--variant", variant, "--horizon", "5", "--out", str(out)]
+                assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "forced failure" in err
+            assert list(tmp_path.iterdir()) == []  # neither x.csv nor x_policy.csv
 
     @pytest.mark.parametrize("kind", ["file", "symlink"])
     def test_failed_run_keeps_a_path_that_existed(self, tmp_path, capsys, monkeypatch, kind):
         # only files the run created are removed; an earlier output, or a
-        # link to one, stays (truncated, as opening it for writing does)
-        def boom(params):
+        # link to one, stays: untouched when the solve fails, truncated (as
+        # opening it for writing does) when a later stage fails
+        def boom(*args):
             raise rg.SolverError("forced failure", period=3)
 
-        monkeypatch.setattr(cli, "solve_sne", boom)
         target = tmp_path / "earlier.csv"
-        target.write_text("earlier run\n", encoding="ascii")
         out = target
         if kind == "symlink":
             out = tmp_path / "link.csv"
             out.symlink_to(target)
-        code = cli.main(["figure1", "--variant", "c", "--horizon", "5", "--out", str(out)])
-        assert code == 2
-        assert "forced failure" in capsys.readouterr().err
-        assert out.is_symlink() == (kind == "symlink")
-        assert target.exists()
-        assert not cli._policy_csv_path(out).exists()  # created by the run, so removed
+        for stage, left in (("solve_sne", "earlier run\n"), ("simulate", "")):
+            target.write_text("earlier run\n", encoding="ascii")
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, stage, boom)
+                argv = ["figure1", "--variant", "c", "--horizon", "5", "--out", str(out)]
+                assert cli.main(argv) == 2
+            assert "forced failure" in capsys.readouterr().err
+            assert out.is_symlink() == (kind == "symlink")
+            assert target.read_text(encoding="ascii") == left
+            assert not cli._policy_csv_path(out).exists()  # created by the run, so removed
 
     @pytest.mark.parametrize("variant", ["a", "c"])
     def test_unwritable_out_exits_1_with_one_line(
         self, tmp_path, capsys, monkeypatch, variant
     ):
-        # refused before any computing: neither the solve nor the run starts
+        # refused after the solve, before the paths are computed
         def not_called(*args, **kwargs):
             raise AssertionError("computed before the output was opened")
 
-        monkeypatch.setattr(cli, "solve_sne", not_called)
+        solved = []
+
+        def solve(params):
+            solved.append(params)
+            return rg.solve_sne(params)
+
+        monkeypatch.setattr(cli, "solve_sne", solve)
         monkeypatch.setattr(cli, "simulate", not_called)
+        monkeypatch.setattr(cli, "equilibrium_path", not_called)
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         code = cli.main(["figure1", "--variant", variant, "--horizon", "5", "--out", str(out)])
         assert code == 1
+        assert solved == [rg.figure1_params()]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in err
 
+    def test_solver_failure_comes_before_an_unwritable_out(self, tmp_path, capsys, monkeypatch):
+        def boom(params):
+            raise rg.SolverError("forced failure", period=3)
 
-TRAJECTORY_COLUMNS = ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L")
+        monkeypatch.setattr(cli, "solve_sne", boom)
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code = cli.main(["figure1", "--variant", "c", "--horizon", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "forced failure" in err
+
+    def test_a_run_evaluates_the_bounds_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        bounds = rg.equilibrium.sne_bounds
+
+        def counted(params):
+            calls.append(params)
+            return bounds(params)
+
+        monkeypatch.setattr(rg.equilibrium, "sne_bounds", counted)
+        out = tmp_path / "c.csv"
+        code = cli.main(["figure1", "--variant", "c", "--horizon", "5", "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        assert calls == [rg.figure1_params()]
+
 
 # float cells the writer must print exactly as format(x, ".17g") does
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 123456789012345680.0, 1e-5, 4.85, -2.5950508119722233]
@@ -604,7 +729,9 @@ class TestCsvRows:
         traj = runs_trajectory(fig1, 5, [(1, 4)])
         p_H = traj.p_H.copy()
         p_H[1], p_H[2:4] = 0.0, -0.0
-        traj = dataclasses.replace(traj, p_H=p_H)
+        traj = rg.Trajectory(
+            fig1, traj.schedule, p_H, traj.p_L, traj.r_H, traj.r_L, traj.D_H, traj.D_L
+        )
         out = tmp_path / "zeros.csv"
         cli.write_trajectory_csv(out, traj, FIG1_SNE_PRICES)
         text = out.read_bytes().decode("ascii")
@@ -614,8 +741,9 @@ class TestCsvRows:
     @pytest.mark.parametrize("n", [1, cli.CSV_CHUNK_ROWS + 1])
     def test_joined_refs_rows_match_per_cell_format(self, tmp_path, fig1, n):
         learn = edge_trajectory(fig1, n)
-        policy = dataclasses.replace(
-            learn, r_H=np.roll(learn.r_H, 3), r_L=np.roll(learn.r_L, 5)
+        policy = rg.Trajectory(
+            fig1, learn.schedule, learn.p_H, learn.p_L,
+            np.roll(learn.r_H, 3), np.roll(learn.r_L, 5), learn.D_H, learn.D_L,
         )
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
@@ -652,7 +780,7 @@ class TestCsvRows:
         assert (learn.period, learn.onset, policy.period) == (4, 469, 1)
         out = tmp_path / "joined.csv"
         cli._write_joined_refs_csv(out, learn, policy)
-        assert learn._columns == policy._columns == {}
+        assert not built_columns(learn) and not built_columns(policy)
         assert out.read_text(encoding="ascii").split("\n")[1:] == joined_reference_lines(
             learn, policy
         )
@@ -692,7 +820,7 @@ class TestCsvRows:
     def test_writer_builds_no_column(self, tmp_path):
         traj = figure1_b_trajectory(100_000)
         cli.write_trajectory_csv(tmp_path / "b.csv", traj, FIG1_SNE_PRICES)
-        assert traj._columns == {}
+        assert not built_columns(traj)
 
     @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
@@ -1000,6 +1128,13 @@ class TestFigure1Command:
         assert hashlib.sha256((tmp_path / "c_policy.csv").read_bytes()).hexdigest() == (
             "98711b56ff3529f5086109e728b01926c24093d24ee573aa3ea7902dc289a830"
         )
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_summary_frozen(self, tmp_path, capsys, variant):
+        assert cli.main(["figure1", "--variant", variant, "--out", str(tmp_path / "f.csv")]) == 0
+        out, err = capsys.readouterr()
+        lines = [line for line in out.splitlines(keepends=True) if not line.startswith("output")]
+        assert ("".join(lines), err) == (FIGURE1_SUMMARIES[variant], "")
 
     def test_unknown_variant_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -12,7 +12,14 @@ import refgame.cli as cli
 import refgame.dynamics as dynamics
 from refgame.model import _SHARE_MAX, _SHARE_MIN, _consts, _shares
 
-from conftest import SATURATED, spectral_radius, step_jacobian
+from conftest import (
+    SATURATED,
+    TRAJECTORY_COLUMNS,
+    built_columns,
+    spectral_radius,
+    step_jacobian,
+    stored,
+)
 
 # frozen: log-revenue derivatives at the demo start state (see test_model)
 D_H0 = -2.5950508119722233822
@@ -316,7 +323,7 @@ class TestSimulate:
         assert "Trajectory" in repr(traj)
         assert traj == traj and traj != other
         assert len({traj, other}) == 2
-        assert traj._columns == {} and other._columns == {}
+        assert not built_columns(traj) and not built_columns(other)
 
     def test_retention_limit_refuses(self, fig1, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "RETENTION_LIMIT", 100)
@@ -572,13 +579,6 @@ LATE_ORBIT = rg.MarketParams(
 )
 
 
-def stored(traj: rg.Trajectory) -> int:
-    """Number of records the trajectory holds in memory."""
-    sizes = {records.size for records in traj._records.values()}
-    assert len(sizes) == 1
-    return sizes.pop()
-
-
 class TestOrbitStop:
     """simulate stops at an exact orbit of period k >= 2 once every
     remaining step equals the steps of one period, and keeps only the
@@ -665,14 +665,17 @@ class TestOrbitStop:
     def test_columns_are_built_once_and_read_only(self):
         cfg = rg.figure1_config("b")
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, cfg.horizon)
-        for name in ("p_H", "p_L", "r_H", "r_L", "D_H", "D_L"):
+        for name in TRAJECTORY_COLUMNS:
             column = getattr(traj, name)
             assert column is getattr(traj, name)
+            assert name in built_columns(traj)  # the premise of built_columns
             assert column.size == len(traj) == cfg.horizon + 1
             with pytest.raises(ValueError):
                 column[-1] = 1.0
+        assert built_columns(traj) == set(TRAJECTORY_COLUMNS)
+        for records in traj._records:
             with pytest.raises(ValueError):
-                traj._records[name][0] = 1.0
+                records[0] = 1.0
 
     def test_cycle_b_keeps_one_period_past_the_onset(self):
         # the bench's cycle-b run: a million periods, no column built
@@ -680,7 +683,7 @@ class TestOrbitStop:
         traj = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 1_000_000)
         assert len(traj) == 1_000_001
         assert stored(traj) <= traj.onset + traj.period + dynamics.ETA_CHUNK
-        assert traj._columns == {}
+        assert not built_columns(traj)
         # 1e6 and 2e4 periods lie in the same phase of the 4-cycle
         short = rg.simulate(cfg.params, cfg.initial_state(), cfg.schedule, 20_000)
         assert traj.final_state() == short.final_state() == state_at(short, 20_000)

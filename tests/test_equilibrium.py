@@ -18,7 +18,7 @@ import refgame as rg
 import refgame.equilibrium as equilibrium
 from refgame.model import _consts, _shares
 
-from conftest import SATURATED, STIFF
+from conftest import SATURATED, STIFF, stored
 
 # frozen: stationary prices and demands of the demo instance
 SNE_H = 1.920413366139232687344
@@ -779,7 +779,7 @@ class TestEquilibriumPath:
     def test_settled_path_stores_its_fixed_record_once(self, fig1):
         traj = rg.equilibrium_path(fig1, FIG1_R0, 1000)
         assert (len(traj), traj.period, traj.onset) == (1001, 1, FIG1_FIXED_FROM)
-        assert {records.size for records in traj._records.values()} == {FIG1_FIXED_FROM + 1}
+        assert stored(traj) == FIG1_FIXED_FROM + 1
 
     def test_stop_waits_for_the_price_to_repeat(self, fig1, monkeypatch):
         # The solver returns a start that already meets its tolerance
