@@ -245,8 +245,6 @@ def rate_fit(
     for x >= 0, so there only the window's last ``traj.period`` periods
     are evaluated: the suprema are exactly those over the whole window.
     """
-    if len(traj) == 0:
-        raise ValueError("trajectory is empty")
     t_start, t_end = _window_bounds(traj, window_fraction, window)
     stored = traj.onset + traj.period
     if t_end < stored:
@@ -279,8 +277,7 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     1e-2, actually oscillates (several direction reversals), and keeps
     a comparable oscillation amplitude across its two halves (ratio
     within [0.5, 2]); UNDECIDED otherwise (drifting, aliased, or mixed
-    tails all land here). An empty trajectory is refused, as by
-    :func:`rate_fit`.
+    tails all land here).
 
     When the tail lies in a trajectory's repeating tail and spans at
     least four of its periods, the verdict is read from one period, with
@@ -290,8 +287,6 @@ def cycle_detector(traj: Trajectory, sne: PricePair, tail_fraction: float = 0.2)
     times in the tail. Any other tail is read from the stored records,
     without building a column.
     """
-    if len(traj) == 0:
-        raise ValueError("trajectory is empty")
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     n = len(traj)
@@ -331,9 +326,9 @@ def _gradient_error(params: MarketParams, n_states: int, rng) -> float:
     box states drawn as one (n_states, 4) block (the doubles of n_states
     draws of four). A stencil moves each coordinate of every state by
     +-1e-6, so each function is evaluated once, on arrays. D_i is checked
-    on :func:`_log_revenue`, not on log(``revenue``): there the clamp of
-    ``demand`` holds a share below the smallest normal double fixed, so
-    the difference of log R_i gives 1/p_i and misses -(b_i+c_i)(1 - d_i)."""
+    on :func:`_log_revenue`, which forms no share: a share clamped at the
+    smallest normal double would hold fixed, and the difference of
+    log(p_i d_i) would give 1/p_i and miss -(b_i+c_i)(1 - d_i)."""
     h = 1e-6
     states = rng.uniform(params.p_lo, params.p_hi, (n_states, 4)).T
     # [state value, coordinate moved, +h or -h, state]; unmoved ones gain 0.0

@@ -276,6 +276,8 @@ def cmd_verify(
 ) -> int:
     if random_n < 0:
         raise ConfigError(f"--random must be >= 0, got {random_n}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if params is None:
         params = figure1_config("a").params
     rng = np.random.default_rng(seed)

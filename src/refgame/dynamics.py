@@ -99,7 +99,7 @@ class StepSchedule:
             arr.flags.writeable = False
             self.values = arr
         else:
-            if coef is None or not (math.isfinite(coef) and coef > 0.0):
+            if coef is None or isinstance(coef, bool) or not (math.isfinite(coef) and coef > 0.0):
                 raise ValueError(f"schedule coefficient must be finite and > 0, got {coef!r}")
 
     @classmethod
@@ -159,7 +159,8 @@ class Trajectory:
     produced them.
 
     The six arrays given to the constructor, made read-only, are the
-    stored records 0 .. onset + period - 1. When ``period`` is k > 0,
+    stored records 0 .. onset + period - 1; they must share one
+    length of at least 1. When ``period`` is k > 0,
     the last k of them repeat to the end: record t >= onset is record
     ``onset + (t - onset) % k``. A trajectory built from columns
     stores them all, with period 0 and onset len. Each column attribute
@@ -178,6 +179,8 @@ class Trajectory:
         self._records = (p_H, p_L, r_H, r_L, D_H, D_L)
         if any(records.size != p_H.size for records in self._records):
             raise ValueError("trajectory arrays must share one length")
+        if not p_H.size:
+            raise ValueError("trajectory is empty")
         for records in self._records:
             records.flags.writeable = False
         self.onset = self._length = p_H.size

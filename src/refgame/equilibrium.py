@@ -1,6 +1,6 @@
-"""Equilibrium solvers: best responses, the per-period equilibrium
-pricing policy, and the stationary point where that policy reproduces
-its own reference price.
+"""Equilibrium solvers: the per-period equilibrium pricing policy and
+the stationary point where that policy reproduces its own reference
+price.
 
 Both equilibria are roots of the scaled first-order conditions
 
@@ -13,18 +13,14 @@ each component is pinned between 1/(b_i+c_i) and an explicit Lambert-W
 expression; those bounds double as the admissibility thresholds for the
 price box.
 
-Solvers here are deterministic and derivative-aware. The single-firm
-best response exploits that the log-revenue derivative is strictly
-decreasing in the own price (safeguarded Newton in a sign bracket).
-The policy and the stationary point share one projected Newton
-iteration on G with the analytic 2x2 Jacobian and a backtracking line
-search on max|G_i| (Kelley 1995, ch. 8). Both Jacobians are strictly
-column-diagonally dominant, so the step always exists. An arithmetic
-exception inside the iteration (an overflow, say) is re-raised as
-``SolverError``. ``equilibrium_path`` runs the iteration once per period
-on constants it takes once per market, and reads each period's D_i from
-the complements of the iteration's last evaluation; it matches
-``equilibrium_policy`` period by period, bit for bit.
+Both are solved by one projected Newton iteration on G with the
+analytic 2x2 Jacobian and a backtracking line search on max|G_i|
+(Kelley 1995, ch. 8). Both Jacobians are strictly column-diagonally
+dominant, so the step always exists. An arithmetic exception inside the
+iteration (an overflow, say) is re-raised as ``SolverError``.
+``solve_sne`` runs the iteration once. ``equilibrium_path`` runs it once
+per period on constants it takes once per market, and reads each
+period's D_i from the complements of the iteration's last evaluation.
 """
 
 from __future__ import annotations
@@ -43,8 +39,6 @@ __all__ = [
     "SneSolution",
     "sne_bounds",
     "validate_price_box",
-    "best_response",
-    "equilibrium_policy",
     "solve_sne",
     "equilibrium_path",
 ]
@@ -53,9 +47,9 @@ __all__ = [
 class SolverError(RuntimeError):
     """An iterative solver failed to meet its tolerance.
 
-    Carries whatever context the failing solver had: the last bracket
-    for root finders, the period index for path solvers, the last
-    iterate, residual and iteration count for the Newton solver.
+    Carries whatever context the failing solver had: the period index
+    for the path solver, the last iterate, residual and iteration count
+    for the Newton solver.
     """
 
     def __init__(self, message: str, **context):
@@ -63,10 +57,9 @@ class SolverError(RuntimeError):
         self.context = context
 
 
-# Residual target of every solver: the dimensionless max|G_i| for the policy
-# and stationary solvers, |D_i| for a best response.
+# Residual target of the Newton solver: the dimensionless max|G_i|.
 TOLERANCE = 1e-12
-# Cap on the iterations of every solver loop.
+# Cap on the Newton solver's steps.
 MAX_ITERATIONS = 100_000
 
 
@@ -154,74 +147,6 @@ def validate_price_box(params: MarketParams) -> tuple[tuple[float, float], tuple
     if missed:
         raise ValueError("price box inadmissible: " + "; ".join(missed))
     return bounds
-
-
-def _own_derivative(consts, i: int, p_own: float, p_other: float, r: PricePair):
-    """(D_i, dD_i/dp_i) for firm i (0 = H, 1 = L) at the assembled state."""
-    prices = (p_own, p_other) if i == 0 else (p_other, p_own)
-    shares = _shares(consts, *prices, *r)
-    d, q, s = shares[i], shares[2 + i], consts[1 + 3 * i]
-    return 1.0 / p_own - s * q, -1.0 / (p_own * p_own) - s * s * d * q
-
-
-def best_response(
-    params: MarketParams,
-    firm: str,
-    opponent_price: float,
-    r: PricePair,
-) -> float:
-    """Revenue-maximizing price of one firm against a fixed opponent.
-
-    The log-revenue derivative D_i is strictly decreasing in the own
-    price, so the maximizer over the box is the unique sign change of
-    D_i when one exists, otherwise the boundary where D_i points: p_lo
-    when D_i(p_lo) <= 0, p_hi when D_i(p_hi) >= 0. Interior roots are
-    located with Newton steps safeguarded by the sign bracket, to
-    |D_i| <= TOLERANCE. Once the bracket holds no float strictly
-    inside it, no better iterate exists and SolverError is raised.
-    """
-    if firm not in ("H", "L"):
-        raise ValueError(f"firm must be 'H' or 'L', got {firm!r}")
-    if not params.in_box(opponent_price, r[0], r[1]):
-        raise ValueError("opponent price and references must lie in the price box")
-    consts = _consts(params)
-    i = "HL".index(firm)
-    lo, hi = params.p_lo, params.p_hi
-
-    f_lo, _ = _own_derivative(consts, i, lo, opponent_price, r)
-    if f_lo <= 0.0:
-        return lo
-    f_hi, _ = _own_derivative(consts, i, hi, opponent_price, r)
-    if f_hi >= 0.0:
-        return hi
-
-    x = 0.5 * (lo + hi)
-    for it in range(MAX_ITERATIONS):
-        f, df = _own_derivative(consts, i, x, opponent_price, r)
-        if abs(f) <= TOLERANCE:
-            return x
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise SolverError(
-                "best_response bracket collapsed before the tolerance was met",
-                firm=firm,
-                bracket=(lo, hi),
-                iterations=it + 1,
-                last=x,
-            )
-        step = x - f / df
-        x = step if lo < step < hi else mid
-    raise SolverError(
-        "best_response failed to converge",
-        firm=firm,
-        bracket=(lo, hi),
-        iterations=MAX_ITERATIONS,
-        last=x,
-    )
 
 
 def _newton(
@@ -321,32 +246,6 @@ def _newton(
     )
 
 
-def equilibrium_policy(
-    params: MarketParams,
-    r: PricePair,
-    start: PricePair | None = None,
-) -> PricePair:
-    """One-shot equilibrium prices p*(r) for fixed references.
-
-    Solves the first-order conditions G_i(p, r) = 0 by projected Newton
-    to max|G_i| <= TOLERANCE, where a component on a box edge with
-    G_i pointing out of the box is exempt: there the maximizer sits on
-    the boundary. ``start`` (clipped to the box) warm-starts the
-    iteration, the box midpoint otherwise. The solution meets the
-    tolerance from every start, but its last bits depend on the start:
-    from the 81 starts of a 9 x 9 grid on the figure1 box, the policy at
-    r = (1.5, 1.0) takes 45 distinct values, up to 1.1e-12 apart. A
-    start with a NaN component is refused with ``ValueError``.
-    """
-    if not params.in_box(r[0], r[1]):
-        raise ValueError("references must lie in the price box")
-    if start is not None and any(math.isnan(v) for v in start):
-        raise ValueError(f"start must not hold NaN, got {tuple(start)}")
-    r = PricePair(float(r[0]), float(r[1]))
-    p_H, p_L, _, _, _, _ = _newton(_consts(params), params.p_lo, params.p_hi, r, start)
-    return PricePair(p_H, p_L)
-
-
 def solve_sne(params: MarketParams) -> SneSolution:
     """Solve the stationary equilibrium by projected Newton.
 
@@ -394,23 +293,23 @@ def equilibrium_path(
 
     Returns ``horizon + 1`` records in the simulator's layout, ``D_H``/``D_L``
     being the log-revenue derivatives at each period's policy prices. Period
-    t plays ``p_t = equilibrium_policy(r_t, start=p_{t-1})`` (the box
-    midpoint for t = 0) and sets ``r_{t+1} = reference_update(r_t, p_t)``;
-    a solver failure is re-raised with the period attached. Once, for some
-    t >= 1, ``p_t == p_{t-1}`` and ``r_{t+1} == r_t`` bit for bit, the loop
-    stops and record t repeats to the end, a period-1 tail (see
-    ``Trajectory``). That is exact: period t+1 would call the deterministic
-    policy with period t's reference and start, so it and every later
-    period repeat record t.
+    t plays the policy p_t = p*(r_t): ``_newton`` solves G(p, r_t) = 0 to
+    max|G_i| <= TOLERANCE from the start p_{t-1} (the box midpoint for
+    t = 0). It then sets ``r_{t+1} = reference_update(r_t, p_t)``; a solver
+    failure is re-raised with the period attached. The solution meets the
+    tolerance from every start, but its last bits depend on the start, so
+    the warm start is part of the rule. Once, for some t >= 1,
+    ``p_t == p_{t-1}`` and ``r_{t+1} == r_t`` bit for bit, the loop stops
+    and record t repeats to the end, a period-1 tail (see ``Trajectory``).
+    That is exact: period t+1 would solve from period t's reference and
+    start, so it and every later period repeat record t.
 
-    The loop is bit-identical to calling ``equilibrium_policy`` each
-    period, but solves with ``_newton`` on constants taken once per call,
-    and reads D_i from the complements of Newton's last evaluation,
-    which equal those of ``_shares`` at the solution. The policy's
-    per-period checks hold by construction: ``r0`` is checked here,
+    The Newton constants are taken once per call, and D_i is read from the
+    complements of Newton's last evaluation, which equal those of
+    ``_shares`` at the solution. Only ``r0`` is checked:
     ``reference_update`` clamps every later reference into the box, and
-    each start is the previous period's solution, which met the
-    tolerance and so is no NaN.
+    each start is the previous period's solution, which met the tolerance
+    and so is no NaN.
     """
     _check_horizon(horizon)
     r = PricePair(float(r0[0]), float(r0[1]))

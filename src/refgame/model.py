@@ -8,12 +8,12 @@ prices). The deterministic utility is
     u_i = a_i - b_i * p_i + c_i * (r_i - p_i),
 
 market shares follow a multinomial logit over {H, L, no purchase}, and
-revenue is price times share. This module also provides the analytic
-first- and second-order quantities that the dynamics and diagnostics
-build on: the log-revenue derivative a firm can recover from its own
-price and realized demand, its scaled version, all four partial
-derivatives of the scaled form, and global bound constants over a price
-box.
+a firm's revenue is its price times its share. This module provides the
+analytic first- and second-order quantities that the dynamics and
+diagnostics build on: the log-revenue derivative a firm can recover
+from its own price and realized demand, its scaled version, all four
+partial derivatives of the scaled form, and global bound constants over
+a price box.
 
 Every function is pure. Components of a price pair may be floats or
 numpy arrays of a common shape; results broadcast elementwise.
@@ -22,7 +22,6 @@ numpy arrays of a common shape; results broadcast elementwise.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,8 +33,6 @@ __all__ = [
     "PricePair",
     "MarketState",
     "utility",
-    "demand",
-    "revenue",
     "log_rev_derivative",
     "scaled_derivative",
     "scaled_derivative_partials",
@@ -74,7 +71,7 @@ class FirmParams:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"FirmParams.{name} must be a finite real, got {v!r}")
         if self.b <= 0.0:
             raise ValueError(f"FirmParams.b must be > 0, got {self.b}")
@@ -125,11 +122,6 @@ class MarketParams:
         return all(self.p_lo <= v <= self.p_hi for v in values)
 
 
-# The representable shares nearest 0 and 1 that still lie strictly inside (0, 1).
-_SHARE_MIN = sys.float_info.min
-_SHARE_MAX = math.nextafter(1.0, 0.0)
-
-
 def _check_finite(**named) -> None:
     for name, value in named.items():
         if not np.all(np.isfinite(value)):
@@ -151,7 +143,7 @@ def utility(firm: FirmParams, p, r):
 
 
 def _logit(params: MarketParams, prices, references):
-    """(d_H, d_L, d_0, q_H, q_L) by the expressions of :func:`_shares`, so
+    """(d_H, d_L, q_H, q_L) by the expressions of :func:`_shares`, so
     scalars carry its bits; arrays take ``np.exp``, which differs from
     ``math.exp`` in the last bit for about one argument in twenty."""
     u_H = utility(params.firm_H, prices[0], references[0])
@@ -162,32 +154,7 @@ def _logit(params: MarketParams, prices, references):
     e_L = exp(u_L - shift)
     e_0 = exp(-shift)
     inv = 1.0 / (e_0 + e_H + e_L)
-    return e_H * inv, e_L * inv, e_0 * inv, (e_0 + e_L) * inv, (e_0 + e_H) * inv
-
-
-def demand(params: MarketParams, prices, references):
-    """Logit market shares (d_H, d_L, d_0) including the outside option.
-
-    d_i = exp(u_i) / (1 + exp(u_H) + exp(u_L)) and d_0 is the remaining
-    no-purchase share. The largest exponent is subtracted before
-    exponentiation so the shares stay finite for arbitrarily large
-    utilities. Rounding alone would still let a dominant share reach
-    exactly 1.0 (once its utility leads the others by about 37) and a
-    dominated one underflow to 0.0, so each share is clamped onto
-    [tiny, 1 - 2^-53], the representable values nearest the exact share
-    that lie strictly inside (0, 1); the shares still sum to 1 within
-    2^-53. Away from that clamp, scalar shares are bit-identical to those
-    of :func:`_shares`. Defined on all finite inputs, not only the price box.
-    """
-    d_H, d_L, d_0, _, _ = _logit(params, prices, references)
-    return tuple(np.clip(d, _SHARE_MIN, _SHARE_MAX) for d in (d_H, d_L, d_0))
-
-
-def revenue(params: MarketParams, prices, references):
-    """Expected per-period revenue (p_H * d_H, p_L * d_L)."""
-    d_H, d_L, _ = demand(params, prices, references)
-    p_H, p_L = prices
-    return p_H * d_H, p_L * d_L
+    return e_H * inv, e_L * inv, (e_0 + e_L) * inv, (e_0 + e_H) * inv
 
 
 def log_rev_derivative(params: MarketParams, prices, references):
@@ -200,7 +167,7 @@ def log_rev_derivative(params: MarketParams, prices, references):
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("log_rev_derivative is undefined at p_i = 0")
-    _, _, _, q_H, q_L = _logit(params, prices, references)
+    _, _, q_H, q_L = _logit(params, prices, references)
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     return 1.0 / p_H - s_H * q_H, 1.0 / p_L - s_L * q_L
 
@@ -214,7 +181,7 @@ def scaled_derivative(params: MarketParams, prices, references):
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("scaled_derivative is undefined at p_i = 0")
-    _, _, _, q_H, q_L = _logit(params, prices, references)
+    _, _, q_H, q_L = _logit(params, prices, references)
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     return 1.0 / (s_H * p_H) - q_H, 1.0 / (s_L * p_L) - q_L
 
@@ -237,7 +204,7 @@ def scaled_derivative_partials(params: MarketParams, prices, references) -> np.n
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
         raise ValueError("scaled_derivative_partials is undefined at p_i = 0")
-    d_H, d_L, _, q_H, q_L = _logit(params, prices, references)
+    d_H, d_L, q_H, q_L = _logit(params, prices, references)
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     c_H, c_L = params.firm_H.c, params.firm_L.c
     cross = d_H * d_L

@@ -15,6 +15,7 @@ from conftest import (
     spectral_radius,
     step_jacobian,
 )
+from oracles import demand
 from refgame import analysis
 
 
@@ -151,7 +152,7 @@ class TestCheckProperties:
         # the smallest normal double, where demand clamps it and log
         # revenue turns flat in p_L
         states = np.random.default_rng(0).uniform(SATURATED.p_lo, SATURATED.p_hi, (100, 4)).T
-        d_L = rg.demand(SATURATED, states[:2], states[2:])[1]
+        d_L = demand(SATURATED, states[:2], states[2:])[1]
         assert np.sum(d_L == sys.float_info.min) >= 10
         report = rg.check_properties(SATURATED, rg.solve_sne(SATURATED), np.random.default_rng(0))
         assert report.failures == ()
@@ -357,12 +358,10 @@ class TestCycleDetector:
         )
         assert rg.cycle_detector(traj, sne, tail_fraction=0.5) == rg.UNDECIDED
 
-    def test_empty_trajectory_refused(self, fig1, fig1_sne):
-        traj = rg.Trajectory(fig1, "synthetic", *(np.empty(0) for _ in range(6)))
+    def test_empty_trajectory_refused(self, fig1):
+        # the constructor refuses it, so no reader meets an empty trajectory
         with pytest.raises(ValueError, match="trajectory is empty"):
-            rg.cycle_detector(traj, fig1_sne.prices)
-        with pytest.raises(ValueError, match="trajectory is empty"):
-            rg.rate_fit(traj, fig1_sne.prices)
+            rg.Trajectory(fig1, "synthetic", *(np.empty(0) for _ in range(6)))
 
     def test_tail_fraction_validated(self, fig1, fig1_sne):
         traj = _constant_trajectory(fig1, fig1_sne.prices, n=20)

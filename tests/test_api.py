@@ -12,12 +12,11 @@ PUBLIC_NAMES = [
     "FIGURE1_VARIANTS", "FirmParams", "HessianCertificate", "MarketParams",
     "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT",
     "RateReport", "SneSolution", "SolverError", "StepSchedule", "Trajectory",
-    "UNDECIDED", "best_response",
-    "bound_constants", "check_properties", "cycle_detector", "demand", "equilibrium_path",
-    "equilibrium_policy", "figure1_config", "figure1_params", "hessian_certificate",
+    "UNDECIDED", "bound_constants", "check_properties", "cycle_detector",
+    "equilibrium_path", "figure1_config", "figure1_params", "hessian_certificate",
     "load_config", "local_potential", "log_rev_derivative",
     "random_market", "rate_fit", "reference_update",
-    "revenue", "scaled_derivative", "scaled_derivative_partials", "simulate",
+    "scaled_derivative", "scaled_derivative_partials", "simulate",
     "sne_bounds", "sne_drift", "solve_sne", "utility", "validate_price_box",
     "weighted_l1_distance",
 ]
@@ -43,21 +42,6 @@ PROGRAM_FILES = [
     *sorted((ROOT / "src" / "refgame").glob("*.py")),
     *sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")),
 ]
-
-# public names the program never reads, kept as independent test oracles
-ORACLES = {
-    # the single-firm solver that equilibrium_policy's joint Newton is checked against
-    "best_response",
-    # the one-period policy that equilibrium_path's lean loop must match bit for bit
-    "equilibrium_policy",
-    # the revenue test_perturbation_never_improves_revenue checks a best
-    # response against, independent of the derivative it solves for
-    "revenue",
-    # the clamped shares revenue is built from, and that the scalar kernel
-    # _shares is checked against in test_model.py
-    "demand",
-}
-
 
 def exported_reads() -> dict[str, set]:
     """For each public name, the top-level definitions of the program that
@@ -91,4 +75,4 @@ def test_every_public_name_has_a_reader():
         if now == unread:
             break
         unread = now
-    assert unread == ORACLES
+    assert unread == set()

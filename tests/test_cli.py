@@ -1044,6 +1044,9 @@ class TestVerifyCommand:
         # it used to print sweep_contained = 0 against sweep_total = -1 and exit 3
         assert cli.main(["verify", "--random", "-1"]) == 1
         assert capsys.readouterr() == ("", "error: --random must be >= 0, got -1\n")
+        # a negative seed used to exit with numpy's message, which names no flag
+        assert cli.main(["verify", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
     def test_determinism_of_report(self, capsys):
         assert cli.main(["verify", "--random", "2", "--seed", "5"]) == 0

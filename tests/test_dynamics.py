@@ -10,7 +10,7 @@ import pytest
 import refgame as rg
 import refgame.cli as cli
 import refgame.dynamics as dynamics
-from refgame.model import _SHARE_MAX, _SHARE_MIN, _consts, _shares
+from refgame.model import _consts, _shares
 
 from conftest import (
     SATURATED,
@@ -20,6 +20,7 @@ from conftest import (
     step_jacobian,
     stored,
 )
+from oracles import SHARE_MAX, SHARE_MIN
 
 # frozen: log-revenue derivatives at the demo start state (see test_model)
 D_H0 = -2.5950508119722233822
@@ -133,6 +134,14 @@ class TestStepSchedule:
                 rg.StepSchedule(kind, -1.0)
         with pytest.raises(ValueError):
             rg.StepSchedule("geometric", 0.5)
+
+    def test_bool_coefficient_refused(self):
+        # a bool is an int in Python, but it is no step size
+        for build in (rg.StepSchedule.constant, rg.StepSchedule.inverse_sqrt):
+            with pytest.raises(
+                ValueError, match="schedule coefficient must be finite and > 0, got True"
+            ):
+                build(True)
 
     def test_sequence_matches_closed_form(self):
         for s, rule in (
@@ -291,7 +300,7 @@ class TestSimulate:
             state = state_at(traj, i)
             # no share is clamped here, so the scalar path carries the kernel's bits
             shares = _shares(_consts(fig1), *state.prices, *state.references)
-            assert all(_SHARE_MIN < d < _SHARE_MAX for d in shares[:2])
+            assert all(SHARE_MIN < d < SHARE_MAX for d in shares[:2])
             D = rg.log_rev_derivative(fig1, *state)
             assert (traj.D_H[i], traj.D_L[i]) == D
 

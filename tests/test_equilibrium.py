@@ -19,6 +19,7 @@ import refgame.equilibrium as equilibrium
 from refgame.model import _consts, _shares
 
 from conftest import SATURATED, STIFF, stored
+from oracles import best_response, demand, equilibrium_policy, revenue
 
 # frozen: stationary prices and demands of the demo instance
 SNE_H = 1.920413366139232687344
@@ -68,7 +69,7 @@ def policy_path_oracle(params, r0, horizon, policy=None):
     """(p, r) of every period by the plain loop, with no stop: period t
     solves p_t = policy(r_t, start=p_{t-1}) and sets r_{t+1} =
     reference_update(r_t, p_t). Returns two (2, horizon + 1) arrays."""
-    policy = policy or rg.equilibrium_policy
+    policy = policy or equilibrium_policy
     prices, refs = [], []
     r, guess = rg.PricePair(*r0), None
     for _ in range(horizon + 1):
@@ -341,8 +342,8 @@ def monopoly_root_oracle(a: float, b: float, lo: float, hi: float) -> float:
 class TestBestResponse:
     def test_stationary_point_is_mutual_best_response(self, fig1, fig1_sne):
         sne = fig1_sne.prices
-        br_H = rg.best_response(fig1, "H", sne.p_L, sne)
-        br_L = rg.best_response(fig1, "L", sne.p_H, sne)
+        br_H = best_response(fig1, "H", sne.p_L, sne)
+        br_L = best_response(fig1, "L", sne.p_H, sne)
         assert math.isclose(br_H, sne.p_H, abs_tol=1e-9)
         assert math.isclose(br_L, sne.p_L, abs_tol=1e-9)
 
@@ -355,12 +356,12 @@ class TestBestResponse:
             i = 0 if firm == "H" else 1
             assert rg.log_rev_derivative(fig1, prices_lo, r)[i] > 0.0
             assert rg.log_rev_derivative(fig1, prices_hi, r)[i] < 0.0
-            root = rg.best_response(fig1, firm, opp, r)
+            root = best_response(fig1, firm, opp, r)
             assert fig1.p_lo < root < fig1.p_hi
 
     def test_root_has_zero_derivative(self, fig1):
         r = rg.PricePair(0.10, 2.95)
-        root = rg.best_response(fig1, "H", 4.86, r)
+        root = best_response(fig1, "H", 4.86, r)
         D_H, _ = rg.log_rev_derivative(fig1, (root, 4.86), r)
         assert abs(D_H) <= 1e-12
 
@@ -369,12 +370,12 @@ class TestBestResponse:
         for _ in range(20):
             opp = float(rng.uniform(fig1.p_lo, fig1.p_hi))
             r = rg.PricePair(*rng.uniform(fig1.p_lo, fig1.p_hi, 2))
-            p_star = rg.best_response(fig1, "H", opp, r)
+            p_star = best_response(fig1, "H", opp, r)
             if not fig1.p_lo < p_star < fig1.p_hi:
                 continue
-            base = rg.revenue(fig1, (p_star, opp), r)[0]
+            base = revenue(fig1, (p_star, opp), r)[0]
             for d in (-1e-4, 1e-4):
-                assert rg.revenue(fig1, (p_star + d, opp), r)[0] <= base + 1e-10
+                assert revenue(fig1, (p_star + d, opp), r)[0] <= base + 1e-10
 
     def test_monopoly_limit_matches_scalar_oracle(self):
         # opponent has utility ~ -80 everywhere: effectively absent
@@ -382,7 +383,7 @@ class TestBestResponse:
         ghost = rg.FirmParams(a=-80.0, b=1.0, c=0.0)
         params = rg.MarketParams(firm, ghost, alpha=0.5, p_lo=0.1, p_hi=20.0)
         r = rg.PricePair(1.0, 1.0)
-        root = rg.best_response(params, "H", 1.0, r)
+        root = best_response(params, "H", 1.0, r)
         oracle = monopoly_root_oracle(2.0, 1.0, 0.1, 20.0)
         assert math.isclose(root, oracle, rel_tol=1e-10)
 
@@ -390,19 +391,19 @@ class TestBestResponse:
         # low intrinsic value: the derivative is negative on the whole box
         firm = rg.FirmParams(a=-5.0, b=3.0, c=1.0)
         params = rg.MarketParams(firm, firm, alpha=0.5, p_lo=1.0, p_hi=5.0)
-        root = rg.best_response(params, "H", 2.0, rg.PricePair(2.0, 2.0))
+        root = best_response(params, "H", 2.0, rg.PricePair(2.0, 2.0))
         assert root == 1.0
 
     def test_rejects_bad_firm_and_out_of_box(self, fig1):
         with pytest.raises(ValueError):
-            rg.best_response(fig1, "X", 1.0, rg.PricePair(1.0, 1.0))
+            best_response(fig1, "X", 1.0, rg.PricePair(1.0, 1.0))
         with pytest.raises(ValueError):
-            rg.best_response(fig1, "H", 100.0, rg.PricePair(1.0, 1.0))
+            best_response(fig1, "H", 100.0, rg.PricePair(1.0, 1.0))
 
     def test_collapsed_bracket_fails_fast(self, monkeypatch):
         monkeypatch.setattr(equilibrium, "TOLERANCE", 1e-16)
         with pytest.raises(rg.SolverError) as err:
-            rg.best_response(COLLAPSING, "L", COLLAPSING_OPPONENT, COLLAPSING_R0)
+            best_response(COLLAPSING, "L", COLLAPSING_OPPONENT, COLLAPSING_R0)
         lo, hi = err.value.context["bracket"]
         assert err.value.context["iterations"] < 200
         assert not lo < 0.5 * (lo + hi) < hi
@@ -486,21 +487,21 @@ class TestNewton:
 class TestEquilibriumPolicy:
     def test_fixed_point_at_stationary_prices(self, fig1, fig1_sne):
         sne = fig1_sne.prices
-        out = rg.equilibrium_policy(fig1, sne)
+        out = equilibrium_policy(fig1, sne)
         assert math.isclose(out.p_H, sne.p_H, abs_tol=1e-9)
         assert math.isclose(out.p_L, sne.p_L, abs_tol=1e-9)
 
     def test_symmetric_instance(self, symmetric):
-        out = rg.equilibrium_policy(symmetric, rg.PricePair(2.0, 2.0))
+        out = equilibrium_policy(symmetric, rg.PricePair(2.0, 2.0))
         assert abs(out.p_H - out.p_L) < 1e-9
 
     def test_demo_start_frozen_values_and_residual(self, fig1):
         r0 = rg.PricePair(0.10, 2.95)
-        out = rg.equilibrium_policy(fig1, r0)
+        out = equilibrium_policy(fig1, r0)
         assert math.isclose(out.p_H, POLICY_H, rel_tol=1e-9)
         assert math.isclose(out.p_L, POLICY_L, rel_tol=1e-9)
         # stationarity system residual, checked directly
-        d_H, d_L, _ = rg.demand(fig1, out, r0)
+        d_H, d_L, _ = demand(fig1, out, r0)
         s_H = fig1.firm_H.b + fig1.firm_H.c
         s_L = fig1.firm_L.b + fig1.firm_L.c
         assert abs(out.p_H - 1.0 / (s_H * (1.0 - d_H))) <= 1e-10
@@ -508,19 +509,19 @@ class TestEquilibriumPolicy:
 
     def test_rejects_out_of_box_references(self, fig1):
         with pytest.raises(ValueError):
-            rg.equilibrium_policy(fig1, rg.PricePair(0.01, 1.0))
+            equilibrium_policy(fig1, rg.PricePair(0.01, 1.0))
 
     @pytest.mark.parametrize("start", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)])
     def test_rejects_nan_start(self, fig1, start):
         # a NaN iterate fails both exits of the Newton line search, so the
         # solve would never return
         with pytest.raises(ValueError, match="NaN"):
-            rg.equilibrium_policy(fig1, rg.PricePair(1.0, 1.0), start=start)
+            equilibrium_policy(fig1, rg.PricePair(1.0, 1.0), start=start)
 
     def test_infinite_start_clamps_onto_the_box(self, fig1):
         r = rg.PricePair(1.0, 1.0)
-        out = rg.equilibrium_policy(fig1, r, start=(math.inf, -math.inf))
-        edge = rg.equilibrium_policy(fig1, r, start=(fig1.p_hi, fig1.p_lo))
+        out = equilibrium_policy(fig1, r, start=(math.inf, -math.inf))
+        edge = equilibrium_policy(fig1, r, start=(fig1.p_hi, fig1.p_lo))
         assert out == edge
 
     @PROPERTY_SETTINGS
@@ -540,15 +541,15 @@ class TestEquilibriumPolicy:
             return rg.PricePair(params.p_lo + u[0] * width, params.p_lo + u[1] * width)
 
         if shrink is not None:
-            top = max(rg.equilibrium_policy(params, refs(params)))
+            top = max(equilibrium_policy(params, refs(params)))
             params = dataclasses.replace(
                 params, p_hi=params.p_lo + shrink * (top - params.p_lo)
             )
         r = refs(params)
-        p = rg.equilibrium_policy(params, r)
+        p = equilibrium_policy(params, r)
         assert params.in_box(*p)
-        assert math.isclose(rg.best_response(params, "H", p.p_L, r), p.p_H, abs_tol=1e-9)
-        assert math.isclose(rg.best_response(params, "L", p.p_H, r), p.p_L, abs_tol=1e-9)
+        assert math.isclose(best_response(params, "H", p.p_L, r), p.p_H, abs_tol=1e-9)
+        assert math.isclose(best_response(params, "L", p.p_H, r), p.p_L, abs_tol=1e-9)
 
 
 class TestSolveSne:

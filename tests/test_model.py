@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import refgame as rg
-from refgame.model import _SHARE_MAX, _SHARE_MIN, _consts, _logit, _shares
+from refgame.model import _consts, _logit, _shares
 
 from conftest import SATURATED, in_box_states
+from oracles import SHARE_MAX, SHARE_MIN, demand, revenue
 
 # frozen oracle values at prices (4.85, 4.86), references (0.10, 2.95)
 D_H0 = -2.5950508119722233822
@@ -43,6 +44,14 @@ class TestParamsValidation:
             rg.FirmParams(a=math.inf, b=1.0, c=1.0)
         with pytest.raises(ValueError):
             rg.FirmParams(a=0.0, b=math.nan, c=1.0)
+
+    def test_firm_rejects_bool(self):
+        # a bool is an int in Python, but it is no coefficient
+        for field in ("a", "b", "c"):
+            coefs = {"a": 1.0, "b": 1.0, "c": 0.0, field: True}
+            message = f"FirmParams.{field} must be a finite real, got True"
+            with pytest.raises(ValueError, match=message):
+                rg.FirmParams(**coefs)
 
     def test_market_rejects_bad_alpha_and_box(self):
         firm = rg.FirmParams(a=1.0, b=1.0, c=1.0)
@@ -85,13 +94,13 @@ class TestDemand:
     def test_symmetric_thirds(self):
         firm = rg.FirmParams(a=1.0, b=1.0, c=0.0)
         params = rg.MarketParams(firm, firm, alpha=0.5, p_lo=0.5, p_hi=2.0)
-        d_H, d_L, d_0 = rg.demand(params, (1.0, 1.0), (0.7, 1.9))
+        d_H, d_L, d_0 = demand(params, (1.0, 1.0), (0.7, 1.9))
         assert math.isclose(d_H, 1.0 / 3.0, rel_tol=1e-15)
         assert math.isclose(d_L, 1.0 / 3.0, rel_tol=1e-15)
         assert math.isclose(d_0, 1.0 / 3.0, rel_tol=1e-15)
 
     def test_frozen_values(self, fig1):
-        d_H, d_L, _ = rg.demand(fig1, P0, R0)
+        d_H, d_L, _ = demand(fig1, P0, R0)
         assert math.isclose(d_H, DEMAND_H0, rel_tol=1e-12)
         assert math.isclose(d_L, DEMAND_L0, rel_tol=1e-12)
 
@@ -100,7 +109,7 @@ class TestDemand:
         firm_H = rg.FirmParams(a=-50.0, b=1.0, c=0.0)
         firm_L = rg.FirmParams(a=0.0, b=1.0, c=0.0)
         params = rg.MarketParams(firm_H, firm_L, alpha=0.5, p_lo=1e-9, p_hi=10.0)
-        d_H, d_L, _ = rg.demand(params, (1e-9, 1e-9), (1.0, 1.0))
+        d_H, d_L, _ = demand(params, (1e-9, 1e-9), (1.0, 1.0))
         assert d_H < 1e-20
         assert math.isclose(d_L, 0.5, rel_tol=1e-8)
 
@@ -109,19 +118,19 @@ class TestDemand:
         # include far off-box states; demand is a total function
         p = rng.uniform(-50.0, 50.0, size=(2, 500))
         r = rng.uniform(-50.0, 50.0, size=(2, 500))
-        d_H, d_L, d_0 = rg.demand(fig1, (p[0], p[1]), (r[0], r[1]))
+        d_H, d_L, d_0 = demand(fig1, (p[0], p[1]), (r[0], r[1]))
         np.testing.assert_allclose(d_H + d_L + d_0, 1.0, atol=1e-14)
         for d in (d_H, d_L, d_0):
             assert np.all(d > 0.0) and np.all(d < 1.0)
 
     def test_share_clamp_bounds_are_the_numpy_floats(self):
         # the clamp's ends are written without numpy; they are its floats
-        assert type(_SHARE_MIN) is float and type(_SHARE_MAX) is float
-        assert _SHARE_MIN.hex() == float(np.finfo(float).tiny).hex()
-        assert _SHARE_MAX.hex() == float(np.nextafter(1.0, 0.0)).hex()
+        assert type(SHARE_MIN) is float and type(SHARE_MAX) is float
+        assert SHARE_MIN.hex() == float(np.finfo(float).tiny).hex()
+        assert SHARE_MAX.hex() == float(np.nextafter(1.0, 0.0)).hex()
 
     def test_extreme_utilities_stay_finite(self, fig1):
-        d_H, d_L, d_0 = rg.demand(fig1, (-400.0, 500.0), (-400.0, 500.0))
+        d_H, d_L, d_0 = demand(fig1, (-400.0, 500.0), (-400.0, 500.0))
         assert np.isfinite(d_H) and np.isfinite(d_L) and np.isfinite(d_0)
         assert 0.0 < d_H < 1.0
 
@@ -130,22 +139,22 @@ class TestDemand:
         for _ in range(50):
             p_H, p_L, r_H, r_L = rng.uniform(fig1.p_lo, fig1.p_hi, 4)
             bump = 0.05
-            d_H, d_L, _ = rg.demand(fig1, (p_H, p_L), (r_H, r_L))
-            d_H2, d_L2, _ = rg.demand(fig1, (p_H + bump, p_L), (r_H, r_L))
+            d_H, d_L, _ = demand(fig1, (p_H, p_L), (r_H, r_L))
+            d_H2, d_L2, _ = demand(fig1, (p_H + bump, p_L), (r_H, r_L))
             assert d_H2 < d_H and d_L2 > d_L
 
 
 class TestRevenue:
     def test_zero_price_zero_revenue(self, fig1):
-        pi_H, pi_L = rg.revenue(fig1, (0.0, 1.0), (1.0, 1.0))
+        pi_H, pi_L = revenue(fig1, (0.0, 1.0), (1.0, 1.0))
         assert pi_H == 0.0 and pi_L > 0.0
 
     def test_symmetry(self, symmetric):
-        pi_H, pi_L = rg.revenue(symmetric, (1.3, 1.3), (2.0, 2.0))
+        pi_H, pi_L = revenue(symmetric, (1.3, 1.3), (2.0, 2.0))
         assert math.isclose(pi_H, pi_L, rel_tol=1e-15)
 
     def test_frozen_values(self, fig1):
-        pi_H, pi_L = rg.revenue(fig1, P0, R0)
+        pi_H, pi_L = revenue(fig1, P0, R0)
         assert math.isclose(pi_H, REVENUE_H0, rel_tol=1e-12)
         assert math.isclose(pi_L, REVENUE_L0, rel_tol=1e-12)
 
@@ -178,7 +187,7 @@ class TestLogRevDerivative:
             for i in range(2):
                 def log_rev(x):
                     prices = (x, p_L) if i == 0 else (p_H, x)
-                    return math.log(rg.revenue(fig1, prices, (r_H, r_L))[i])
+                    return math.log(revenue(fig1, prices, (r_H, r_L))[i])
 
                 own = p_H if i == 0 else p_L
                 fd = (log_rev(own + h) - log_rev(own - h)) / (2.0 * h)
@@ -291,11 +300,10 @@ class TestScalarFastPath:
         states = in_box_states(fig1, 200, seed=11)
         for p_H, p_L, r_H, r_L in states:
             fast = _shares(consts, p_H, p_L, r_H, r_L)
-            assert all(_SHARE_MIN < d < _SHARE_MAX for d in fast[:2])  # no share clamped
-            slow = rg.demand(fig1, (p_H, p_L), (r_H, r_L))
+            assert all(SHARE_MIN < d < SHARE_MAX for d in fast[:2])  # no share clamped
+            slow = demand(fig1, (p_H, p_L), (r_H, r_L))
             assert (fast[0], fast[1]) == (slow[0], slow[1])
-            d_H, d_L, _, q_H, q_L = _logit(fig1, (p_H, p_L), (r_H, r_L))
-            assert (d_H, d_L, q_H, q_L) == fast
+            assert _logit(fig1, (p_H, p_L), (r_H, r_L)) == fast
 
 
 # frozen oracle values on SATURATED, firm H: the own-price and own-reference
