@@ -92,6 +92,10 @@ class StepSchedule:
             arr = np.array(values, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError("explicit schedule needs a non-empty 1-d sequence")
+            # a bool is an int in Python, but it is no step size
+            flag = next((v for v in values if isinstance(v, (bool, np.bool_))), None)
+            if flag is not None:
+                raise ValueError(f"explicit schedule values must be finite and > 0, got {flag!r}")
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise ValueError("explicit schedule values must be finite and > 0")
             if np.any(np.diff(arr) > 0.0):

@@ -21,6 +21,26 @@ iteration (an overflow, say) is re-raised as ``SolverError``.
 ``solve_sne`` runs the iteration once. ``equilibrium_path`` runs it once
 per period on constants it takes once per market, and reads each
 period's D_i from the complements of the iteration's last evaluation.
+
+From period 1 on, each period's iteration starts at a first-order
+prediction of its policy, the predictor step of numerical continuation
+(Allgower & Georg 2003): s_{t+1} = p_t + P (r_{t+1} - r_t). The policy
+Jacobian P = dp*/dr = -(d_p G)^-1 d_r G comes in closed form from the
+shares of period t's last evaluation. With k_i = b_i + c_i, m_i =
+d_i (1 - d_i) and x = d_H d_L,
+
+    d_p G = [[-1/(k_H p_H^2) - k_H m_H,  k_L x],
+             [k_H x,  -1/(k_L p_L^2) - k_L m_L]],
+    d_r G = [[c_H m_H,  -c_L x],
+             [-c_H x,  c_L m_L]].
+
+A component on a box edge gets a zero row of P, so it starts on its edge
+again; a free component's row then solves its own condition alone. The
+path stops exactly once p_t equals its own start and r_{t+1} == r_t: the
+prediction from a zero reference step is p_t itself, so period t+1 would
+repeat period t's solve. Newton returns a start that already meets its
+tolerance unchanged, so the stop comes at most one period after the
+references settle.
 """
 
 from __future__ import annotations
@@ -151,7 +171,7 @@ def validate_price_box(params: MarketParams) -> tuple[tuple[float, float], tuple
 
 def _newton(
     consts, lo: float, hi: float, r: PricePair | None, start=None, b: tuple | None = None
-) -> tuple[float, float, float, int, float, float]:
+) -> tuple[float, float, float, int, float, float, float, float]:
     """Projected Newton on the scaled first-order conditions G = 0.
 
     ``consts`` is the market's ``model._consts`` and [lo, hi] its price
@@ -170,12 +190,12 @@ def _newton(
     is at most (1 - 1e-4 * t) times the accepted residual (Armijo);
     a rejected trial halves t. ``iterations`` counts accepted steps,
     not evaluations. Once the accepted residual is at most TOLERANCE,
-    returns (p_H, p_L, residual, iterations, q_H, q_L), where q_i =
-    1 - d_i comes from the last evaluation: bit for bit
-    ``_shares(consts, p_H, p_L, *r)[2:]``, with r = p when ``r`` is
-    None. It raises ``SolverError`` when a trial clips back onto the
-    accepted point (a stall) or after MAX_ITERATIONS steps, and
-    re-raises an ``ArithmeticError`` (an overflow, say) as one.
+    returns (p_H, p_L, residual, iterations, d_H, d_L, q_H, q_L), where
+    the shares d_i and their complements q_i = 1 - d_i come from the
+    last evaluation: bit for bit ``_shares(consts, p_H, p_L, *r)``, with
+    r = p when ``r`` is None. It raises ``SolverError`` when a trial
+    clips back onto the accepted point (a stall) or after MAX_ITERATIONS
+    steps, and re-raises an ``ArithmeticError`` (an overflow, say) as one.
     """
     s_H, s_L = consts[1], consts[4]
     # dG_i/dp_j = k_j d_i d_j and dG_i/dp_i = -1/(s_i p_i^2) - k_i d_i (1 - d_i),
@@ -211,7 +231,7 @@ def _newton(
                     it += 1
                 x, y, res = nx, ny, e
                 if res <= TOLERANCE:
-                    return x, y, res, it, q_H, q_L
+                    return x, y, res, it, d_H, d_L, q_H, q_L
                 if it == MAX_ITERATIONS:
                     break
                 j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
@@ -246,6 +266,39 @@ def _newton(
     )
 
 
+def _policy_step(
+    consts, lo: float, hi: float, p_H: float, p_L: float, d_H, d_L, q_H, q_L, dr_H, dr_L
+) -> tuple[float, float]:
+    """P (dr_H, dr_L), where P = -(d_p G)^-1 d_r G is the policy Jacobian
+    of the module docstring at a solved policy p = p*(r), from the shares
+    d_i and complements q_i at (p, r).
+
+    A component on a box edge (p_i == lo or hi) stays there: its row of P
+    is zero, and a free component's row then solves its own condition
+    alone. The step is one 2x2 solve, written as ``_newton`` writes its
+    own, and calls no ``_shares``.
+    """
+    _, s_H, c_H, _, s_L, c_L = consts
+    x, m_H, m_L = d_H * d_L, d_H * q_H, d_L * q_L
+    # v = d_r G (dr); the step solves d_p G (step) = -v
+    v_H = c_H * m_H * dr_H - c_L * x * dr_L
+    v_L = c_L * m_L * dr_L - c_H * x * dr_H
+    free_H, free_L = lo < p_H < hi, lo < p_L < hi
+    if free_H:
+        j_HH = -1.0 / (s_H * p_H * p_H) - s_H * m_H
+    if free_L:
+        j_LL = -1.0 / (s_L * p_L * p_L) - s_L * m_L
+    if free_H and free_L:
+        j_HL, j_LH = s_L * x, s_H * x
+        det = j_HH * j_LL - j_HL * j_LH
+        return (v_L * j_HL - v_H * j_LL) / det, (v_H * j_LH - v_L * j_HH) / det
+    if free_H:
+        return -v_H / j_HH, 0.0
+    if free_L:
+        return 0.0, -v_L / j_LL
+    return 0.0, 0.0
+
+
 def solve_sne(params: MarketParams) -> SneSolution:
     """Solve the stationary equilibrium by projected Newton.
 
@@ -259,7 +312,7 @@ def solve_sne(params: MarketParams) -> SneSolution:
     bounds = validate_price_box(params)
     lo, hi = params.p_lo, params.p_hi
     b = (params.firm_H.b, params.firm_L.b)
-    p_H, p_L, residual, iterations, _, _ = _newton(_consts(params), lo, hi, None, b=b)
+    p_H, p_L, residual, iterations, *_ = _newton(_consts(params), lo, hi, None, b=b)
     prices = PricePair(p_H, p_L)
     for value, (lower, upper) in zip(prices, bounds):
         if not (lower < value < upper):
@@ -294,22 +347,37 @@ def equilibrium_path(
     Returns ``horizon + 1`` records in the simulator's layout, ``D_H``/``D_L``
     being the log-revenue derivatives at each period's policy prices. Period
     t plays the policy p_t = p*(r_t): ``_newton`` solves G(p, r_t) = 0 to
-    max|G_i| <= TOLERANCE from the start p_{t-1} (the box midpoint for
-    t = 0). It then sets ``r_{t+1} = reference_update(r_t, p_t)``; a solver
-    failure is re-raised with the period attached. The solution meets the
-    tolerance from every start, but its last bits depend on the start, so
-    the warm start is part of the rule. Once, for some t >= 1,
-    ``p_t == p_{t-1}`` and ``r_{t+1} == r_t`` bit for bit, the loop stops
-    and record t repeats to the end, a period-1 tail (see ``Trajectory``).
-    That is exact: period t+1 would solve from period t's reference and
-    start, so it and every later period repeat record t.
+    max|G_i| <= TOLERANCE from the start s_t. It then sets ``r_{t+1} =
+    reference_update(r_t, p_t)``; a solver failure is re-raised with the
+    period attached. Period 0 starts at the box midpoint. Every later period
+    starts at the first-order prediction of its policy, the predictor step
+    of numerical continuation (Allgower & Georg 2003):
+
+        s_{t+1} = p_t + P(p_t, r_t) (r_{t+1} - r_t),
+
+    with P = -(d_p G)^-1 d_r G the policy Jacobian of the module docstring.
+    ``_policy_step`` applies it in closed form from the shares of Newton's
+    last evaluation: one 2x2 solve, no further ``_shares`` call. A
+    component on a box edge has a zero row of P, so it starts on its edge
+    again. A start component that comes out NaN (an overflowed P times a
+    zero step) is replaced by p_t's. The solution meets the tolerance from
+    every start, but its last bits depend on the start, so the start rule
+    is part of the path.
+
+    Once, for some t >= 1, ``p_t == s_t`` and ``r_{t+1} == r_t`` bit for
+    bit, the loop stops and record t repeats to the end, a period-1 tail
+    (see ``Trajectory``). That is exact: with a zero reference step the
+    prediction is s_{t+1} = p_t = s_t, so period t+1 would solve from
+    period t's reference and start, and it and every later period repeat
+    record t. The stop comes at most one period after the references
+    settle: once r_{t+1} == r_t, period t+1 starts at p_t, which meets the
+    tolerance at r_{t+1}, and ``_newton`` returns such a start unchanged.
 
     The Newton constants are taken once per call, and D_i is read from the
     complements of Newton's last evaluation, which equal those of
     ``_shares`` at the solution. Only ``r0`` is checked:
     ``reference_update`` clamps every later reference into the box, and
-    each start is the previous period's solution, which met the tolerance
-    and so is no NaN.
+    ``_newton`` clips each start, which is no NaN, onto it.
     """
     _check_horizon(horizon)
     r = PricePair(float(r0[0]), float(r0[1]))
@@ -322,10 +390,10 @@ def equilibrium_path(
     records = ([], [], [], [], [], [])  # p_H, p_L, r_H, r_L, D_H, D_L
     put_pH, put_pL, put_rH, put_rL, put_DH, put_DL = (c.append for c in records)
 
-    p = None  # the box midpoint
+    start = None  # the box midpoint
     for t in range(horizon + 1):
         try:
-            p_H, p_L, _, _, q_H, q_L = _newton(consts, lo, hi, r, p)
+            p_H, p_L, _, _, d_H, d_L, q_H, q_L = _newton(consts, lo, hi, r, start)
         except SolverError as err:
             raise SolverError(
                 f"equilibrium_path failed at period {t}: {err}",
@@ -340,10 +408,16 @@ def equilibrium_path(
         put_DL(1.0 / p_L - s_L * q_L)
         r_next = reference_update(params, r, (p_H, p_L))
         # every value lies in [p_lo, p_hi] with p_lo > 0, so == is bit equality
-        if t and p_H == p[0] and p_L == p[1] and r_next == r:
+        if t and p_H == start[0] and p_L == start[1] and r_next == r:
             return Trajectory._repeating(
                 params, "equilibrium-policy", np.array(records), horizon + 1, 1
             )
-        r, p = r_next, (p_H, p_L)
+        dp_H, dp_L = _policy_step(
+            consts, lo, hi, p_H, p_L, d_H, d_L, q_H, q_L, r_next[0] - r[0], r_next[1] - r[1]
+        )
+        x, y = p_H + dp_H, p_L + dp_L
+        # x != x holds for NaN alone, which would never leave Newton's line search
+        start = (p_H if x != x else x, p_L if y != y else y)
+        r = r_next
 
     return Trajectory(params, "equilibrium-policy", *np.array(records))

@@ -104,6 +104,10 @@ class MarketParams:
     p_hi: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "p_lo", "p_hi"):
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"MarketParams.{name} must be a finite real, got {v!r}")
         if not (math.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (math.isfinite(self.p_lo) and math.isfinite(self.p_hi)):

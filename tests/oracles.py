@@ -148,5 +148,5 @@ def equilibrium_policy(
     if start is not None and any(math.isnan(v) for v in start):
         raise ValueError(f"start must not hold NaN, got {tuple(start)}")
     r = PricePair(float(r[0]), float(r[1]))
-    p_H, p_L, _, _, _, _ = equilibrium._newton(_consts(params), params.p_lo, params.p_hi, r, start)
+    p_H, p_L, *_ = equilibrium._newton(_consts(params), params.p_lo, params.p_hi, r, start)
     return PricePair(p_H, p_L)

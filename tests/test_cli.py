@@ -161,8 +161,8 @@ hessian_trace = 5.8948138406
 hessian_min_eig = 1.77605999123
 gamma_estimate = 0.888029995616
 terminal_ref_gap_grad = 2.86326518051e-13
-terminal_ref_gap_policy = 1.61959334832e-12
-terminal_mutual_gap = 1.69197988953e-12
+terminal_ref_gap_policy = 4.89386309255e-13
+terminal_mutual_gap = 5.6177285046e-13
 orbit_period = 1
 orbit_onset = 760
 """,
@@ -1129,7 +1129,7 @@ class TestFigure1Command:
         assert cli.main(["figure1", "--variant", "c", "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256((tmp_path / "c_policy.csv").read_bytes()).hexdigest() == (
-            "98711b56ff3529f5086109e728b01926c24093d24ee573aa3ea7902dc289a830"
+            "44bd6060ab1d612cd4965f72cbf2c61e957c9c782e01a052d3a45d63390ce5ed"
         )
 
     @pytest.mark.parametrize("variant", ["a", "b", "c"])

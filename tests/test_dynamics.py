@@ -142,6 +142,11 @@ class TestStepSchedule:
                 ValueError, match="schedule coefficient must be finite and > 0, got True"
             ):
                 build(True)
+        for values in ([True, True], [2.0, True], np.array([True])):
+            with pytest.raises(
+                ValueError, match="explicit schedule values must be finite and > 0, got .*True"
+            ):
+                rg.StepSchedule.explicit(values)
 
     def test_sequence_matches_closed_form(self):
         for s, rule in (

@@ -47,8 +47,8 @@ COLLAPSING = rg.MarketParams(
 COLLAPSING_R0 = rg.PricePair(14.629609984761172, 24.480156317776107)
 COLLAPSING_OPPONENT = 0.6257158044738064
 STIFF_R0 = rg.PricePair(1.1663842933423356, 1.438100073151389)
-# market 152 of the same sweep: its policy path is bit-fixed from period 18,
-# inside the sweep's 20-period paths
+# market 152 of the same sweep: its policy path is bit-fixed from period 21,
+# one period past the sweep's 20-period paths
 EARLY_FIXED = rg.MarketParams(
     firm_H=rg.FirmParams(a=1.7379509027364524, b=0.14329094783289273, c=2.6626927858835043),
     firm_L=rg.FirmParams(a=10.340110088189828, b=2.8096518474695213, c=0.4483857695145944),
@@ -57,26 +57,37 @@ EARLY_FIXED = rg.MarketParams(
     p_hi=3.2100281152947368,
 )
 EARLY_FIXED_R0 = rg.PricePair(1.9048466384265152, 2.1294873442996423)
-# the figure1 policy path from its start references is bit-fixed from period 417
+# the figure1 policy path from its start references is bit-fixed from period 435
 FIG1_R0 = rg.PricePair(0.10, 2.95)
-FIG1_FIXED_FROM = 417
+FIG1_FIXED_FROM = 435
 
 # deterministic examples, so tier-1 runs the same markets every time
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
-def policy_path_oracle(params, r0, horizon, policy=None):
+def policy_path_oracle(params, r0, horizon, policy=None, predict=True):
     """(p, r) of every period by the plain loop, with no stop: period t
-    solves p_t = policy(r_t, start=p_{t-1}) and sets r_{t+1} =
-    reference_update(r_t, p_t). Returns two (2, horizon + 1) arrays."""
+    solves p_t = policy(r_t, start=s_t) and sets r_{t+1} =
+    reference_update(r_t, p_t). Period 0 has no start (the box midpoint).
+    With ``predict``, s_{t+1} = p_t + P (r_{t+1} - r_t), the step of
+    ``_policy_step`` on the shares ``_shares`` gives at (p_t, r_t);
+    without it s_{t+1} = p_t, the start of the path before the
+    prediction. Returns two (2, horizon + 1) arrays."""
     policy = policy or equilibrium_policy
+    consts = _consts(params)
     prices, refs = [], []
     r, guess = rg.PricePair(*r0), None
     for _ in range(horizon + 1):
         p = policy(params, r, start=guess)
         prices.append(p)
         refs.append(r)
-        r, guess = rg.reference_update(params, r, p), p
+        r_next, guess = rg.reference_update(params, r, p), p
+        if predict:
+            shares = _shares(consts, *p, *r)
+            step = (r_next.p_H - r.p_H, r_next.p_L - r.p_L)
+            dp = equilibrium._policy_step(consts, params.p_lo, params.p_hi, *p, *shares, *step)
+            guess = rg.PricePair(p.p_H + dp[0], p.p_L + dp[1])
+        r = r_next
     return np.array(prices).T, np.array(refs).T
 
 
@@ -138,7 +149,7 @@ def newton_oracle(consts, lo, hi, r, start=None, b=None):
         for it in range(equilibrium.MAX_ITERATIONS + 1):
             res, g_H, g_L, d_H, d_L, q_H, q_L, free_H, free_L = trial
             if res <= equilibrium.TOLERANCE:
-                return x, y, res, it, q_H, q_L
+                return x, y, res, it, d_H, d_L, q_H, q_L
             if it == equilibrium.MAX_ITERATIONS:
                 break
             j_HH = -1.0 / (s_H * x * x) - k_H * d_H * q_H
@@ -410,7 +421,7 @@ class TestBestResponse:
 
 
 def newton_outcome(newton, consts, lo, hi, r, start, b):
-    """One solve in comparable form: the 6-tuple with its floats as hex, or
+    """One solve in comparable form: the 8-tuple with its floats as hex, or
     the SolverError's message, context and cause."""
     try:
         out = newton(consts, lo, hi, r, start, b)
@@ -664,6 +675,68 @@ class TestSolverError:
         assert fig1.in_box(*context["last"])
 
 
+def policy_jacobian_at(params, r):
+    """(p*(r), P): P as a 2 x 2 array, its columns the steps that
+    ``_policy_step`` takes for unit reference steps."""
+    p = equilibrium_policy(params, r)
+    consts = _consts(params)
+    shares = _shares(consts, *p, *r)
+    columns = [
+        equilibrium._policy_step(consts, params.p_lo, params.p_hi, *p, *shares, *unit)
+        for unit in ((1.0, 0.0), (0.0, 1.0))
+    ]
+    return p, np.array(columns).T
+
+
+def central_differences(params, r, p, rel_step=1e-5):
+    """dp*/dr by central differences of the policy oracle, each solve
+    started at p = p*(r); column j steps r_j by rel_step * r_j."""
+    columns = []
+    for j in range(2):
+        h = rel_step * r[j]
+        plus, minus = list(r), list(r)
+        plus[j] += h
+        minus[j] -= h
+        p_plus = equilibrium_policy(params, rg.PricePair(*plus), start=p)
+        p_minus = equilibrium_policy(params, rg.PricePair(*minus), start=p)
+        columns.append((np.array(p_plus) - np.array(p_minus)) / (2.0 * h))
+    return np.array(columns).T
+
+
+class TestPolicyJacobian:
+    @pytest.mark.parametrize(
+        "market, r",
+        [
+            ("fig1", (1.5, 1.0)),
+            ("fig1", (0.2, 2.95)),
+            ("stiff", tuple(STIFF_R0)),
+            ("saturated", (30.0, 1.0)),
+            ("saturated", (150.0, 3.0)),
+            *((f"random-{seed}", None) for seed in range(10)),
+        ],
+    )
+    def test_matches_central_differences_of_the_policy(self, fig1, market, r):
+        params, r0 = path_market(fig1, market)
+        # a random-<seed> draw takes a reference from the middle of its box
+        lo, hi = params.p_lo, params.p_hi
+        r = r or tuple(lo + 0.1 * (hi - lo) + 0.8 * (v - lo) for v in r0)
+        p, P = policy_jacobian_at(params, r)
+        assert all(lo < v < hi for v in p)
+        fd = central_differences(params, r, p)
+        assert np.max(np.abs(P - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_component_on_a_box_edge_has_a_zero_row(self, fig1):
+        # with p_hi cut below its policy price, firm H is held on the edge
+        params = dataclasses.replace(fig1, p_hi=1.5)
+        r = (1.2, 1.0)
+        p, P = policy_jacobian_at(params, r)
+        assert p.p_H == params.p_hi and params.p_lo < p.p_L < params.p_hi
+        assert P[0].tolist() == [0.0, 0.0]
+        fd = central_differences(params, r, p)
+        assert fd[0].tolist() == [0.0, 0.0]
+        assert np.max(np.abs(P[1] - fd[1])) <= 1e-6 * np.max(np.abs(fd[1]))
+
+
 class TestEquilibriumPath:
     def test_stationary_start_is_constant(self, fig1, fig1_sne):
         sne = fig1_sne.prices
@@ -703,11 +776,11 @@ class TestEquilibriumPath:
         assert np.max(np.abs(D[interior])) < 1e-9
 
     def test_references_follow_reference_update(self):
-        # On random_market(default_rng(17)) firm L's alpha*r + (1-alpha)*p
-        # rounds one ulp outside [min(r,p), max(r,p)] at period 60. A clamp
+        # On random_market(default_rng(78)) firm L's alpha*r + (1-alpha)*p
+        # rounds one ulp outside [min(r,p), max(r,p)] at period 65. A clamp
         # onto that span, instead of the box, pins r_L there and binds again
-        # in every later period (940 updates in all), so it alters the path.
-        params = rg.random_market(np.random.default_rng(17))
+        # in every later period (935 updates in all), so it alters the path.
+        params = rg.random_market(np.random.default_rng(78))
         lo, hi = params.p_lo, params.p_hi
         traj = rg.equilibrium_path(
             params, rg.PricePair(lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)), 1000
@@ -735,7 +808,8 @@ class TestEquilibriumPath:
             ("fig1", FIG1_FIXED_FROM),  # fixed at the last period: nothing to fill
             ("fig1", FIG1_FIXED_FROM + 1),  # one record filled
             ("fig1", 1000),
-            ("early", 20),
+            ("early", 20),  # not yet fixed
+            ("early", 40),
             # Newton's iterates clamped onto the box edges, and with
             # SATURATED 1 - d_H below 2^-53 at some of them
             ("stiff", 40),
@@ -758,8 +832,39 @@ class TestEquilibriumPath:
         assert np.array(D).T.tobytes() == np.stack([traj.D_H, traj.D_L]).tobytes()
 
     @pytest.mark.parametrize(
+        "market, horizon",
+        [
+            ("fig1", 1000),
+            ("stiff", 40),
+            ("saturated", 40),
+            *((f"random-{seed}", 40) for seed in range(20)),
+        ],
+    )
+    def test_records_solve_their_period_near_the_unpredicted_path(self, fig1, market, horizon):
+        # every record meets Newton's tolerance on its free components ...
+        params, r0 = path_market(fig1, market)
+        traj = rg.equilibrium_path(params, r0, horizon)
+        consts, lo, hi = _consts(params), params.p_lo, params.p_hi
+        for p_H, p_L, r_H, r_L in zip(traj.p_H, traj.p_L, traj.r_H, traj.r_L):
+            _, _, q_H, q_L = _shares(consts, p_H, p_L, r_H, r_L)
+            g_H, g_L = 1.0 / (consts[1] * p_H) - q_H, 1.0 / (consts[4] * p_L) - q_L
+            for p, g in ((p_H, g_H), (p_L, g_L)):
+                held = (p <= lo and g <= 0.0) or (p >= hi and g >= 0.0)
+                assert held or abs(g) <= equilibrium.TOLERANCE
+        # ... and the path stays within 1e-11 of the one that starts each
+        # period at the last one's prices
+        p, r = policy_path_oracle(params, r0, horizon, predict=False)
+        ours = np.stack([traj.p_H, traj.p_L, traj.r_H, traj.r_L])
+        np.testing.assert_allclose(ours, np.vstack([p, r]), rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize(
         "market, horizon, solves",
-        [("fig1", 1000, FIG1_FIXED_FROM + 1), ("fig1", 300, 301), ("early", 20, 19)],
+        [
+            ("fig1", 1000, FIG1_FIXED_FROM + 1),
+            ("fig1", 300, 301),
+            ("early", 20, 21),
+            ("early", 40, 22),
+        ],
     )
     def test_stop_solves_up_to_the_fixed_point_only(
         self, fig1, monkeypatch, market, horizon, solves
@@ -776,6 +881,24 @@ class TestEquilibriumPath:
         monkeypatch.setattr(equilibrium, "_newton", counted)
         assert len(equilibrium.equilibrium_path(params, r0, horizon)) == horizon + 1
         assert len(calls) == solves
+
+    @pytest.mark.parametrize("market", ["fig1", "stiff"])
+    def test_nan_prediction_starts_at_the_last_prices(self, fig1, monkeypatch, market):
+        # Newton's line search never leaves a NaN start, so a NaN step
+        # falls back to the start before the prediction, p_{t-1}
+        params, r0 = path_market(fig1, market)
+        newton = equilibrium._newton
+
+        def refusing_nan(consts, lo, hi, r, start):
+            assert start is None or not any(math.isnan(v) for v in start), start
+            return newton(consts, lo, hi, r, start)
+
+        monkeypatch.setattr(equilibrium, "_newton", refusing_nan)
+        monkeypatch.setattr(equilibrium, "_policy_step", lambda *args: (math.nan, math.nan))
+        traj = equilibrium.equilibrium_path(params, r0, 300)
+        p, r = policy_path_oracle(params, r0, 300, predict=False)
+        assert p.tobytes() == np.stack([traj.p_H, traj.p_L]).tobytes()
+        assert r.tobytes() == np.stack([traj.r_H, traj.r_L]).tobytes()
 
     def test_settled_path_stores_its_fixed_record_once(self, fig1):
         traj = rg.equilibrium_path(fig1, FIG1_R0, 1000)
@@ -805,8 +928,7 @@ class TestEquilibriumPath:
             # the per-period seam: the first period has no start of its own
             p = creeping(params, r, start=rg.PricePair(*start) if starts else None)
             starts.append(start)
-            _, _, q_H, q_L = _shares(consts, *p, *r)
-            return (*p, 0.0, 0, q_H, q_L)
+            return (*p, 0.0, 0, *_shares(consts, *p, *r))
 
         monkeypatch.setattr(equilibrium, "_newton", creeping_newton)
         traj = equilibrium.equilibrium_path(params, r0, 60)

@@ -6,6 +6,7 @@ here; the code under test never produced them.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ class TestParamsValidation:
             message = f"FirmParams.{field} must be a finite real, got True"
             with pytest.raises(ValueError, match=message):
                 rg.FirmParams(**coefs)
+        # and none is an alpha or a price box bound either
+        firm = rg.FirmParams(a=1.0, b=1.0, c=0.0)
+        for field in ("alpha", "p_lo", "p_hi"):
+            for flag in (True, np.True_):
+                market = {"alpha": 0.5, "p_lo": 0.5, "p_hi": 2.0, field: flag}
+                message = f"MarketParams.{field} must be a finite real, got {flag!r}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    rg.MarketParams(firm, firm, **market)
 
     def test_market_rejects_bad_alpha_and_box(self):
         firm = rg.FirmParams(a=1.0, b=1.0, c=1.0)
