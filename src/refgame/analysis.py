@@ -6,8 +6,9 @@ input and measures a trajectory or the static landscape against it:
 * a weighted l1 distance whose weights cancel the firms' sensitivity
   scales,
 * ``sne_drift``: the signed sum of scaled derivatives pointing toward
-  the stationary point, strictly positive away from it (off-equilibrium
-  prices always drift back),
+  the stationary point, and ``sne_drift_bound``, its proved lower
+  bound, positive away from that point (off-equilibrium prices always
+  drift back),
 * ``local_potential`` and its closed-form Hessian at the stationary
   point, whose positive definiteness certifies local quadratic growth
   and yields the curvature constant gamma of the step-size rule
@@ -15,7 +16,7 @@ input and measures a trajectory or the static landscape against it:
 * window statistics (``rate_fit``) for the decay rates t * dist^2 and
   t^2 * gap^2, and a coarse verdict classifier (``cycle_detector``),
 * ``check_properties``: the property checks of ``refgame verify`` on
-  one market, gathered in a ``PropertyReport``.
+  one market, as an ordered ledger of named checks.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ __all__ = [
     "UNDECIDED",
     "RateReport",
     "HessianCertificate",
-    "PropertyReport",
     "weighted_l1_distance",
     "sne_drift",
+    "sne_drift_bound",
     "local_potential",
     "hessian_certificate",
     "rate_fit",
@@ -68,10 +69,6 @@ _SETTLED = 1e-3
 _APART = 1e-2
 # rate_fit's converged verdict: terminal sup-norm price distance below this
 _CONVERGED_TOL = 1e-2
-
-# random states drawn by check_properties
-_GRADIENT_STATES = 100
-_BOUND_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,33 +104,6 @@ class HessianCertificate:
     gamma_estimate: float
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of :func:`check_properties`: one field per summary line of
-    ``refgame verify``, in its print order, then ``failures``, the names
-    of the failed checks in the order gradient, bounds, drift, hessian.
-
-    ``gradient`` fails unless ``gradient_max_rel_err`` < 1e-6; ``bounds``
-    unless ``bounds_violations`` (counted with 1e-12 slack) is 0;
-    ``drift`` unless ``drift_grid_min`` > 0 and the shell minima, given as
-    (radius, least drift) pairs, increase with the radius; ``hessian``
-    unless ``hessian_fd_max_rel_err`` < 1e-5. ``hessian_pd`` is always
-    True: ``solve_sne`` refuses a Hessian that is not positive definite.
-    """
-
-    gradient_states: int
-    gradient_max_rel_err: float
-    bounds_samples: int
-    bounds_violations: int
-    drift_grid_points: int
-    drift_grid_min: float
-    drift_shell_minima: tuple[tuple[float, float], ...]
-    drift_shells_increasing: bool
-    hessian_pd: bool
-    hessian_fd_max_rel_err: float
-    failures: tuple[str, ...]
-
-
 def weighted_l1_distance(params: MarketParams, p, sne: PricePair):
     """Sensitivity-weighted l1 distance to the stationary prices.
 
@@ -151,11 +121,48 @@ def sne_drift(params: MarketParams, p, sne: PricePair):
     sign(p_H** - p_H) * G_H(p, p) + sign(p_L** - p_L) * G_L(p, p),
     which is strictly positive everywhere in the box except at the
     stationary point itself: whichever side of the equilibrium a firm
-    is on, its scaled derivative points back. Accepts array components.
+    is on, its scaled derivative points back. :func:`sne_drift_bound`
+    states by how much, and proves it. Accepts array components.
     """
     p_H, p_L = p
     g_H, g_L = scaled_derivative(params, (p_H, p_L), (p_H, p_L))
     return np.sign(sne.p_H - p_H) * g_H + np.sign(sne.p_L - p_L) * g_L
+
+
+def sne_drift_bound(params: MarketParams, p, sne: PricePair):
+    """Lower bound sum_j |p_j - p**_j| / ((b_j+c_j) p_j p**_j) of
+    :func:`sne_drift`, zero only at the stationary point. Accepts array
+    components.
+
+    Proof. Write s_i = b_i+c_i, q_i = 1 - d_i and d_0 for the no-purchase
+    share. On the slice r = p the utility is u_i = a_i - b_i p_i, so
+
+        dG_i/dp_i = -1/(s_i p_i^2) - b_i d_i q_i,   dG_i/dp_j = b_j d_i d_j.
+
+    Each column j of this Jacobian J is diagonally dominant, with margin
+    1/(s_j p_j^2) + b_j d_j d_0, because q_j = d_0 + d_i. By the mean
+    value theorem G(p) - G(p**) = A delta, with delta = p - p** and A the
+    mean of J along the segment from p** to p. With sigma = sign(-delta),
+    the signs of the drift's terms, and i the firm other than j,
+
+        sum_i sigma_i (A delta)_i = sum_j |delta_j| mean(|J_jj| - sigma_i sigma_j J_ij),
+
+    which column dominance puts at or above sum_j |delta_j| mean(1/(s_j
+    x_j^2)), with x_j running from p**_j to p_j. The mean of 1/x^2 over
+    [p**_j, p_j] is 1/(p_j p**_j). A computed stationary point leaves each
+    |G_i| at most ``residual`` there, so about it the drift is at least
+    this bound minus 2 * residual.
+
+    Both sides are unit-free: prices stated k times smaller, with b and c
+    k times larger, leave them unchanged, bit for bit when k is a power
+    of two.
+    """
+    p_H, p_L = p
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
+    return (
+        np.abs(p_H - sne.p_H) / (s_H * p_H * sne.p_H)
+        + np.abs(p_L - sne.p_L) / (s_L * p_L * sne.p_L)
+    )
 
 
 def local_potential(params: MarketParams, p, sne: PricePair):
@@ -320,17 +327,15 @@ def _log_revenue(params: MarketParams, prices, references):
     return np.log(prices[0]) + u_H - log_total, np.log(prices[1]) + u_L - log_total
 
 
-def _gradient_error(params: MarketParams, n_states: int, rng) -> float:
-    """Max floored relative error |err| / max(1, |ref|) of D_i and of the
-    2 x 4 partials of G against central differences, over n_states random
-    box states drawn as one (n_states, 4) block (the doubles of n_states
-    draws of four). A stencil moves each coordinate of every state by
-    +-1e-6, so each function is evaluated once, on arrays. D_i is checked
-    on :func:`_log_revenue`, which forms no share: a share clamped at the
+def _gradient_check(params: MarketParams, sne: "SneSolution", rng):
+    """The states are one (100, 4) block (the doubles of 100 draws of
+    four). A stencil moves each coordinate of every state by +-1e-6, so
+    each function is evaluated once, on arrays. D_i is checked on
+    :func:`_log_revenue`, which forms no share: a share clamped at the
     smallest normal double would hold fixed, and the difference of
     log(p_i d_i) would give 1/p_i and miss -(b_i+c_i)(1 - d_i)."""
-    h = 1e-6
-    states = rng.uniform(params.p_lo, params.p_hi, (n_states, 4)).T
+    n, h = 100, 1e-6
+    states = rng.uniform(params.p_lo, params.p_hi, (n, 4)).T
     # [state value, coordinate moved, +h or -h, state]; unmoved ones gain 0.0
     stencil = states[:, None, None, :] + np.multiply.outer(np.eye(4), (h, -h))[..., None]
     p, r = stencil[:2], stencil[2:]
@@ -342,13 +347,14 @@ def _gradient_error(params: MarketParams, n_states: int, rng) -> float:
     # partials columns: own price, other price, own ref, other ref
     fd_table = np.stack((fd[2], fd[3, [1, 0, 3, 2]]))
     err_table = np.abs(fd_table - table) / np.maximum(1.0, np.abs(table))
-    return float(max(np.max(err_d), np.max(err_table)))
+    err = float(max(np.max(err_d), np.max(err_table)))
+    return (("gradient_states", n), ("gradient_max_rel_err", err)), err < 1e-6
 
 
-def _bound_violations(params: MarketParams, n_samples: int, rng) -> int:
-    """Count violations of |G_i| <= m_g and reference-gradient norm <= l_r."""
+def _bounds_check(params: MarketParams, sne: "SneSolution", rng):
+    n = 10_000
     m_g, l_r = bound_constants(params)
-    states = rng.uniform(params.p_lo, params.p_hi, size=(4, n_samples))
+    states = rng.uniform(params.p_lo, params.p_hi, size=(4, n))
     prices, refs = (states[0], states[1]), (states[2], states[3])
     g_H, g_L = scaled_derivative(params, prices, refs)
     table = scaled_derivative_partials(params, prices, refs)
@@ -356,89 +362,71 @@ def _bound_violations(params: MarketParams, n_samples: int, rng) -> int:
     grad_L = np.hypot(table[1, 2], table[1, 3])
     checks = ((np.abs(g_H), m_g), (np.abs(g_L), m_g), (grad_H, l_r), (grad_L, l_r))
     # one-ulp slack, so equality at a bound is no violation
-    return sum(int(np.sum(values > bound + 1e-12)) for values, bound in checks)
+    violations = sum(int(np.sum(values > bound + 1e-12)) for values, bound in checks)
+    return (("bounds_samples", n), ("bounds_violations", violations)), violations == 0
 
 
-def _shell_minimum(params: MarketParams, sne: PricePair, eps: float, n: int = 400) -> float:
-    """Min of the drift over the weighted-l1 sphere of radius eps, at n
-    points per quadrant arc inside the box; inf when none is."""
-    lo, hi = params.p_lo, params.p_hi
-    t = (np.arange(n) + 0.5) / n
-    # one row per quadrant, signs (+, +), (+, -), (-, +), (-, -)
-    sig_H, sig_L = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[..., None]
-    p_H = sne.p_H + sig_H * t * eps * params.firm_H.sensitivity
-    p_L = sne.p_L + sig_L * (1.0 - t) * eps * params.firm_L.sensitivity
-    ok = (p_H >= lo) & (p_H <= hi) & (p_L >= lo) & (p_L <= hi)
-    return float(np.min(sne_drift(params, (p_H[ok], p_L[ok]), sne), initial=math.inf))
-
-
-def _drift_minima(params: MarketParams, sne: PricePair):
-    """(least drift on a 100 x 100 box grid off the SNE, its point count,
-    (radius, least drift) on shells of 1/4, 1/2 and 1 times 0.9 of the
-    largest weighted-l1 radius that stays in the box on every axis)."""
+def _drift_check(params: MarketParams, sne: "SneSolution", rng):
+    """No grid point is left out near the SNE: drift and bound both vanish
+    there. The slack, like G, is unit-free."""
     grid = np.linspace(params.p_lo, params.p_hi, 100)
-    gx, gy = np.meshgrid(grid, grid)
-    keep = (gx - sne.p_H) ** 2 + (gy - sne.p_L) ** 2 > 1e-3**2
-    vals = sne_drift(params, (gx[keep], gy[keep]), sne)
-    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-    eps_max = 0.9 * min(
-        (params.p_hi - sne.p_H) / s_H,
-        (sne.p_H - params.p_lo) / s_H,
-        (params.p_hi - sne.p_L) / s_L,
-        (sne.p_L - params.p_lo) / s_L,
+    p = np.meshgrid(grid, grid)
+    drift = sne_drift(params, p, sne.prices)
+    slack = 2.0 * sne.residual + 1e-12
+    violations = int(np.sum(drift < sne_drift_bound(params, p, sne.prices) - slack))
+    lines = (
+        ("drift_grid_points", drift.size),
+        ("drift_grid_min", float(np.min(drift))),
+        ("drift_bound_violations", violations),
     )
-    radii = (0.25 * eps_max, 0.5 * eps_max, eps_max)
-    shells = tuple((eps, _shell_minimum(params, sne, eps)) for eps in radii)
-    return float(np.min(vals)), int(keep.sum()), shells
+    return lines, violations == 0
 
 
-def _hessian_error(params: MarketParams, sne: PricePair, matrix: np.ndarray) -> float:
-    """Max floored relative error of ``matrix``, the closed-form Hessian of
-    the local potential at ``sne``, against second differences with step 1e-4."""
+def _hessian_check(params: MarketParams, sne: "SneSolution", rng):
+    """``hessian_pd`` is always true: ``solve_sne`` refuses a Hessian that
+    is not positive definite."""
     h = 1e-4
 
     def pot(p_H, p_L):
-        return float(local_potential(params, (p_H, p_L), sne))
+        return float(local_potential(params, (p_H, p_L), sne.prices))
 
-    x, y = sne.p_H, sne.p_L
+    x, y = sne.prices
     fd = np.empty((2, 2))
     fd[0, 0] = (pot(x + h, y) - 2.0 * pot(x, y) + pot(x - h, y)) / h**2
     fd[1, 1] = (pot(x, y + h) - 2.0 * pot(x, y) + pot(x, y - h)) / h**2
     fd[0, 1] = fd[1, 0] = (
         pot(x + h, y + h) - pot(x + h, y - h) - pot(x - h, y + h) + pot(x - h, y - h)
     ) / (4.0 * h**2)
-    return float(np.max(np.abs(fd - matrix) / np.maximum(1.0, np.abs(matrix))))
+    matrix = sne.hessian_certificate.matrix
+    err = float(np.max(np.abs(fd - matrix) / np.maximum(1.0, np.abs(matrix))))
+    return (("hessian_pd", True), ("hessian_fd_max_rel_err", err)), err < 1e-5
 
 
-def check_properties(params: MarketParams, sne: "SneSolution", rng) -> PropertyReport:
-    """The four property checks of ``refgame verify`` on one market.
+_CHECKS = (
+    ("gradient", _gradient_check),
+    ("bounds", _bounds_check),
+    ("drift", _drift_check),
+    ("hessian", _hessian_check),
+)
+
+
+def check_properties(params: MarketParams, sne: "SneSolution", rng) -> tuple:
+    """The property checks of ``refgame verify`` on one market, as a
+    ledger of ``(name, lines, passed)`` entries in the order below, with
+    ``lines`` the check's ``(key, value)`` summary pairs. Errors are
+    floored relative, |err| / max(1, |ref|).
 
     * ``gradient``: D_i and the 2 x 4 partials of G against central
-      differences at 100 random box states; the worst floored relative
-      error |err| / max(1, |ref|) must be below 1e-6.
-    * ``bounds``: |G_i| <= m_g and the reference-gradient norm <= l_r of
-      :func:`bound_constants`, each with 1e-12 slack, at 10 000 states.
-    * ``drift``: :func:`sne_drift` must be positive on a box grid off the
-      SNE and grow over three weighted-l1 shells around it.
+      differences at 100 random box states; the worst error is below 1e-6.
+    * ``bounds``: no |G_i| above m_g, and no reference-gradient norm
+      above l_r, of :func:`bound_constants` by more than 1e-12, at 10 000
+      random box states.
+    * ``drift``: at no point of a 100 x 100 box grid is :func:`sne_drift`
+      below :func:`sne_drift_bound` by more than 2 * residual + 1e-12.
     * ``hessian``: the closed-form Hessian of :func:`local_potential`
-      against second differences; floored relative error below 1e-5.
+      against second differences with step 1e-4; the error is below 1e-5.
 
     ``sne`` comes from ``solve_sne``. ``rng``, a numpy Generator, draws
     the gradient states, then the bound states, and nothing else.
     """
-    grad_err = _gradient_error(params, _GRADIENT_STATES, rng)
-    violations = _bound_violations(params, _BOUND_SAMPLES, rng)
-    drift_min, n_grid, shells = _drift_minima(params, sne.prices)
-    increasing = shells[0][1] < shells[1][1] < shells[2][1]
-    hess_err = _hessian_error(params, sne.prices, sne.hessian_certificate.matrix)
-    passed = {
-        "gradient": grad_err < 1e-6,
-        "bounds": violations == 0,
-        "drift": drift_min > 0.0 and increasing,
-        "hessian": hess_err < 1e-5,
-    }
-    return PropertyReport(
-        _GRADIENT_STATES, grad_err, _BOUND_SAMPLES, violations, n_grid, drift_min,
-        shells, increasing, True, hess_err,
-        failures=tuple(name for name, ok in passed.items() if not ok),
-    )
+    return tuple((name, *check(params, sne, rng)) for name, check in _CHECKS)

@@ -8,10 +8,12 @@
 
 Exit codes: 0 all checks passed, 1 validation error or an output file
 that cannot be written, 2 solver failure, 3 property failure (from
-``verify`` only: ``verify_failures`` names the failed checks). A config
-number outside the float range is a validation error and exits 1. Summaries
-go to standard output as ``key = value`` lines; trajectories are written
-as CSV with the fixed header
+``verify`` only: ``verify_failures`` names the failed checks, comma-joined
+in ledger order: ``gradient``, ``bounds``, ``drift`` and ``hessian`` of
+``analysis.check_properties``, then ``sweep`` when a random market's SNE
+solve failed). A config number outside the float range is a validation
+error and exits 1. Summaries go to standard output as ``key = value``
+lines; trajectories are written as CSV with the fixed header
 
     t,p_H,p_L,r_H,r_L,D_H,D_L,dist2_sne,eps_l1
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
@@ -119,13 +120,11 @@ def _write_rows(f, n: int, onset: int, period: int, *records: np.ndarray) -> Non
 
 def _say(key: str, value) -> None:
     """Print ``key = value``: a bool as true or false, a float to 12
-    significant digits, a tuple of (x, y) pairs as ``x:y`` items to 6."""
+    significant digits."""
     if isinstance(value, bool):
         value = "true" if value else "false"
     elif isinstance(value, float):
         value = format(value, ".12g")
-    elif isinstance(value, tuple):
-        value = " ".join(f"{x:.6g}:{y:.6g}" for x, y in value)
     print(f"{key} = {value}")
 
 
@@ -281,13 +280,9 @@ def cmd_verify(
     if params is None:
         params = figure1_config("a").params
     rng = np.random.default_rng(seed)
-    report = analysis.check_properties(params, solve_sne(params), rng)
-    _say("command", "verify")
-    _say("seed", seed)
-    for field in dataclasses.fields(report):
-        if field.name != "failures":
-            _say(field.name, getattr(report, field.name))
-
+    ledger = analysis.check_properties(params, solve_sne(params), rng)
+    # the sweep, the ledger's last check, sits here: analysis cannot import
+    # solve_sne or random_market without an import cycle.
     # solve_sne refuses an SNE outside its bounds, so each solved market is contained
     solver_failures = 0
     for _ in range(random_n):
@@ -295,11 +290,19 @@ def cmd_verify(
             solve_sne(random_market(rng))
         except SolverError:
             solver_failures += 1
-    _say("sweep_total", random_n)
-    _say("sweep_contained", random_n - solver_failures)
-    _say("sweep_solver_failures", solver_failures)
+    sweep = (
+        ("sweep_total", random_n),
+        ("sweep_contained", random_n - solver_failures),
+        ("sweep_solver_failures", solver_failures),
+    )
+    ledger += (("sweep", sweep, solver_failures == 0),)
 
-    failures = [*report.failures, *(["sweep"] if solver_failures else [])]
+    _say("command", "verify")
+    _say("seed", seed)
+    for _, lines, _ in ledger:
+        for key, value in lines:
+            _say(key, value)
+    failures = [name for name, _, passed in ledger if not passed]
     _say("verify_pass", not failures)
     if failures:
         _say("verify_failures", ",".join(failures))

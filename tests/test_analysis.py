@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refgame as rg
 from conftest import (
@@ -61,6 +63,48 @@ class TestSneDrift:
             p = (sne.p_H + s * s_H, sne.p_L)
             values.append(float(rg.sne_drift(fig1, p, sne)))
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def drift_margin(params, sol, p):
+    """sne_drift - (sne_drift_bound - slack) at p, slack the verify check's."""
+    sne = sol.prices
+    slack = 2.0 * sol.residual + 1e-12
+    return rg.sne_drift(params, p, sne) - (rg.sne_drift_bound(params, p, sne) - slack)
+
+
+class TestSneDriftBound:
+    @pytest.mark.parametrize(
+        "market", ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
+    )
+    def test_holds_on_grid_box_and_near_the_sne(self, fig1, market):
+        params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(market)
+        if params is None:
+            params = rg.random_market(np.random.default_rng(int(market.removeprefix("random-"))))
+        sol = rg.solve_sne(params)
+        sne = sol.prices
+        assert rg.sne_drift_bound(params, sne, sne) == 0.0
+        grid = np.linspace(params.p_lo, params.p_hi, 100)
+        rng = np.random.default_rng(0)
+        box = rng.uniform(params.p_lo, params.p_hi, (2, 2000))
+        near = np.array(sne)[:, None] * (1.0 + rng.uniform(-1e-6, 1e-6, (2, 2000)))
+        near = np.clip(near, params.p_lo, params.p_hi)
+        for p in (np.meshgrid(grid, grid), box, near):
+            assert np.all(drift_margin(params, sol, p) >= 0.0)
+
+    def test_nearly_tight_at_figure1_box_edge(self, fig1, fig1_sne):
+        # the smallest drift/bound ratio on the verify grid is 1.00024
+        grid = np.linspace(fig1.p_lo, fig1.p_hi, 100)
+        p = np.meshgrid(grid, grid)
+        sne = fig1_sne.prices
+        ratio = np.min(rg.sne_drift(fig1, p, sne) / rg.sne_drift_bound(fig1, p, sne))
+        assert 1.0 < ratio < 1.001
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_holds_on_figure1_box(self, fig1, fig1_sne, u):
+        width = fig1.p_hi - fig1.p_lo
+        p = (fig1.p_lo + u[0] * width, fig1.p_lo + u[1] * width)
+        assert drift_margin(fig1, fig1_sne, p) >= 0.0
 
 
 class TestLocalPotential:
@@ -138,14 +182,37 @@ class TestHessianCertificate:
 STATIONARY_ETA = 0.5
 
 
+CHECK_NAMES = ("gradient", "bounds", "drift", "hessian")
+
+
+def ledger_lines(ledger) -> dict:
+    return {key: value for _, lines, _ in ledger for key, value in lines}
+
+
+def rescaled(params, k):
+    """The market stated in a currency unit k times smaller: the box k
+    times wider, b and c k times smaller; a and alpha unchanged."""
+
+    def firm(f):
+        return rg.FirmParams(a=f.a, b=f.b / k, c=f.c / k)
+
+    return rg.MarketParams(
+        firm_H=firm(params.firm_H), firm_L=firm(params.firm_L), alpha=params.alpha,
+        p_lo=k * params.p_lo, p_hi=k * params.p_hi,
+    )
+
+
 class TestCheckProperties:
     def test_figure1_passes_every_check(self, fig1, fig1_sne):
-        report = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0))
-        assert report.failures == ()
-        assert report.gradient_max_rel_err < 1e-6
-        assert report.bounds_violations == 0
-        assert report.drift_grid_min > 0.0 and report.drift_shells_increasing
-        assert report.hessian_fd_max_rel_err < 1e-5
+        ledger = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0))
+        assert [(name, passed) for name, _, passed in ledger] == [
+            (name, True) for name in CHECK_NAMES
+        ]
+        lines = ledger_lines(ledger)
+        assert lines["gradient_max_rel_err"] < 1e-6
+        assert lines["bounds_violations"] == 0
+        assert lines["drift_grid_min"] > 0.0 and lines["drift_bound_violations"] == 0
+        assert lines["hessian_fd_max_rel_err"] < 1e-5
 
     def test_saturated_market_passes_every_check(self):
         # the premise: at 25 of the 100 gradient states d_L lies below
@@ -154,9 +221,11 @@ class TestCheckProperties:
         states = np.random.default_rng(0).uniform(SATURATED.p_lo, SATURATED.p_hi, (100, 4)).T
         d_L = demand(SATURATED, states[:2], states[2:])[1]
         assert np.sum(d_L == sys.float_info.min) >= 10
-        report = rg.check_properties(SATURATED, rg.solve_sne(SATURATED), np.random.default_rng(0))
-        assert report.failures == ()
-        assert report.gradient_max_rel_err < 1e-6
+        ledger = rg.check_properties(SATURATED, rg.solve_sne(SATURATED), np.random.default_rng(0))
+        assert [(name, passed) for name, _, passed in ledger] == [
+            (name, True) for name in CHECK_NAMES
+        ]
+        assert ledger_lines(ledger)["gradient_max_rel_err"] < 1e-6
 
     def test_rng_draws_gradient_states_then_bound_samples_only(self, fig1, fig1_sne):
         # the verify sweep draws its markets from the same generator next
@@ -168,48 +237,15 @@ class TestCheckProperties:
         twin.uniform(fig1.p_lo, fig1.p_hi, size=(4, 10_000))
         assert rng.uniform() == twin.uniform()
 
-
-def shell_minimum_loop(params, sne, eps, n=400):
-    """analysis._shell_minimum one quadrant at a time, kept as its
-    bit-for-bit oracle."""
-    lo, hi = params.p_lo, params.p_hi
-    t = (np.arange(n) + 0.5) / n
-    best = math.inf
-    for sig_H, sig_L in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        p_H = sne.p_H + sig_H * t * eps * params.firm_H.sensitivity
-        p_L = sne.p_L + sig_L * (1.0 - t) * eps * params.firm_L.sensitivity
-        ok = (p_H >= lo) & (p_H <= hi) & (p_L >= lo) & (p_L <= hi)
-        if np.any(ok):
-            best = min(best, float(np.min(rg.sne_drift(params, (p_H[ok], p_L[ok]), sne))))
-    return best
-
-
-class TestShellMinimum:
-    @pytest.mark.parametrize(
-        "market", ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
-    )
-    def test_matches_the_quadrant_loop(self, fig1, market):
-        params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(market)
-        if params is None:
-            params = rg.random_market(np.random.default_rng(int(market.removeprefix("random-"))))
-        sne = rg.solve_sne(params).prices
-        s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-        eps_max = min(
-            (params.p_hi - sne.p_H) / s_H,
-            (sne.p_H - params.p_lo) / s_H,
-            (params.p_hi - sne.p_L) / s_L,
-            (sne.p_L - params.p_lo) / s_L,
-        )
-        # the verify shells, and one that leaves the box on some arcs
-        for eps in (0.225 * eps_max, 0.45 * eps_max, 0.9 * eps_max, 3.0 * eps_max):
-            got = analysis._shell_minimum(params, sne, eps)
-            assert got.hex() == shell_minimum_loop(params, sne, eps).hex()
-
-    def test_radius_past_every_box_edge_is_inf(self, fig1, fig1_sne):
-        # every point moves both prices by more than the box width
-        eps = 1e3 * (fig1.p_hi - fig1.p_lo) / min(f.sensitivity for f in fig1.firms)
-        assert analysis._shell_minimum(fig1, fig1_sne.prices, eps) == math.inf
-        assert shell_minimum_loop(fig1, fig1_sne.prices, eps) == math.inf
+    @pytest.mark.parametrize("k", [2.0**-10, 2.0**-3, 2.0**3, 2.0**10])
+    def test_drift_entry_is_unit_free(self, fig1, fig1_sne, k):
+        # drift, bound and slack are unit-free, and a power-of-two unit
+        # scales every price, grid point and b_i, c_i exactly
+        params = rescaled(fig1, k)
+        ledger = rg.check_properties(params, rg.solve_sne(params), np.random.default_rng(0))
+        base = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0))
+        assert repr(ledger[2]) == repr(base[2])
+        assert base[2][0] == "drift" and base[2][2] is True
 
 
 def _constant_trajectory(params, point, n=100):

@@ -10,14 +10,15 @@ import refgame.config
 PUBLIC_NAMES = [
     "CONVERGED", "CYCLING", "ConfigError", "ExperimentConfig",
     "FIGURE1_VARIANTS", "FirmParams", "HessianCertificate", "MarketParams",
-    "MarketState", "PricePair", "PropertyReport", "RETENTION_LIMIT",
+    "MarketState", "PricePair", "RETENTION_LIMIT",
     "RateReport", "SneSolution", "SolverError", "StepSchedule", "Trajectory",
     "UNDECIDED", "bound_constants", "check_properties", "cycle_detector",
     "equilibrium_path", "figure1_config", "figure1_params", "hessian_certificate",
     "load_config", "local_potential", "log_rev_derivative",
     "random_market", "rate_fit", "reference_update",
     "scaled_derivative", "scaled_derivative_partials", "simulate",
-    "sne_bounds", "sne_drift", "solve_sne", "utility", "validate_price_box",
+    "sne_bounds", "sne_drift", "sne_drift_bound", "solve_sne", "utility",
+    "validate_price_box",
     "weighted_l1_distance",
 ]
 

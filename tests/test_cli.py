@@ -53,7 +53,8 @@ def summary_dict(captured: str) -> dict:
 
 # frozen from the command once the Hessian certificate read 1 - d_i as the
 # exact complement (e_0 + e_-i)/total; the gradient line since the
-# gradient check differences log revenue in log space
+# gradient check differences log revenue in log space; the drift lines
+# since the drift check compares the grid with its proved lower bound
 VERIFY_RANDOM_20_SEED_3 = """\
 command = verify
 seed = 3
@@ -63,8 +64,7 @@ bounds_samples = 10000
 bounds_violations = 0
 drift_grid_points = 10000
 drift_grid_min = 0.0326062318516
-drift_shell_minima = 0.103719:0.0281521 0.207438:0.0515917 0.414875:0.0883589
-drift_shells_increasing = true
+drift_bound_violations = 0
 hessian_pd = true
 hessian_fd_max_rel_err = 1.33586913828e-08
 sweep_total = 20
@@ -968,11 +968,25 @@ BROKEN_INPUTS = {
     "bounds": ("bounds", "bound_constants", lambda params: (0.0, 0.0)),
     # drift pointing away from the SNE
     "drift_grid": ("drift", "sne_drift", lambda *a: -rg.sne_drift(*a)),
-    # positive drift that does not grow with the shell radius
-    "drift_shells": ("drift", "_shell_minimum", lambda *a: 1.0),
+    # drift of the right sign at half its size, below the proved bound
+    "drift_half": ("drift", "sne_drift", lambda *a: 0.5 * rg.sne_drift(*a)),
     # a potential twice the one the closed-form Hessian describes
     "hessian": ("hessian", "local_potential", lambda *a: 2.0 * rg.local_potential(*a)),
 }
+
+
+def fail_every_sweep_solve(monkeypatch):
+    """Let ``cli.solve_sne`` solve verify's own market, the first, and
+    raise SolverError for every later one: the sweep's."""
+    solved = []
+
+    def solve_only_the_first(params):
+        solved.append(params)
+        if len(solved) > 1:
+            raise rg.SolverError("forced failure")
+        return rg.solve_sne(params)
+
+    monkeypatch.setattr(cli, "solve_sne", solve_only_the_first)
 
 
 class TestVerifyCommand:
@@ -989,26 +1003,28 @@ class TestVerifyCommand:
         summary = summary_dict(capsys.readouterr().out)
         assert summary["sweep_total"] == "0"
         assert float(summary["gradient_max_rel_err"]) < 1e-6
-        assert summary["drift_shells_increasing"] == "true"
+        assert summary["drift_bound_violations"] == "0"
         assert summary["verify_pass"] == "true"
 
     def test_random_20_seed_3_stdout_frozen(self, capsys):
         assert cli.main(["verify", "--random", "20", "--seed", "3"]) == 0
         assert capsys.readouterr() == (VERIFY_RANDOM_20_SEED_3, "")
 
-    def test_check_properties_returns_the_printed_values(self, fig1, fig1_sne):
-        # the sweep draws after the property checks, so seed 3's report is
+    def test_check_properties_returns_the_printed_values(self, fig1, fig1_sne, capsys):
+        # the sweep draws after the property checks, so seed 3's ledger is
         # the one printed above it
-        report = rg.check_properties(fig1, fig1_sne, np.random.default_rng(3))
-        printed = summary_dict(VERIFY_RANDOM_20_SEED_3)
-        assert report.failures == ()
-        assert report.gradient_states == 100 and report.bounds_samples == 10_000
-        assert report.bounds_violations == 0 and report.drift_grid_points == 10_000
-        assert report.drift_shells_increasing is True and report.hessian_pd is True
-        for key in ("gradient_max_rel_err", "drift_grid_min", "hessian_fd_max_rel_err"):
-            assert format(getattr(report, key), ".12g") == printed[key]
-        shells = " ".join(f"{e:.6g}:{m:.6g}" for e, m in report.drift_shell_minima)
-        assert shells == printed["drift_shell_minima"]
+        ledger = rg.check_properties(fig1, fig1_sne, np.random.default_rng(3))
+        assert [(name, passed) for name, _, passed in ledger] == [
+            ("gradient", True), ("bounds", True), ("drift", True), ("hessian", True)
+        ]
+        lines = dict(pair for _, pairs, _ in ledger for pair in pairs)
+        assert lines["gradient_states"] == 100 and lines["bounds_samples"] == 10_000
+        assert lines["bounds_violations"] == 0 and lines["drift_grid_points"] == 10_000
+        assert lines["drift_bound_violations"] == 0 and lines["hessian_pd"] is True
+        for key, value in lines.items():
+            cli._say(key, value)
+        printed = VERIFY_RANDOM_20_SEED_3.splitlines(keepends=True)
+        assert capsys.readouterr().out == "".join(printed[2:-4])
 
     @pytest.mark.parametrize("case", list(BROKEN_INPUTS))
     def test_failed_check_exits_3_with_one_summary(self, capsys, monkeypatch, case):
@@ -1025,20 +1041,27 @@ class TestVerifyCommand:
         assert summary["verify_failures"] == name
 
     def test_failed_sweep_exits_3(self, capsys, monkeypatch):
-        solved = []
-
-        def solve_only_the_first(params):
-            solved.append(params)
-            if len(solved) > 1:
-                raise rg.SolverError("forced failure")
-            return rg.solve_sne(params)
-
-        monkeypatch.setattr(cli, "solve_sne", solve_only_the_first)
+        fail_every_sweep_solve(monkeypatch)
         assert cli.main(["verify", "--random", "2"]) == 3
         summary = summary_dict(capsys.readouterr().out)
         assert summary["sweep_contained"] == "0"
         assert summary["sweep_solver_failures"] == "2"
         assert summary["verify_failures"] == "sweep"
+
+    @pytest.mark.parametrize(
+        "cases, names",
+        [(("hessian", "gradient"), "gradient,hessian"), (("hessian", "sweep"), "hessian,sweep")],
+    )
+    def test_failure_names_come_in_ledger_order(self, capsys, monkeypatch, cases, names):
+        # broken in the reverse of ledger order, named in ledger order
+        for case in cases:
+            if case == "sweep":
+                fail_every_sweep_solve(monkeypatch)
+            else:
+                _, target, broken = BROKEN_INPUTS[case]
+                monkeypatch.setattr(rg.analysis, target, broken)
+        assert cli.main(["verify", "--random", "2"]) == 3
+        assert summary_dict(capsys.readouterr().out)["verify_failures"] == names
 
     def test_negative_sweep_size_exits_1_with_one_line(self, capsys):
         # it used to print sweep_contained = 0 against sweep_total = -1 and exit 3
