@@ -8,10 +8,10 @@
 
 Exit codes: 0 all checks passed, 1 validation error or an output file
 that cannot be written, 2 solver failure, 3 property failure (from
-``verify`` only: ``verify_failures`` names the failed checks, comma-joined
-in ledger order: ``gradient``, ``bounds``, ``drift`` and ``hessian`` of
-``analysis.check_properties``, then ``sweep`` when a random market's SNE
-solve failed). A config number outside the float range is a validation
+``verify`` only: ``verify_failures`` names the failed entries of
+``analysis.check_properties``, comma-joined in ledger order: ``gradient``,
+``bounds``, ``drift``, ``hessian``, and ``sweep`` when a random market's
+SNE solve failed). A config number outside the float range is a validation
 error and exits 1. Summaries go to standard output as ``key = value``
 lines; trajectories are written as CSV with the fixed header
 
@@ -50,7 +50,6 @@ from .config import (
     _load_params,
     figure1_config,
     load_config,
-    random_market,
 )
 from .dynamics import Trajectory, simulate
 from .equilibrium import (
@@ -279,24 +278,9 @@ def cmd_verify(
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if params is None:
         params = figure1_config("a").params
-    rng = np.random.default_rng(seed)
-    ledger = analysis.check_properties(params, solve_sne(params), rng)
-    # the sweep, the ledger's last check, sits here: analysis cannot import
-    # solve_sne or random_market without an import cycle.
-    # solve_sne refuses an SNE outside its bounds, so each solved market is contained
-    solver_failures = 0
-    for _ in range(random_n):
-        try:
-            solve_sne(random_market(rng))
-        except SolverError:
-            solver_failures += 1
-    sweep = (
-        ("sweep_total", random_n),
-        ("sweep_contained", random_n - solver_failures),
-        ("sweep_solver_failures", solver_failures),
+    ledger = analysis.check_properties(
+        params, solve_sne(params), np.random.default_rng(seed), random_n
     )
-    ledger += (("sweep", sweep, solver_failures == 0),)
-
     _say("command", "verify")
     _say("seed", seed)
     for _, lines, _ in ledger:

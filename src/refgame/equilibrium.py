@@ -50,15 +50,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .dynamics import Trajectory, _check_horizon, reference_update
 from .model import MarketParams, PricePair, _consts, _shares
 
 __all__ = [
     "SolverError",
     "SneSolution",
+    "HessianCertificate",
     "sne_bounds",
     "validate_price_box",
+    "hessian_certificate",
     "solve_sne",
     "equilibrium_path",
 ]
@@ -84,6 +85,27 @@ MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
+class HessianCertificate:
+    """The entries of H = [[h_HH, h_HL], [h_HL, h_LL]], with its det,
+    trace and smallest eigenvalue. H = M + M^T is twice the symmetric part
+    of the linearisation M = -S (G_p + G_r) at (p**, p**), with S =
+    diag(b_i + c_i) and G_p, G_r the partials of G in the prices and in
+    the references. ``gamma_estimate`` is half the smallest eigenvalue,
+    the curvature constant of the 1/t rate: the schedule eta_t = d / (t+1)
+    with d = 2 / gamma_estimate is the theorem's choice of coefficient.
+    Certificates compare and hash by identity.
+    """
+
+    h_HH: float
+    h_HL: float
+    h_LL: float
+    det: float
+    trace: float
+    min_eig: float
+    gamma_estimate: float
+
+
+@dataclass(frozen=True, eq=False)
 class SneSolution:
     """A solved stationary equilibrium with its certificates.
 
@@ -91,17 +113,18 @@ class SneSolution:
     defect of the scaled first-order conditions (not in price units).
     ``iterations`` counts Newton steps. ``bounds`` holds the per-firm
     (lower, upper) analytic bounds, and ``hessian_certificate`` the
-    closed-form Hessian of the local potential at the solution; its
-    positive det and trace certify the local quadratic growth the rate
-    theory relies on, and its ``gamma_estimate`` sets the rate's step
-    coefficient 2 / gamma. Solutions compare and hash by identity.
+    symmetric part of the linearisation M at the solution (see
+    :class:`HessianCertificate`); its positive det and trace certify the
+    local quadratic growth the rate theory relies on, and its
+    ``gamma_estimate`` sets the rate's step coefficient 2 / gamma.
+    Solutions compare and hash by identity.
     """
 
     prices: PricePair
     residual: float
     iterations: int
     bounds: tuple[tuple[float, float], tuple[float, float]]
-    hessian_certificate: analysis.HessianCertificate
+    hessian_certificate: HessianCertificate
 
 
 def _lambert_w_of_exp(y: float) -> float:
@@ -299,6 +322,47 @@ def _policy_step(
     return 0.0, 0.0
 
 
+def hessian_certificate(params: MarketParams, sne: PricePair) -> HessianCertificate:
+    """The curvature certificate H = M + M^T at the stationary point.
+
+    With d_i** the stationary demands, the entries are
+
+        h_ii  = 2 (b_i+c_i) (1 - d_i**) [(b_i+c_i) - c_i d_i**]
+        h_HL  = -[b_H (b_L+c_L) + b_L (b_H+c_H)] d_H** d_L**
+
+    the diagonal of M + M^T with 1/p_i**^2 written as ((b_i+c_i) (1 -
+    d_i**))^2, which the stationary condition G_i = 0 gives. H is
+    positive definite at a solved SNE (``solve_sne`` refuses it
+    otherwise), so det > 0, trace > 0, and the smallest eigenvalue is
+    positive; ``gamma_estimate`` is half that eigenvalue. Both
+    eigenvalues come in closed form: the larger is mean + hypot((h_HH -
+    h_LL)/2, h_HL), with mean the half trace, and the smaller is det /
+    larger when the larger is positive, which avoids the cancellation of
+    mean - hypot(...), and that difference otherwise.
+    """
+    d_H, d_L, q_H, q_L = _shares(_consts(params), *sne, *sne)
+    b_H, c_H = params.firm_H.b, params.firm_H.c
+    b_L, c_L = params.firm_L.b, params.firm_L.c
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
+    h_HH = 2.0 * s_H * q_H * (s_H - c_H * d_H)
+    h_LL = 2.0 * s_L * q_L * (s_L - c_L * d_L)
+    h_HL = -(b_H * s_L + b_L * s_H) * d_H * d_L
+    det = float(h_HH * h_LL - h_HL * h_HL)
+    trace = float(h_HH + h_LL)
+    mean, radius = 0.5 * trace, math.hypot(0.5 * (h_HH - h_LL), h_HL)
+    larger = mean + radius
+    min_eig = det / larger if larger > 0.0 else mean - radius
+    return HessianCertificate(
+        h_HH=h_HH,
+        h_HL=h_HL,
+        h_LL=h_LL,
+        det=det,
+        trace=trace,
+        min_eig=min_eig,
+        gamma_estimate=0.5 * min_eig,
+    )
+
+
 def solve_sne(params: MarketParams) -> SneSolution:
     """Solve the stationary equilibrium by projected Newton.
 
@@ -321,7 +385,7 @@ def solve_sne(params: MarketParams) -> SneSolution:
                 prices=tuple(prices),
                 bounds=bounds,
             )
-    cert = analysis.hessian_certificate(params, prices)
+    cert = hessian_certificate(params, prices)
     if not (cert.det > 0.0 and cert.trace > 0.0):
         raise SolverError(
             "Hessian certificate is not positive definite at the solution",

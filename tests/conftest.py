@@ -1,7 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import refgame as rg
+
+# A failing @given test makes hypothesis's pytest plugin import this module
+# to suggest a patch. Where libcst 1.0.1 is installed, that import warns
+# (mypy_extensions.TypedDict is deprecated), filterwarnings = ["error"]
+# makes the warning an INTERNALERROR, and the session ends without its
+# summary. Imported once here with the warning ignored, the module is
+# already loaded when the plugin asks for it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst missing: the plugin makes no suggestion
+        pass
 
 # Market 279 of the benchmark's sweep (bench/workloads.py, make_markets),
 # frozen as a literal so that tier-1 does not import bench/. Where firm H's
@@ -49,6 +64,16 @@ def in_box_states(params: rg.MarketParams, n: int, seed: int) -> np.ndarray:
     return rng.uniform(params.p_lo, params.p_hi, size=(n, 4))
 
 
+def derivative_partials(params: rg.MarketParams, point: rg.PricePair) -> np.ndarray:
+    """The 2 x 4 partials of G at the state (point, point), in state order:
+    row i holds dG_i/dp_H, dG_i/dp_L, dG_i/dr_H, dG_i/dr_L, so that the
+    first two columns are G_p and the last two G_r."""
+    part = rg.scaled_derivative_partials(params, point, point)
+    # a partials row is ordered [own p, other p, own r, other r]; put L's
+    # into state order
+    return np.array([part[0], part[1][[1, 0, 3, 2]]])
+
+
 def step_jacobian(params: rg.MarketParams, point: rg.PricePair, eta: float) -> np.ndarray:
     """Jacobian of one ascent period at the stationary state (point, point).
 
@@ -57,13 +82,9 @@ def step_jacobian(params: rg.MarketParams, point: rg.PricePair, eta: float) -> n
     eta * D_i = eta * (b_i+c_i) * G_i, with the partials of G_i from
     ``scaled_derivative_partials``; references follow alpha*r + (1-alpha)*p.
     """
-    part = rg.scaled_derivative_partials(params, point, point)
     s = [f.b + f.c for f in params.firms]
-    # a partials row is ordered [own p, other p, own r, other r]; put L's
-    # into state order
-    dG = np.array([part[0], part[1][[1, 0, 3, 2]]])
     jac = np.zeros((4, 4))
-    jac[:2] = eta * np.asarray(s)[:, None] * dG
+    jac[:2] = eta * np.asarray(s)[:, None] * derivative_partials(params, point)
     jac[:2, :2] += np.eye(2)
     jac[2:, :2] = (1.0 - params.alpha) * np.eye(2)
     jac[2:, 2:] = params.alpha * np.eye(2)

@@ -2,11 +2,14 @@
 
 The clamped logit shares and the revenue built on them, a single-firm
 best response found by a safeguarded Newton in a sign bracket, and the
-one-period equilibrium policy with its input checks. Tests check the
-package's kernels and solvers against them: ``model._shares`` against
-:func:`demand`, ``equilibrium._newton``'s solutions against
-:func:`best_response`, and ``equilibrium_path`` against
-:func:`equilibrium_policy` period by period. The solvers read
+one-period equilibrium policy with its input checks, and the local
+potential whose Hessian at the stationary point is the curvature
+certificate. Tests check the package's kernels and solvers against them:
+``model._shares`` against :func:`demand`, ``equilibrium._newton``'s
+solutions against :func:`best_response`, ``equilibrium_path`` against
+:func:`equilibrium_policy` period by period, and
+``equilibrium.hessian_certificate`` against second differences of
+:func:`local_potential`. The solvers read
 ``equilibrium.TOLERANCE``, ``equilibrium.MAX_ITERATIONS`` and
 ``equilibrium._newton`` at call time, so a monkeypatch there reaches
 them too.
@@ -18,7 +21,7 @@ import sys
 import numpy as np
 
 import refgame.equilibrium as equilibrium
-from refgame.model import MarketParams, PricePair, _consts, _shares, utility
+from refgame.model import MarketParams, PricePair, _consts, _shares, scaled_derivative, utility
 
 # The representable shares nearest 0 and 1 that still lie strictly inside (0, 1).
 SHARE_MIN = sys.float_info.min
@@ -55,6 +58,19 @@ def revenue(params: MarketParams, prices, references):
     d_H, d_L, _ = demand(params, prices, references)
     p_H, p_L = prices
     return p_H * d_H, p_L * d_L
+
+
+def local_potential(params: MarketParams, p, sne: PricePair):
+    """Potential sum_i (b_i+c_i) * G_i(p, p) * (p_i** - p_i).
+
+    Vanishes at the stationary point and grows quadratically near it: its
+    Hessian there is the certificate H = M + M^T of
+    ``equilibrium.hessian_certificate``. Accepts array components.
+    """
+    p_H, p_L = p
+    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
+    g_H, g_L = scaled_derivative(params, (p_H, p_L), (p_H, p_L))
+    return s_H * g_H * (sne.p_H - p_H) + s_L * g_L * (sne.p_L - p_L)
 
 
 def _own_derivative(consts, i: int, p_own: float, p_other: float, r: PricePair):

@@ -14,11 +14,23 @@ from conftest import (
     STIFF,
     TRAJECTORY_COLUMNS,
     built_columns,
+    derivative_partials,
     spectral_radius,
     step_jacobian,
 )
-from oracles import demand
+from oracles import demand, local_potential
 from refgame import analysis
+
+
+def named_market(name: str, fig1) -> rg.MarketParams:
+    """figure1, STIFF, SATURATED, or the random market of a seed."""
+    params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(name)
+    if params is None:
+        params = rg.random_market(np.random.default_rng(int(name.removeprefix("random-"))))
+    return params
+
+
+MARKETS = ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
 
 
 class TestWeightedL1Distance:
@@ -73,13 +85,9 @@ def drift_margin(params, sol, p):
 
 
 class TestSneDriftBound:
-    @pytest.mark.parametrize(
-        "market", ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
-    )
+    @pytest.mark.parametrize("market", MARKETS)
     def test_holds_on_grid_box_and_near_the_sne(self, fig1, market):
-        params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(market)
-        if params is None:
-            params = rg.random_market(np.random.default_rng(int(market.removeprefix("random-"))))
+        params = named_market(market, fig1)
         sol = rg.solve_sne(params)
         sne = sol.prices
         assert rg.sne_drift_bound(params, sne, sne) == 0.0
@@ -109,13 +117,13 @@ class TestSneDriftBound:
 
 class TestLocalPotential:
     def test_zero_at_stationary_point(self, fig1, fig1_sne):
-        assert abs(rg.local_potential(fig1, fig1_sne.prices, fig1_sne.prices)) < 1e-11
+        assert abs(local_potential(fig1, fig1_sne.prices, fig1_sne.prices)) < 1e-11
 
     def test_positive_on_small_sphere(self, fig1, fig1_sne):
         sne = fig1_sne.prices
         for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
             p = (sne.p_H + 1e-2 * math.cos(theta), sne.p_L + 1e-2 * math.sin(theta))
-            assert float(rg.local_potential(fig1, p, sne)) > 0.0
+            assert float(local_potential(fig1, p, sne)) > 0.0
 
     def test_quadratic_growth_near_stationary_point(self, fig1, fig1_sne):
         sne = fig1_sne.prices
@@ -126,7 +134,7 @@ class TestLocalPotential:
             ok = True
             for theta in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
                 p = (sne.p_H + rho * math.cos(theta), sne.p_L + rho * math.sin(theta))
-                if float(rg.local_potential(fig1, p, sne)) < 0.5 * gamma * rho**2:
+                if float(local_potential(fig1, p, sne)) < 0.5 * gamma * rho**2:
                     ok = False
                     break
             if ok:
@@ -136,20 +144,26 @@ class TestLocalPotential:
         assert rho > 1e-4
 
 
+def certificate_matrix(cert) -> np.ndarray:
+    return np.array([[cert.h_HH, cert.h_HL], [cert.h_HL, cert.h_LL]])
+
+
 class TestHessianCertificate:
     def test_symmetry_and_positive_definiteness(self, fig1, fig1_sne):
         cert = rg.hessian_certificate(fig1, fig1_sne.prices)
-        assert cert.matrix[0, 1] == cert.matrix[1, 0]
+        # one off-diagonal entry, so symmetric by construction; no array
+        entries = (cert.h_HH, cert.h_HL, cert.h_LL)
+        assert all(type(value) is float for value in entries)
         assert cert.det > 0.0 and cert.trace > 0.0 and cert.min_eig > 0.0
         assert cert.gamma_estimate == 0.5 * cert.min_eig
 
     def test_matches_finite_difference(self, fig1, fig1_sne):
         sne = fig1_sne.prices
-        cert = rg.hessian_certificate(fig1, sne)
+        matrix = certificate_matrix(rg.hessian_certificate(fig1, sne))
         h = 1e-4
 
         def pot(x, y):
-            return float(rg.local_potential(fig1, (x, y), sne))
+            return float(local_potential(fig1, (x, y), sne))
 
         x, y = sne
         fd = np.empty((2, 2))
@@ -158,22 +172,79 @@ class TestHessianCertificate:
         fd[0, 1] = fd[1, 0] = (
             pot(x + h, y + h) - pot(x + h, y - h) - pot(x - h, y + h) + pot(x - h, y - h)
         ) / (4.0 * h**2)
-        err = np.max(np.abs(fd - cert.matrix) / np.maximum(1.0, np.abs(cert.matrix)))
+        err = np.max(np.abs(fd - matrix) / np.maximum(1.0, np.abs(matrix)))
         assert err < 1e-5
 
-    @pytest.mark.parametrize(
-        "market", ["fig1", "stiff", "saturated", *(f"random-{seed}" for seed in range(20))]
-    )
+    @pytest.mark.parametrize("market", MARKETS)
     def test_eigen_consistency(self, fig1, market):
         # the closed-form smallest eigenvalue against LAPACK's
-        params = {"fig1": fig1, "stiff": STIFF, "saturated": SATURATED}.get(market)
-        if params is None:
-            params = rg.random_market(np.random.default_rng(int(market.removeprefix("random-"))))
+        params = named_market(market, fig1)
         cert = rg.solve_sne(params).hessian_certificate
-        eigs = np.linalg.eigvalsh(cert.matrix)
+        eigs = np.linalg.eigvalsh(certificate_matrix(cert))
         assert math.isclose(cert.min_eig, float(eigs[0]), rel_tol=1e-15)
         assert math.isclose(cert.det, float(np.prod(eigs)), rel_tol=1e-10)
         assert math.isclose(cert.trace, float(np.sum(eigs)), rel_tol=1e-12)
+
+
+def linearisation(params, sne):
+    """M = -S (G_p + G_r) and K = -S ((1+alpha) G_p - (1-alpha) G_r) at
+    (p**, p**), with S = diag(b_i + c_i)."""
+    dG = derivative_partials(params, sne)
+    s = np.array([[f.sensitivity] for f in params.firms])
+    g_p, g_r, alpha = dG[:, :2], dG[:, 2:], params.alpha
+    return -s * (g_p + g_r), -s * ((1.0 + alpha) * g_p - (1.0 - alpha) * g_r)
+
+
+def critical_step(params, sne) -> float:
+    """eta* = 2 (1+alpha) / lambda_max(K): det(J(eta) + I) = det(2 (1+alpha) I
+    - eta K), so a step Jacobian eigenvalue reaches -1 there. K's
+    off-diagonal entries have a positive product, so its eigenvalues are real."""
+    _, k = linearisation(params, sne)
+    eigs = np.linalg.eigvals(k)
+    assert np.all(eigs.imag == 0.0)
+    return 2.0 * (1.0 + params.alpha) / float(np.max(eigs.real))
+
+
+def bisected_critical_step(params, sne) -> float:
+    """The step where the spectral radius of ``step_jacobian`` first
+    reaches 1, bisected from a small stable step to adjacent doubles."""
+    lo, hi = 1e-6, 1.0
+    while spectral_radius(step_jacobian(params, sne, hi)) <= 1.0:
+        lo, hi = hi, 2.0 * hi
+    assert spectral_radius(step_jacobian(params, sne, lo)) < 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if spectral_radius(step_jacobian(params, sne, mid)) > 1.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+class TestLinearisation:
+    """M = -S (G_p + G_r) linearises the scaled derivatives on the slice
+    r = p at the SNE; ``verify``'s hessian entry checks H = M + M^T."""
+
+    def test_figure1_critical_step(self, fig1, fig1_sne):
+        assert math.isclose(critical_step(fig1, fig1_sne.prices), 0.8477489207508805, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("market", MARKETS)
+    def test_critical_step_matches_bisection(self, fig1, market):
+        params = named_market(market, fig1)
+        sne = rg.solve_sne(params).prices
+        eta = critical_step(params, sne)
+        assert math.isclose(eta, bisected_critical_step(params, sne), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("market", MARKETS)
+    def test_kappa_at_least_gamma(self, fig1, market):
+        # the numerical range of M, whose smallest real point is gamma,
+        # holds its eigenvalues
+        params = named_market(market, fig1)
+        sol = rg.solve_sne(params)
+        m, _ = linearisation(params, sol.prices)
+        kappa = float(np.min(np.linalg.eigvals(m).real))
+        assert kappa >= sol.hessian_certificate.gamma_estimate
 
 
 # A constant step below the critical step of the figure1 SNE (about 0.848):
@@ -182,7 +253,7 @@ class TestHessianCertificate:
 STATIONARY_ETA = 0.5
 
 
-CHECK_NAMES = ("gradient", "bounds", "drift", "hessian")
+CHECK_NAMES = ("gradient", "bounds", "drift", "hessian", "sweep")
 
 
 def ledger_lines(ledger) -> dict:
@@ -204,7 +275,7 @@ def rescaled(params, k):
 
 class TestCheckProperties:
     def test_figure1_passes_every_check(self, fig1, fig1_sne):
-        ledger = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0))
+        ledger = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0), 2)
         assert [(name, passed) for name, _, passed in ledger] == [
             (name, True) for name in CHECK_NAMES
         ]
@@ -212,7 +283,8 @@ class TestCheckProperties:
         assert lines["gradient_max_rel_err"] < 1e-6
         assert lines["bounds_violations"] == 0
         assert lines["drift_grid_min"] > 0.0 and lines["drift_bound_violations"] == 0
-        assert lines["hessian_fd_max_rel_err"] < 1e-5
+        assert lines["hessian_identity_rel_err"] <= 16.0 * (fig1_sne.residual + 2.0**-52)
+        assert lines["sweep_total"] == lines["sweep_contained"] == 2
 
     def test_saturated_market_passes_every_check(self):
         # the premise: at 25 of the 100 gradient states d_L lies below
@@ -221,16 +293,19 @@ class TestCheckProperties:
         states = np.random.default_rng(0).uniform(SATURATED.p_lo, SATURATED.p_hi, (100, 4)).T
         d_L = demand(SATURATED, states[:2], states[2:])[1]
         assert np.sum(d_L == sys.float_info.min) >= 10
-        ledger = rg.check_properties(SATURATED, rg.solve_sne(SATURATED), np.random.default_rng(0))
+        ledger = rg.check_properties(
+            SATURATED, rg.solve_sne(SATURATED), np.random.default_rng(0), 0
+        )
         assert [(name, passed) for name, _, passed in ledger] == [
             (name, True) for name in CHECK_NAMES
         ]
         assert ledger_lines(ledger)["gradient_max_rel_err"] < 1e-6
 
     def test_rng_draws_gradient_states_then_bound_samples_only(self, fig1, fig1_sne):
-        # the verify sweep draws its markets from the same generator next
+        # the sweep, here of no markets, draws its markets from the same
+        # generator next
         rng = np.random.default_rng(11)
-        rg.check_properties(fig1, fig1_sne, rng)
+        rg.check_properties(fig1, fig1_sne, rng, 0)
         twin = np.random.default_rng(11)
         for _ in range(100):
             twin.uniform(fig1.p_lo, fig1.p_hi, 4)
@@ -238,14 +313,17 @@ class TestCheckProperties:
         assert rng.uniform() == twin.uniform()
 
     @pytest.mark.parametrize("k", [2.0**-10, 2.0**-3, 2.0**3, 2.0**10])
-    def test_drift_entry_is_unit_free(self, fig1, fig1_sne, k):
-        # drift, bound and slack are unit-free, and a power-of-two unit
+    def test_drift_and_hessian_entries_are_unit_free(self, fig1, fig1_sne, k):
+        # drift, bound and slack are unit-free, and so are the certificate
+        # and M + M^T relative to their largest entry; a power-of-two unit
         # scales every price, grid point and b_i, c_i exactly
         params = rescaled(fig1, k)
-        ledger = rg.check_properties(params, rg.solve_sne(params), np.random.default_rng(0))
-        base = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0))
-        assert repr(ledger[2]) == repr(base[2])
-        assert base[2][0] == "drift" and base[2][2] is True
+        ledger = rg.check_properties(params, rg.solve_sne(params), np.random.default_rng(0), 0)
+        base = rg.check_properties(fig1, fig1_sne, np.random.default_rng(0), 0)
+        assert repr(ledger[2:4]) == repr(base[2:4])
+        assert [(name, passed) for name, _, passed in base[2:4]] == [
+            ("drift", True), ("hessian", True)
+        ]
 
 
 def _constant_trajectory(params, point, n=100):

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "RateReport", "SneSolution", "SolverError", "StepSchedule", "Trajectory",
     "UNDECIDED", "bound_constants", "check_properties", "cycle_detector",
     "equilibrium_path", "figure1_config", "figure1_params", "hessian_certificate",
-    "load_config", "local_potential", "log_rev_derivative",
+    "load_config", "log_rev_derivative",
     "random_market", "rate_fit", "reference_update",
     "scaled_derivative", "scaled_derivative_partials", "simulate",
     "sne_bounds", "sne_drift", "sne_drift_bound", "solve_sne", "utility",

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV contract, exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -54,7 +55,9 @@ def summary_dict(captured: str) -> dict:
 # frozen from the command once the Hessian certificate read 1 - d_i as the
 # exact complement (e_0 + e_-i)/total; the gradient line since the
 # gradient check differences log revenue in log space; the drift lines
-# since the drift check compares the grid with its proved lower bound
+# since the drift check compares the grid with its proved lower bound;
+# the hessian line since the hessian check compares the certificate with
+# M + M^T
 VERIFY_RANDOM_20_SEED_3 = """\
 command = verify
 seed = 3
@@ -65,8 +68,7 @@ bounds_violations = 0
 drift_grid_points = 10000
 drift_grid_min = 0.0326062318516
 drift_bound_violations = 0
-hessian_pd = true
-hessian_fd_max_rel_err = 1.33586913828e-08
+hessian_identity_rel_err = 6.7398959885e-13
 sweep_total = 20
 sweep_contained = 20
 sweep_solver_failures = 0
@@ -896,9 +898,10 @@ class TestSneCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         negative = rg.HessianCertificate(
-            matrix=-np.eye(2), det=1.0, trace=-2.0, min_eig=-1.0, gamma_estimate=-0.5
+            h_HH=-1.0, h_HL=0.0, h_LL=-1.0, det=1.0, trace=-2.0, min_eig=-1.0,
+            gamma_estimate=-0.5,
         )
-        monkeypatch.setattr(rg.analysis, "hessian_certificate", lambda params, sne: negative)
+        monkeypatch.setattr(rg.equilibrium, "hessian_certificate", lambda params, sne: negative)
         assert cli.main(["sne", "--config", write_config(tmp_path, demo_config_dict())]) == 2
         assert capsys.readouterr() == (
             "",
@@ -952,41 +955,69 @@ def partials_with_L_price_columns_swapped(*args):
     return table
 
 
-# per case, the property check that fails and an input of
-# analysis.check_properties replaced so that it does
+def certificate_with_c_H_scaled(params, sne):
+    firm_H = dataclasses.replace(params.firm_H, c=params.firm_H.c * (1.0 + 1e-6))
+    return rg.hessian_certificate(dataclasses.replace(params, firm_H=firm_H), sne)
+
+
+def certificate_with(**scales):
+    """The certificate with each named entry times its scale."""
+
+    def certificate(params, sne):
+        cert = rg.hessian_certificate(params, sne)
+        return dataclasses.replace(
+            cert, **{name: scale * getattr(cert, name) for name, scale in scales.items()}
+        )
+
+    return certificate
+
+
+# per case, the property checks that fail and the function, named by its
+# import path, replaced so that they do
 BROKEN_INPUTS = {
     # D_i one off everywhere
     "gradient": (
-        "gradient", "log_rev_derivative", lambda *a: np.add(rg.log_rev_derivative(*a), 1.0)
+        "gradient",
+        "refgame.analysis.log_rev_derivative",
+        lambda *a: np.add(rg.log_rev_derivative(*a), 1.0),
     ),
     # firm L's own-price partial in the other-price column and back; the
-    # reference columns, all the bounds check reads, are intact
+    # reference columns, all the bounds check reads, are intact, and the
+    # hessian check, which builds M from this table, fails too
     "gradient_partials": (
-        "gradient", "scaled_derivative_partials", partials_with_L_price_columns_swapped
+        "gradient,hessian",
+        "refgame.analysis.scaled_derivative_partials",
+        partials_with_L_price_columns_swapped,
     ),
     # bounds of zero that every sample exceeds
-    "bounds": ("bounds", "bound_constants", lambda params: (0.0, 0.0)),
+    "bounds": ("bounds", "refgame.analysis.bound_constants", lambda params: (0.0, 0.0)),
     # drift pointing away from the SNE
-    "drift_grid": ("drift", "sne_drift", lambda *a: -rg.sne_drift(*a)),
+    "drift_grid": ("drift", "refgame.analysis.sne_drift", lambda *a: -rg.sne_drift(*a)),
     # drift of the right sign at half its size, below the proved bound
-    "drift_half": ("drift", "sne_drift", lambda *a: 0.5 * rg.sne_drift(*a)),
-    # a potential twice the one the closed-form Hessian describes
-    "hessian": ("hessian", "local_potential", lambda *a: 2.0 * rg.local_potential(*a)),
+    "drift_half": ("drift", "refgame.analysis.sne_drift", lambda *a: 0.5 * rg.sne_drift(*a)),
+    # a certificate of a market with c_H one part in a million larger
+    "hessian": (
+        "hessian", "refgame.equilibrium.hessian_certificate", certificate_with_c_H_scaled
+    ),
+    # a wrong factor in h_HH
+    "hessian_diagonal": (
+        "hessian", "refgame.equilibrium.hessian_certificate", certificate_with(h_HH=1.001)
+    ),
+    # the off-diagonal entry's sign flipped
+    "hessian_off_diagonal": (
+        "hessian", "refgame.equilibrium.hessian_certificate", certificate_with(h_HL=-1.0)
+    ),
 }
 
 
 def fail_every_sweep_solve(monkeypatch):
-    """Let ``cli.solve_sne`` solve verify's own market, the first, and
-    raise SolverError for every later one: the sweep's."""
-    solved = []
+    """Make each ``solve_sne`` of the sweep raise SolverError. Verify's
+    own market is solved through ``cli``, which this leaves alone."""
 
-    def solve_only_the_first(params):
-        solved.append(params)
-        if len(solved) > 1:
-            raise rg.SolverError("forced failure")
-        return rg.solve_sne(params)
+    def fail(params):
+        raise rg.SolverError("forced failure")
 
-    monkeypatch.setattr(cli, "solve_sne", solve_only_the_first)
+    monkeypatch.setattr(rg.analysis, "solve_sne", fail)
 
 
 class TestVerifyCommand:
@@ -1011,25 +1042,24 @@ class TestVerifyCommand:
         assert capsys.readouterr() == (VERIFY_RANDOM_20_SEED_3, "")
 
     def test_check_properties_returns_the_printed_values(self, fig1, fig1_sne, capsys):
-        # the sweep draws after the property checks, so seed 3's ledger is
-        # the one printed above it
-        ledger = rg.check_properties(fig1, fig1_sne, np.random.default_rng(3))
+        ledger = rg.check_properties(fig1, fig1_sne, np.random.default_rng(3), 20)
         assert [(name, passed) for name, _, passed in ledger] == [
-            ("gradient", True), ("bounds", True), ("drift", True), ("hessian", True)
+            ("gradient", True), ("bounds", True), ("drift", True), ("hessian", True),
+            ("sweep", True),
         ]
         lines = dict(pair for _, pairs, _ in ledger for pair in pairs)
         assert lines["gradient_states"] == 100 and lines["bounds_samples"] == 10_000
         assert lines["bounds_violations"] == 0 and lines["drift_grid_points"] == 10_000
-        assert lines["drift_bound_violations"] == 0 and lines["hessian_pd"] is True
+        assert lines["drift_bound_violations"] == 0 and lines["sweep_total"] == 20
         for key, value in lines.items():
             cli._say(key, value)
         printed = VERIFY_RANDOM_20_SEED_3.splitlines(keepends=True)
-        assert capsys.readouterr().out == "".join(printed[2:-4])
+        assert capsys.readouterr().out == "".join(printed[2:-1])
 
     @pytest.mark.parametrize("case", list(BROKEN_INPUTS))
     def test_failed_check_exits_3_with_one_summary(self, capsys, monkeypatch, case):
         name, target, broken = BROKEN_INPUTS[case]
-        monkeypatch.setattr(rg.analysis, target, broken)
+        monkeypatch.setattr(target, broken)
         assert cli.main(["verify"]) == 3
         out, err = capsys.readouterr()
         assert err == ""
@@ -1059,7 +1089,7 @@ class TestVerifyCommand:
                 fail_every_sweep_solve(monkeypatch)
             else:
                 _, target, broken = BROKEN_INPUTS[case]
-                monkeypatch.setattr(rg.analysis, target, broken)
+                monkeypatch.setattr(target, broken)
         assert cli.main(["verify", "--random", "2"]) == 3
         assert summary_dict(capsys.readouterr().out)["verify_failures"] == names
 
