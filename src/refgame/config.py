@@ -293,15 +293,8 @@ def random_market(rng) -> MarketParams:
     a = rng.uniform(0.0, 12.0, 2)
     b = rng.uniform(0.1, 3.0, 2)
     c = rng.uniform(0.1, 3.0, 2)
-    alpha = float(rng.uniform(0.0, 0.99))
-    firm_H = FirmParams(a=float(a[0]), b=float(b[0]), c=float(c[0]))
-    firm_L = FirmParams(a=float(a[1]), b=float(b[1]), c=float(c[1]))
+    alpha = rng.uniform(0.0, 0.99)
+    firm_H, firm_L = (FirmParams(a=a[i], b=b[i], c=c[i]) for i in (0, 1))
     probe = MarketParams(firm_H=firm_H, firm_L=firm_L, alpha=alpha, p_lo=1.0, p_hi=2.0)
     (lo_H, up_H), (lo_L, up_L) = sne_bounds(probe)
-    return MarketParams(
-        firm_H=firm_H,
-        firm_L=firm_L,
-        alpha=alpha,
-        p_lo=0.9 * min(lo_H, lo_L),
-        p_hi=1.1 * max(up_H, up_L),
-    )
+    return replace(probe, p_lo=0.9 * min(lo_H, lo_L), p_hi=1.1 * max(up_H, up_L))

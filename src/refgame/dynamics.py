@@ -43,6 +43,7 @@ from .model import (
     MarketState,
     PricePair,
     _consts,
+    _real,
 )
 
 __all__ = [
@@ -87,24 +88,23 @@ class StepSchedule:
         self.coef = coef
         self.values = values
         if kind == "explicit":
+            if np.ndim(values) != 1 or len(values) == 0:
+                raise ValueError("explicit schedule needs a non-empty 1-d sequence")
             # a private read-only copy: simulate relies on the validation
             # below holding for the life of the schedule
-            arr = np.array(values, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("explicit schedule needs a non-empty 1-d sequence")
-            # a bool is an int in Python, but it is no step size
-            flag = next((v for v in values if isinstance(v, (bool, np.bool_))), None)
-            if flag is not None:
-                raise ValueError(f"explicit schedule values must be finite and > 0, got {flag!r}")
+            rule = "explicit schedule values must be finite and > 0"
+            arr = np.array([_real(v, rule) for v in values])
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ValueError("explicit schedule values must be finite and > 0")
+                raise ValueError(rule)
             if np.any(np.diff(arr) > 0.0):
                 raise ValueError("explicit schedule must be non-increasing")
             arr.flags.writeable = False
             self.values = arr
         else:
-            if coef is None or isinstance(coef, bool) or not (math.isfinite(coef) and coef > 0.0):
-                raise ValueError(f"schedule coefficient must be finite and > 0, got {coef!r}")
+            rule = "schedule coefficient must be finite and > 0"
+            self.coef = _real(coef, rule)
+            if not (math.isfinite(self.coef) and self.coef > 0.0):
+                raise ValueError(f"{rule}, got {coef!r}")
 
     @classmethod
     def constant(cls, eta: float) -> "StepSchedule":
@@ -128,7 +128,7 @@ class StepSchedule:
             raise ValueError("n must be >= 0")
         t = np.arange(n, dtype=float)
         if self.kind == "constant":
-            return np.full(n, float(self.coef))
+            return np.full(n, self.coef)
         if self.kind == "inverse_sqrt":
             return self.coef / np.sqrt(t + 1.0)
         if self.kind == "inverse_t":

@@ -22,6 +22,7 @@ numpy arrays of a common shape; results broadcast elementwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,9 +71,10 @@ class FirmParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"FirmParams.{name} must be a finite real, got {v!r}")
+            x = _real(getattr(self, name), f"FirmParams.{name} must be a finite real")
+            if not math.isfinite(x):
+                raise ValueError(f"FirmParams.{name} must be a finite real, got {x!r}")
+            object.__setattr__(self, name, x)
         if self.b <= 0.0:
             raise ValueError(f"FirmParams.b must be > 0, got {self.b}")
         if self.c < 0.0:
@@ -105,9 +107,8 @@ class MarketParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "p_lo", "p_hi"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"MarketParams.{name} must be a finite real, got {v!r}")
+            x = _real(getattr(self, name), f"MarketParams.{name} must be a finite real")
+            object.__setattr__(self, name, x)
         if not (math.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (math.isfinite(self.p_lo) and math.isfinite(self.p_hi)):
@@ -124,6 +125,22 @@ class MarketParams:
     def in_box(self, *values: float) -> bool:
         """True when every value lies inside [p_lo, p_hi]."""
         return all(self.p_lo <= v <= self.p_hi for v in values)
+
+
+def _real(value, rule: str) -> float:
+    """The constructors' number rule: a ``numbers.Real`` but no bool, as a
+    Python float (so a numpy float32 is widened); anything else, or an int
+    beyond the float range, raises ``ValueError`` naming ``rule`` and value."""
+    # a float passes first: the ABC check would make a long explicit
+    # schedule several times slower to build
+    if isinstance(value, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    ):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{rule}, got {value!r}")
 
 
 def _check_finite(**named) -> None:

@@ -284,7 +284,7 @@ class TestCheckProperties:
         assert lines["bounds_violations"] == 0
         assert lines["drift_grid_min"] > 0.0 and lines["drift_bound_violations"] == 0
         assert lines["hessian_identity_rel_err"] <= 16.0 * (fig1_sne.residual + 2.0**-52)
-        assert lines["sweep_total"] == lines["sweep_contained"] == 2
+        assert lines["sweep_total"] == 2 and lines["sweep_solver_failures"] == 0
 
     def test_saturated_market_passes_every_check(self):
         # the premise: at 25 of the 100 gradient states d_L lies below
@@ -300,6 +300,10 @@ class TestCheckProperties:
             (name, True) for name in CHECK_NAMES
         ]
         assert ledger_lines(ledger)["gradient_max_rel_err"] < 1e-6
+
+    def test_negative_sweep_size_refused(self, fig1, fig1_sne):
+        with pytest.raises(ValueError, match="random_n must be >= 0, got -1"):
+            rg.check_properties(fig1, fig1_sne, np.random.default_rng(0), -1)
 
     def test_rng_draws_gradient_states_then_bound_samples_only(self, fig1, fig1_sne):
         # the sweep, here of no markets, draws its markets from the same
@@ -339,7 +343,6 @@ class TestRateFit:
         report = rg.rate_fit(traj, sne, window_fraction=0.5)
         assert report.sup_t_dist2 < 1e-12
         assert report.sup_t2_gap2 < 1e-12
-        assert report.converged
 
     def test_window_selection(self, fig1, fig1_sne):
         traj = _constant_trajectory(fig1, fig1_sne.prices, n=100)
@@ -351,6 +354,20 @@ class TestRateFit:
             rg.rate_fit(traj, fig1_sne.prices, window=(90, 200))
         with pytest.raises(ValueError):
             rg.rate_fit(traj, fig1_sne.prices, window_fraction=0.0)
+
+    @pytest.mark.parametrize("window", [(10.7, 20.2), (10, 20.0), (True, 20), (10, np.True_)])
+    def test_window_ends_must_be_integers(self, fig1, fig1_sne, window):
+        # a window end is a period: a float is refused, not truncated
+        traj = _constant_trajectory(fig1, fig1_sne.prices, n=100)
+        with pytest.raises(ValueError, match="window ends must be integers"):
+            rg.rate_fit(traj, fig1_sne.prices, window=window)
+        assert rg.rate_fit(traj, fig1_sne.prices, window=(np.int64(10), 20)).window == (10, 20)
+
+    @pytest.mark.parametrize("window", [(10,), (10, 20, 30)])
+    def test_window_is_a_pair(self, fig1, fig1_sne, window):
+        traj = _constant_trajectory(fig1, fig1_sne.prices, n=100)
+        with pytest.raises(ValueError):
+            rg.rate_fit(traj, fig1_sne.prices, window=window)
 
     def test_sup_values_match_direct_computation(self, fig1, fig1_sne):
         state = rg.MarketState(rg.PricePair(4.85, 4.86), rg.PricePair(0.10, 2.95))
@@ -367,7 +384,11 @@ class TestRateFit:
         state = rg.MarketState(rg.PricePair(4.85, 4.86), rg.PricePair(0.10, 2.95))
         traj = rg.simulate(fig1, state, rg.StepSchedule.constant(1.0), 10_000)
         report = rg.rate_fit(traj, fig1_sne.prices, window_fraction=0.5)
-        assert not report.converged
+        # the window ends at the last period, whose distance does not shrink,
+        # so t * dist^2 there, up to rounding, bounds the supremum below
+        final = traj.final_state().prices
+        dist2 = (final.p_H - fig1_sne.prices.p_H) ** 2 + (final.p_L - fig1_sne.prices.p_L) ** 2
+        assert report.sup_t_dist2 >= 10_000 * dist2 * (1.0 - 1e-12) > 1.0
 
 
 def orbit_cases():

@@ -70,7 +70,6 @@ drift_grid_min = 0.0326062318516
 drift_bound_violations = 0
 hessian_identity_rel_err = 6.7398959885e-13
 sweep_total = 20
-sweep_contained = 20
 sweep_solver_failures = 0
 verify_pass = true
 """
@@ -89,7 +88,6 @@ hessian_det = 7.31515392559
 hessian_trace = 5.8948138406
 hessian_min_eig = 1.77605999123
 gamma_estimate = 0.888029995616
-bounds_contained = true
 """
 
 # figure1 summaries at the default horizons, every line but the output paths
@@ -118,7 +116,6 @@ verdict = CONVERGED
 rate_window = 50000..100000
 rate_sup_t_dist2 = 8.77665565772e-21
 rate_sup_t2_gap2 = 1.67632942359e-20
-rate_converged = true
 """,
     "b": """\
 command = simulate
@@ -144,7 +141,6 @@ verdict = CYCLING
 rate_window = 5000..10000
 rate_sup_t_dist2 = 3458.94563889
 rate_sup_t2_gap2 = 19660207.9724
-rate_converged = false
 """,
     "c": """\
 command = compare
@@ -571,6 +567,28 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "forced failure" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "CFG"],
+            ["compare", "--config", "CFG"],
+            ["figure1", "--variant", "a", "--horizon", "5"],
+            ["figure1", "--variant", "c", "--horizon", "5"],
+        ],
+    )
+    def test_empty_out_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        # --out is the config's output_path, under the config's own check
+        cfg = write_config(tmp_path, demo_config_dict(horizon=5))
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        argv = [cfg if arg == "CFG" else arg for arg in argv]
+        assert cli.main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr() == (
+            "", "error: output_path must be a non-empty string, got ''\n"
+        )
+        assert list(run.iterdir()) == []
+
     def test_a_run_evaluates_the_bounds_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         bounds = rg.equilibrium.sne_bounds
@@ -856,7 +874,9 @@ class TestSneCommand:
         summary = summary_dict(capsys.readouterr().out)
         assert float(summary["sne_residual"]) < 1e-10
         assert float(summary["hessian_det"]) > 0.0
-        assert summary["bounds_contained"] == "true"
+        for firm in "HL":
+            lower, upper = (float(summary[f"bound_{side}_{firm}"]) for side in ("lower", "upper"))
+            assert lower <= float(summary[f"sne_p_{firm}"]) <= upper
 
     def test_figure1_stdout_frozen(self, tmp_path, capsys):
         path = write_config(tmp_path, demo_config_dict())
@@ -1025,8 +1045,10 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--random", "3", "--seed", "7"]) == 0
         summary = summary_dict(capsys.readouterr().out)
         assert summary["sweep_total"] == "3"
-        assert summary["sweep_contained"] == "3"
         assert summary["sweep_solver_failures"] == "0"
+        assert [key for key in summary if key.startswith("sweep")] == [
+            "sweep_total", "sweep_solver_failures"
+        ]
         assert summary["verify_pass"] == "true"
 
     def test_zero_sweep_is_vacuous_but_grid_checks_run(self, capsys):
@@ -1074,7 +1096,7 @@ class TestVerifyCommand:
         fail_every_sweep_solve(monkeypatch)
         assert cli.main(["verify", "--random", "2"]) == 3
         summary = summary_dict(capsys.readouterr().out)
-        assert summary["sweep_contained"] == "0"
+        assert summary["sweep_total"] == "2"
         assert summary["sweep_solver_failures"] == "2"
         assert summary["verify_failures"] == "sweep"
 

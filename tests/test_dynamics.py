@@ -148,6 +148,24 @@ class TestStepSchedule:
             ):
                 rg.StepSchedule.explicit(values)
 
+    def test_string_coefficient_refused(self):
+        message = "schedule coefficient must be finite and > 0, got '1'"
+        with pytest.raises(ValueError, match=message):
+            rg.StepSchedule.constant("1")
+
+    def test_string_explicit_values_refused(self):
+        # a string is no step size, even one that parses as a number
+        with pytest.raises(
+            ValueError, match="explicit schedule values must be finite and > 0, got '1'"
+        ):
+            rg.StepSchedule.explicit(["1", "0.5"])
+
+    def test_numpy_numbers_stored_as_floats(self):
+        schedule = rg.StepSchedule.inverse_t(np.float32(2.5))
+        assert type(schedule.coef) is float and schedule.coef == 2.5
+        values = rg.StepSchedule.explicit([np.int64(2), np.float32(0.5)]).values
+        assert values.dtype == np.float64 and list(values) == [2.0, 0.5]
+
     def test_sequence_matches_closed_form(self):
         for s, rule in (
             (rg.StepSchedule.constant(0.3), lambda t: 0.3),

@@ -5,6 +5,7 @@ mpmath at 30 significant digits from the defining formulas and pasted
 here; the code under test never produced them.
 """
 
+import dataclasses
 import math
 import re
 
@@ -61,6 +62,28 @@ class TestParamsValidation:
                 message = f"MarketParams.{field} must be a finite real, got {flag!r}"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     rg.MarketParams(firm, firm, **market)
+
+    @pytest.mark.parametrize("field", ["p_lo", "p_hi"])
+    def test_float32_box_bound_is_widened(self, field):
+        # under NumPy 2 a float32 bound would keep the solve's arithmetic in
+        # single precision, where solve_sne cannot meet its tolerance
+        fig1 = rg.figure1_params()
+        bound = np.float32(getattr(fig1, field))
+        params = dataclasses.replace(fig1, **{field: bound})
+        assert type(getattr(params, field)) is float and getattr(params, field) == bound
+        widened = dataclasses.replace(fig1, **{field: float(bound)})
+        assert rg.solve_sne(params).prices == rg.solve_sne(widened).prices
+
+    @pytest.mark.parametrize("value", [np.float32(2.5), np.int64(2)])
+    def test_firm_takes_numpy_numbers_as_floats(self, value):
+        firm = rg.FirmParams(a=value, b=value, c=value)
+        assert all(type(x) is float and x == value for x in (firm.a, firm.b, firm.c))
+
+    def test_market_refuses_a_string_with_value_error(self):
+        firm = rg.FirmParams(a=1.0, b=1.0, c=0.0)
+        message = "MarketParams.alpha must be a finite real, got '0.5'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rg.MarketParams(firm, firm, alpha="0.5", p_lo=0.5, p_hi=2.0)
 
     def test_market_rejects_bad_alpha_and_box(self):
         firm = rg.FirmParams(a=1.0, b=1.0, c=1.0)
