@@ -247,25 +247,32 @@ def _log_revenue(params: MarketParams, prices, references):
 
 def _gradient_check(params: MarketParams, sne: SneSolution, rng):
     """The states are one (100, 4) block (the doubles of 100 draws of
-    four). A stencil moves each coordinate of every state by +-1e-6, so
-    each function is evaluated once, on arrays. D_i is checked on
-    :func:`_log_revenue`, which forms no share: a share clamped at the
+    four). A stencil moves each coordinate x_j of every state by +-x_j
+    2^-20, so each function is evaluated once, on arrays. D_i is checked
+    on :func:`_log_revenue`, which forms no share: a share clamped at the
     smallest normal double would hold fixed, and the difference of
-    log(p_i d_i) would give 1/p_i and miss -(b_i+c_i)(1 - d_i)."""
-    n, h = 100, 1e-6
+    log(p_i d_i) would give 1/p_i and miss -(b_i+c_i)(1 - d_i).
+
+    The errors are of elasticities, |fd - ref| x_j / max(1, |ref| x_j),
+    with x_j the coordinate differenced (p_i for D_i). Steps and errors
+    are then unit-free: a power-of-two unit scales both exactly, and only
+    log revenue, whose log p_i carries the unit, rounds differently."""
+    n = 100
     states = rng.uniform(params.p_lo, params.p_hi, (n, 4)).T
+    h = states * 2.0**-20
     # [state value, coordinate moved, +h or -h, state]; unmoved ones gain 0.0
-    stencil = states[:, None, None, :] + np.multiply.outer(np.eye(4), (h, -h))[..., None]
+    moves = np.multiply.outer(np.eye(4), (1.0, -1.0))[..., None] * h[:, None]
+    stencil = states[:, None, None, :] + moves
     p, r = stencil[:2], stencil[2:]
     values = np.stack(_log_revenue(params, p, r) + scaled_derivative(params, p, r))
     fd = (values[:, :, 0] - values[:, :, 1]) / (2.0 * h)  # [log R_H, log R_L, G_H, G_L]
     d = np.stack(log_rev_derivative(params, states[:2], states[2:]))
     table = scaled_derivative_partials(params, states[:2], states[2:])
-    err_d = np.abs(fd[[0, 1], [0, 1]] - d) / np.maximum(1.0, np.abs(d))
-    # partials columns: own price, other price, own ref, other ref
-    fd_table = np.stack((fd[2], fd[3, [1, 0, 3, 2]]))
-    err_table = np.abs(fd_table - table) / np.maximum(1.0, np.abs(table))
-    err = float(max(np.max(err_d), np.max(err_table)))
+    pairs = ((fd[[0, 1], [0, 1]], d, states[:2]), (fd[2:], table, states))
+    err = max(
+        float(np.max(np.abs(got - ref) * x / np.maximum(1.0, np.abs(ref) * x)))
+        for got, ref, x in pairs
+    )
     return (("gradient_states", n), ("gradient_max_rel_err", err)), err < 1e-6
 
 
@@ -274,11 +281,9 @@ def _bounds_check(params: MarketParams, sne: SneSolution, rng):
     m_g, l_r = bound_constants(params)
     states = rng.uniform(params.p_lo, params.p_hi, size=(4, n))
     prices, refs = (states[0], states[1]), (states[2], states[3])
-    g_H, g_L = scaled_derivative(params, prices, refs)
+    g = np.abs(scaled_derivative(params, prices, refs))
     table = scaled_derivative_partials(params, prices, refs)
-    grad_H = np.hypot(table[0, 2], table[0, 3])
-    grad_L = np.hypot(table[1, 2], table[1, 3])
-    checks = ((np.abs(g_H), m_g), (np.abs(g_L), m_g), (grad_H, l_r), (grad_L, l_r))
+    checks = ((g, m_g), (np.hypot(table[:, 2], table[:, 3]), l_r))
     # one-ulp slack, so equality at a bound is no violation
     violations = sum(int(np.sum(values > bound + 1e-12)) for values, bound in checks)
     return (("bounds_samples", n), ("bounds_violations", violations)), violations == 0
@@ -307,15 +312,12 @@ def _hessian_check(params: MarketParams, sne: SneSolution, rng):
     max|M + M^T| is 16 (residual + 2^-52): four times the worst measured,
     4.3 (residual + 2^-52), on figure1, STIFF and SATURATED of the tests
     and 600 random markets. Both sides are unit-free."""
-    (g_HH, g_HL, r_HH, r_HL), (g_LL, g_LH, r_LL, r_LH) = scaled_derivative_partials(
-        params, sne.prices, sne.prices
-    )
-    s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
-    m_HH, m_HL = -s_H * (g_HH + r_HH), -s_H * (g_HL + r_HL)
-    m_LH, m_LL = -s_L * (g_LH + r_LH), -s_L * (g_LL + r_LL)
-    identity = np.array((2.0 * m_HH, m_HL + m_LH, 2.0 * m_LL))
+    table = scaled_derivative_partials(params, sne.prices, sne.prices)
+    s = np.array([[firm.sensitivity] for firm in params.firms])
+    m = -s * (table[:, :2] + table[:, 2:])
+    identity = m + m.T
     cert = sne.hessian_certificate
-    err = float(np.max(np.abs(identity - (cert.h_HH, cert.h_HL, cert.h_LL))))
+    err = float(np.max(np.abs(identity - ((cert.h_HH, cert.h_HL), (cert.h_HL, cert.h_LL)))))
     err /= float(np.max(np.abs(identity)))
     return (("hessian_identity_rel_err", err),), err <= 16.0 * (sne.residual + 2.0**-52)
 

@@ -121,7 +121,7 @@ def _write_rows(f, n: int, onset: int, period: int, *records: np.ndarray) -> Non
 
 def _say(key: str, value) -> None:
     """Print ``key = value``: a bool as true or false, a float to 12
-    significant digits."""
+    significant digits, a path as ``str(Path)``."""
     if isinstance(value, bool):
         value = "true" if value else "false"
     elif isinstance(value, float):
@@ -207,9 +207,10 @@ def _print_sne(sol: SneSolution) -> None:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     sol = solve_sne(config.params)
-    with _output_files(config.output_path):
+    out_path = Path(config.output_path)
+    with _output_files(out_path):
         traj = simulate(config.params, config.initial_state(), config.schedule, config.horizon)
-        write_trajectory_csv(config.output_path, traj, sol.prices)
+        write_trajectory_csv(out_path, traj, sol.prices)
 
     sne = sol.prices
     final = traj.final_state()
@@ -217,7 +218,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     _say("command", "simulate")
     _say("schedule", traj.schedule)
     _say("horizon", config.horizon)
-    _say("output", config.output_path)
+    _say("output", out_path)
     _print_sne(sol)
     _say("terminal_price_gap_inf", _gap_inf(final.prices, sne))
     _say("terminal_ref_gap_inf", _gap_inf(final.references, sne))
@@ -254,8 +255,8 @@ def cmd_compare(config: ExperimentConfig) -> int:
     _say("command", "compare")
     _say("schedule", traj.schedule)
     _say("horizon", config.horizon)
-    _say("output", str(out_path))
-    _say("output_policy", str(joined_path))
+    _say("output", out_path)
+    _say("output_policy", joined_path)
     _print_sne(sol)
     _say("terminal_ref_gap_grad", _gap_inf(grad_refs, sne))
     _say("terminal_ref_gap_policy", _gap_inf(policy_refs, sne))

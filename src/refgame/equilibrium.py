@@ -372,6 +372,11 @@ def solve_sne(params: MarketParams) -> SneSolution:
     price box raises the ``ValueError`` of :func:`validate_price_box`;
     the bounds that call returns are the solution's analytic bounds,
     beside the local Hessian certificate.
+
+    A solution outside its closed bounds raises ``SolverError``. The
+    true SNE lies strictly inside them, but its nearest double may fall
+    on one: where firm i's demand is negligible (d_i below about 1e-16),
+    p_i** rounds to 1/(b_i+c_i), the lower bound itself.
     """
     bounds = validate_price_box(params)
     lo, hi = params.p_lo, params.p_hi
@@ -379,7 +384,7 @@ def solve_sne(params: MarketParams) -> SneSolution:
     p_H, p_L, residual, iterations, *_ = _newton(_consts(params), lo, hi, None, b=b)
     prices = PricePair(p_H, p_L)
     for value, (lower, upper) in zip(prices, bounds):
-        if not (lower < value < upper):
+        if not (lower <= value <= upper):
             raise SolverError(
                 "solved stationary prices violate their analytic bounds",
                 prices=tuple(prices),

@@ -11,9 +11,9 @@ market shares follow a multinomial logit over {H, L, no purchase}, and
 a firm's revenue is its price times its share. This module provides the
 analytic first- and second-order quantities that the dynamics and
 diagnostics build on: the log-revenue derivative a firm can recover
-from its own price and realized demand, its scaled version, all four
-partial derivatives of the scaled form, and global bound constants over
-a price box.
+from its own price and realized demand, its scaled version, the Jacobian
+of the scaled form in the state, and global bound constants over a price
+box.
 
 Every function is pure. Components of a price pair may be floats or
 numpy arrays of a common shape; results broadcast elementwise.
@@ -208,19 +208,17 @@ def scaled_derivative(params: MarketParams, prices, references):
 
 
 def scaled_derivative_partials(params: MarketParams, prices, references) -> np.ndarray:
-    """All four partial derivatives of G_i for each firm.
+    """The Jacobian of (G_H, G_L) in the state (p_H, p_L, r_H, r_L).
 
-    Returns an array of shape (2, 4) (plus broadcast dimensions), rows
-    ordered (H, L) and columns ordered
+    Returns an array of shape (2, 4) (plus broadcast dimensions) whose
+    entry [i, j] is dG_i/dx_j, rows ordered (H, L) and columns in state
+    order, so ``J[:, :2]`` is G_p and ``J[:, 2:]`` is G_r. With j the
+    firm other than i, the closed forms are
 
-        [d/d own price, d/d other price, d/d own reference, d/d other reference]
-
-    with the closed forms
-
-        dG_i/dp_i    = -1/((b_i+c_i) p_i^2) - (b_i+c_i) d_i (1 - d_i)
-        dG_i/dp_-i   =  (b_-i+c_-i) d_i d_-i
-        dG_i/dr_i    =   c_i d_i (1 - d_i)
-        dG_i/dr_-i   =  -c_-i d_i d_-i
+        dG_i/dp_i = -1/((b_i+c_i) p_i^2) - (b_i+c_i) d_i (1 - d_i)
+        dG_i/dp_j =  (b_j+c_j) d_i d_j
+        dG_i/dr_i =   c_i d_i (1 - d_i)
+        dG_i/dr_j =  -c_j d_i d_j
     """
     p_H, p_L = prices
     if np.any(np.asarray(p_H) == 0.0) or np.any(np.asarray(p_L) == 0.0):
@@ -229,23 +227,14 @@ def scaled_derivative_partials(params: MarketParams, prices, references) -> np.n
     s_H, s_L = params.firm_H.sensitivity, params.firm_L.sensitivity
     c_H, c_L = params.firm_H.c, params.firm_L.c
     cross = d_H * d_L
-    row_H = np.stack(
+    own_H = -1.0 / (s_H * np.asarray(p_H, dtype=float) ** 2) - s_H * d_H * q_H
+    own_L = -1.0 / (s_L * np.asarray(p_L, dtype=float) ** 2) - s_L * d_L * q_L
+    return np.array(
         [
-            -1.0 / (s_H * np.asarray(p_H, dtype=float) ** 2) - s_H * d_H * q_H,
-            s_L * cross,
-            c_H * d_H * q_H,
-            -c_L * cross,
+            [own_H, s_L * cross, c_H * d_H * q_H, -c_L * cross],
+            [s_H * cross, own_L, -c_H * cross, c_L * d_L * q_L],
         ]
     )
-    row_L = np.stack(
-        [
-            -1.0 / (s_L * np.asarray(p_L, dtype=float) ** 2) - s_L * d_L * q_L,
-            s_H * cross,
-            c_L * d_L * q_L,
-            -c_H * cross,
-        ]
-    )
-    return np.stack([row_H, row_L])
 
 
 def bound_constants(params: MarketParams) -> tuple[float, float]:

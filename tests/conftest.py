@@ -64,16 +64,6 @@ def in_box_states(params: rg.MarketParams, n: int, seed: int) -> np.ndarray:
     return rng.uniform(params.p_lo, params.p_hi, size=(n, 4))
 
 
-def derivative_partials(params: rg.MarketParams, point: rg.PricePair) -> np.ndarray:
-    """The 2 x 4 partials of G at the state (point, point), in state order:
-    row i holds dG_i/dp_H, dG_i/dp_L, dG_i/dr_H, dG_i/dr_L, so that the
-    first two columns are G_p and the last two G_r."""
-    part = rg.scaled_derivative_partials(params, point, point)
-    # a partials row is ordered [own p, other p, own r, other r]; put L's
-    # into state order
-    return np.array([part[0], part[1][[1, 0, 3, 2]]])
-
-
 def step_jacobian(params: rg.MarketParams, point: rg.PricePair, eta: float) -> np.ndarray:
     """Jacobian of one ascent period at the stationary state (point, point).
 
@@ -84,7 +74,7 @@ def step_jacobian(params: rg.MarketParams, point: rg.PricePair, eta: float) -> n
     """
     s = [f.b + f.c for f in params.firms]
     jac = np.zeros((4, 4))
-    jac[:2] = eta * np.asarray(s)[:, None] * derivative_partials(params, point)
+    jac[:2] = eta * np.asarray(s)[:, None] * rg.scaled_derivative_partials(params, point, point)
     jac[:2, :2] += np.eye(2)
     jac[2:, :2] = (1.0 - params.alpha) * np.eye(2)
     jac[2:, 2:] = params.alpha * np.eye(2)

@@ -14,7 +14,6 @@ from conftest import (
     STIFF,
     TRAJECTORY_COLUMNS,
     built_columns,
-    derivative_partials,
     spectral_radius,
     step_jacobian,
 )
@@ -189,7 +188,7 @@ class TestHessianCertificate:
 def linearisation(params, sne):
     """M = -S (G_p + G_r) and K = -S ((1+alpha) G_p - (1-alpha) G_r) at
     (p**, p**), with S = diag(b_i + c_i)."""
-    dG = derivative_partials(params, sne)
+    dG = rg.scaled_derivative_partials(params, sne, sne)
     s = np.array([[f.sensitivity] for f in params.firms])
     g_p, g_r, alpha = dG[:, :2], dG[:, 2:], params.alpha
     return -s * (g_p + g_r), -s * ((1.0 + alpha) * g_p - (1.0 - alpha) * g_r)
@@ -315,6 +314,15 @@ class TestCheckProperties:
             twin.uniform(fig1.p_lo, fig1.p_hi, 4)
         twin.uniform(fig1.p_lo, fig1.p_hi, size=(4, 10_000))
         assert rng.uniform() == twin.uniform()
+
+    @pytest.mark.parametrize("k", [2.0**-10, 2.0**-3, 2.0**3, 2.0**10])
+    @pytest.mark.parametrize("market", ["fig1", "stiff", "saturated"])
+    def test_gradient_entry_passes_in_any_unit(self, fig1, market, k):
+        # steps x_j 2^-20 and elasticity errors are unit-free; the value
+        # moves a little with k only because log p_i carries the unit
+        params = rescaled(named_market(market, fig1), k)
+        ledger = rg.check_properties(params, rg.solve_sne(params), np.random.default_rng(0), 0)
+        assert ledger[0][0] == "gradient" and ledger[0][2]
 
     @pytest.mark.parametrize("k", [2.0**-10, 2.0**-3, 2.0**3, 2.0**10])
     def test_drift_and_hessian_entries_are_unit_free(self, fig1, fig1_sne, k):

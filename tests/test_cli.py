@@ -54,7 +54,8 @@ def summary_dict(captured: str) -> dict:
 
 # frozen from the command once the Hessian certificate read 1 - d_i as the
 # exact complement (e_0 + e_-i)/total; the gradient line since the
-# gradient check differences log revenue in log space; the drift lines
+# gradient check steps each coordinate by x_j 2^-20 and compares
+# elasticities; the drift lines
 # since the drift check compares the grid with its proved lower bound;
 # the hessian line since the hessian check compares the certificate with
 # M + M^T
@@ -62,7 +63,7 @@ VERIFY_RANDOM_20_SEED_3 = """\
 command = verify
 seed = 3
 gradient_states = 100
-gradient_max_rel_err = 9.95641960771e-10
+gradient_max_rel_err = 7.90641330191e-10
 bounds_samples = 10000
 bounds_violations = 0
 drift_grid_points = 10000
@@ -969,6 +970,19 @@ class TestCompareCommand:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_output_paths_print_in_path_form(tmp_path, capsys, monkeypatch, command):
+    # every file a command opens is printed as str(Path(...)), which drops a
+    # leading ./
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, demo_config_dict(horizon=10))
+    assert cli.main([command, "--config", path, "--out", "./x.csv"]) == 0
+    summary = summary_dict(capsys.readouterr().out)
+    assert summary["output"] == "x.csv" and (tmp_path / "x.csv").exists()
+    if command == "compare":
+        assert summary["output_policy"] == "x_policy.csv"
+
+
 def partials_with_L_price_columns_swapped(*args):
     table = rg.scaled_derivative_partials(*args)
     table[1, [0, 1]] = table[1, [1, 0]]
@@ -1001,9 +1015,9 @@ BROKEN_INPUTS = {
         "refgame.analysis.log_rev_derivative",
         lambda *a: np.add(rg.log_rev_derivative(*a), 1.0),
     ),
-    # firm L's own-price partial in the other-price column and back; the
-    # reference columns, all the bounds check reads, are intact, and the
-    # hessian check, which builds M from this table, fails too
+    # firm L's two price partials, dG_L/dp_H and dG_L/dp_L, trade columns;
+    # the reference columns, all the bounds check reads, are intact, and
+    # the hessian check, which builds M from this table, fails too
     "gradient_partials": (
         "gradient,hessian",
         "refgame.analysis.scaled_derivative_partials",

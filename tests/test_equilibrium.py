@@ -607,6 +607,18 @@ class TestSolveSne:
         assert max(abs(g[0]), abs(g[1])) <= 1e-12
         assert sol.residual <= 1e-12
 
+    @pytest.mark.parametrize("a_L", [-34.0, -38.0, -800.0])
+    def test_negligible_demand_is_solved(self, fig1, a_L):
+        # d_L** is below about 1e-16, so p_L** rounds onto its lower bound
+        # 1/(b_L+c_L); from a_L = -37 the upper bound rounds there too
+        firm_L = dataclasses.replace(fig1.firm_L, a=a_L)
+        params = dataclasses.replace(fig1, firm_L=firm_L)
+        sol = rg.solve_sne(params)
+        assert sol.prices.p_L == sol.bounds[1][0] == 1.0 / firm_L.sensitivity
+        assert sol.residual <= 2.0**-53
+        ledger = rg.check_properties(params, sol, np.random.default_rng(0), 0)
+        assert all(passed for _, _, passed in ledger)
+
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_market_inside_bounds_and_stationary(self, seed):
